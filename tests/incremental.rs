@@ -423,6 +423,46 @@ fn view_epochs_attribute_maintenance_load() {
     );
 }
 
+/// Communication of every shape's registration and maintenance is pinned:
+/// `(exchanges, max_load, total_messages)` of the registration epoch and of
+/// the summed maintenance epochs over a fixed 8-batch 5 % stream at p = 8.
+/// Like the engine's `L = 364`, these are exact regression constants — a
+/// refactor of the view caches must reproduce them.
+#[test]
+fn view_loads_are_pinned() {
+    const PINNED: [(&str, [u64; 3], [u64; 3]); 5] = [
+        ("binary", [60, 65, 1594], [48, 7, 412]),
+        ("line3", [139, 43, 3105], [104, 10, 773]),
+        ("star3", [110, 133, 2353], [104, 20, 1389]),
+        ("triangle", [4, 16, 340], [72, 3, 308]),
+        ("ghd", [323, 384, 5352], [2584, 146, 17793]),
+    ];
+    for ((label, q, db), (pinned_label, registration, maintenance)) in
+        shapes().into_iter().zip(PINNED)
+    {
+        assert_eq!(label, pinned_label);
+        let mut engine = QueryEngine::new(8);
+        let view = engine.register_view(&q, &db);
+        let reg = engine.view(view).registration();
+        let got_registration = [reg.exchanges, reg.max_load, reg.total_messages];
+        let mut mirror = db.clone();
+        mirror.dedup_all();
+        let batches = aj_instancegen::updates::update_stream(&q, &mirror, 8, 0.05, 0.0, 0x9175);
+        let mut got_maintenance = [0u64; 3];
+        for batch in &batches {
+            let epoch = engine.apply_update(view, batch).maintenance;
+            got_maintenance[0] += epoch.exchanges;
+            got_maintenance[1] = got_maintenance[1].max(epoch.max_load);
+            got_maintenance[2] += epoch.total_messages;
+        }
+        assert_eq!(
+            got_registration, registration,
+            "{label}: registration loads"
+        );
+        assert_eq!(got_maintenance, maintenance, "{label}: maintenance loads");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / recovery satellites: the snapshot codec and `ViewCheckpoint`
 // must round-trip losslessly, and restoring a checkpoint must land the view
