@@ -11,31 +11,37 @@
 //!   counting ring [`aj_relation::semiring::ZRing`], sharded over the
 //!   servers by output-tuple hash) and the cached state the delta pass
 //!   joins against.
-//! * **Acyclic views** cache one shard of every join-tree partner per
-//!   *directed tree edge*, hashed on that edge's join key. A batch's delta
-//!   for relation `e` BFS-walks the cached tree from `e`: at each step the
-//!   signed rows are routed by the next edge's key (one
-//!   [`aj_mpc::Net::exchange_deltas`] round — deltas ride the same radix
-//!   [`aj_relation::TupleBlock`] exchange as all bulk data) and joined
-//!   locally against the cached partner shard. By the join tree's running
+//! * **Every view is a bag tree.** The paper evaluates every join over a
+//!   tree of bags — an acyclic join over its join tree (a width-1 GHD,
+//!   Section 6), a cyclic core by HyperCube inside one bag — and the view
+//!   cache is exactly that one structure, built from one of three
+//!   decompositions chosen from the class and the priced plan alone:
+//!   *one bag per edge* (acyclic classes: the bag tree is the query's own
+//!   join tree, each bag in its edge's column layout), *one bag of all
+//!   edges* (a cyclic view priced [`Plan::WorstCase`]: whole-query
+//!   delta-HyperCube, the bag tree has no edges), or the bags of
+//!   [`aj_relation::Ghd::build`] (a cyclic view priced [`Plan::Ghd`]: cyclic
+//!   cores in multi-edge bags, acyclic appendages in single-edge ones).
+//! * **Multi-edge bags** keep **delta-HyperCube** state: the build places
+//!   the bag's base relations on its worst-case-optimal shares grid once and
+//!   caches the per-cell fragments; a delta routes through the *same* cached
+//!   grid (fixed coordinates hashed, free dimensions replicated) and joins
+//!   against the resident fragments of the bag's other edges. A matching
+//!   bag tuple meets its delta row in exactly one cell, and because λ
+//!   partitions the edges its derivation count is exactly 1 — bag relations
+//!   are plain sets and the lifted bag delta keeps weights `±1`. A
+//!   single-edge bag *is* its base relation; its delta is the base delta.
+//! * **The bag tree** caches one shard of every bag per *directed tree
+//!   edge*, hashed on that edge's join key. A bag delta BFS-walks the cached
+//!   tree from its bag: at each step the signed rows are routed by the next
+//!   edge's key (one [`aj_mpc::Net::exchange_deltas`] round — deltas ride
+//!   the same radix [`aj_relation::TupleBlock`] exchange as all bulk data)
+//!   and joined locally against the cached partner shard. By the running
 //!   intersection property, the shared attributes between the accumulated
-//!   schema and the next edge are exactly that tree edge's key, so the walk
-//!   computes `ΔR_e ⋈ (⋈_{j≠e} R_j)` with load `O(|Δ| + |Δ-output|)` — the
-//!   partners never move.
-//! * **Cyclic views** get **delta-HyperCube**: registration places every
-//!   base relation on the worst-case-optimal shares grid once and caches
-//!   the per-cell fragments; a delta routes through the *same* cached grid
-//!   (fixed coordinates hashed, free dimensions replicated) and joins
-//!   against the resident fragments of the other relations. A matching
-//!   output assignment meets its delta row in exactly one cell, so counts
-//!   stay exact.
-//! * **GHD-planned cyclic views** (cyclic cores with acyclic appendages,
-//!   where [`crate::planner::choose_plan_cyclic`] picks [`Plan::Ghd`])
-//!   compose the two: each multi-edge bag keeps its own delta-HyperCube
-//!   grid, the materialized bag relations are plain sets (λ partitions the
-//!   edges, so bag derivation counts are exactly 1), and an acyclic tree
-//!   cache over the *bag query* carries lifted bag deltas to the output —
-//!   a base delta pays the bag's replication, not the whole query's.
+//!   schema and the next bag are exactly that tree edge's key, so the walk
+//!   computes `ΔB ⋈ (⋈_{j≠b} B_j)` with load `O(|ΔB| + |Δ-output|)` — the
+//!   partners never move, and a base delta pays its own bag's replication,
+//!   not the whole query's.
 //! * **Counted deletions** — every routed row carries a signed weight
 //!   (`-1` per delete, `+1` per insert; products through joins, ⊕-sums at
 //!   the materialization), so a deletion is a pure decrement: no
@@ -63,13 +69,14 @@ use aj_relation::delta::{decode_snapshot, encode_snapshot, CountedSnapshot, Upda
 use aj_relation::semiring::{Semiring, ZRing};
 use aj_relation::signature::QuerySignature;
 use aj_relation::skew::{JoinSkew, SkewProfile};
-use aj_relation::{Attr, Database, Query, Relation, Tuple, Value};
+use aj_relation::{Attr, Database, Edge, Query, Relation, Tuple, Value};
 
 use crate::binary::detect_join_skew;
-use crate::dist::distribute_db;
+use crate::dist::{distribute_db, mix, DistDatabase, DistRelation};
 use crate::hypercube::{worst_case_shares, Shares};
-use crate::local::{multiway_join, normalize, LocalRel};
+use crate::local::LocalRel;
 use crate::planner::{choose_maintenance, execute_plan_dist, MaintenanceChoice, Plan};
+use crate::yannakakis::yannakakis;
 
 /// Handle of a registered view within one engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,11 +108,15 @@ pub struct UpdateOutcome {
     pub out_size: u64,
 }
 
-/// One cached join-tree partner shard: relation `to`, hashed on the tree
-/// edge's join key.
+/// Signed rows spread over the servers: `parts[s]` = the `(tuple, weight)`
+/// rows resident at server `s`.
+type SignedParts = Vec<Vec<(Tuple, i64)>>;
+
+/// One cached bag-tree partner shard: bag `to`, hashed on the tree edge's
+/// join key.
 #[derive(Debug)]
 struct EdgeShard {
-    /// The partner edge whose tuples this shard caches.
+    /// The partner bag whose tuples this shard caches.
     to: usize,
     /// The tree edge's join key (shared attributes, ascending).
     key: Vec<Attr>,
@@ -117,75 +128,65 @@ struct EdgeShard {
     index: Vec<FxHashMap<Tuple, Vec<Tuple>>>,
 }
 
-/// Cached state of an acyclic view: partner shards per directed tree edge
-/// plus the BFS propagation order from every possible delta source.
-#[derive(Debug)]
+/// Partner shards per directed edge of the bag tree, plus the BFS
+/// propagation order from every possible delta source.
+#[derive(Debug, Default)]
 struct TreeCache {
     shards: Vec<EdgeShard>,
-    /// `paths[e]` = shard indices visited, in order, by a delta on edge `e`.
+    /// `paths[b]` = shard indices visited, in order, by a delta on bag `b`.
     paths: Vec<Vec<usize>>,
 }
 
-/// Cached state of a cyclic view: the shares grid and the per-cell resident
-/// fragments of every relation.
+/// Delta-HyperCube state of one multi-edge bag: the bag's edges as a query
+/// of their own and the shares grid their base fragments live on.
 #[derive(Debug)]
-struct GridCache {
+struct BagGrid {
+    /// The bag's edges (ascending edge order; attribute space preserved).
+    sub_q: Query,
     shares: Shares,
     stride: Vec<usize>,
     seed: u64,
-    /// Per edge: the grid dimensions it replicates across (share > 1,
-    /// attribute not in the edge).
+    /// Per sub-query edge: the grid dimensions it replicates across (share
+    /// > 1, attribute not in the edge).
     free: Vec<Vec<Attr>>,
-    /// `frags[s][e]` = sorted resident fragment of edge `e` at cell `s`.
+    /// `frags[s][j]` = sorted resident fragment of sub-query edge `j` at
+    /// cell `s`.
     frags: Vec<Vec<Vec<Tuple>>>,
-    /// Per-tuple replication factor, weighted by relation size (the
-    /// planner's pricing input).
-    repl: f64,
 }
 
-/// One multi-edge GHD bag's delta-HyperCube state: the restricted sub-query
-/// (full attribute space, the bag's edges only) and the shares grid its base
-/// fragments live on.
+/// The cached state of a view: a tree of bags partitioning the query's
+/// edges. Multi-edge bags keep a [`BagGrid`]; the [`TreeCache`] over the
+/// bag query carries bag deltas to the output.
 #[derive(Debug)]
-struct BagGrid {
-    /// The bag's edges as a query of their own (attribute space preserved).
-    sub_q: Query,
-    /// Original edge ids of the sub-query's edges, ascending.
-    sub_edges: Vec<usize>,
-    /// Resident fragments of the bag's edges on the bag's own shares grid.
-    grid: GridCache,
-}
-
-/// Cached state of a GHD-planned cyclic view: each multi-edge bag keeps its
-/// own delta-HyperCube grid (the bag's cyclic core), the *materialized bag
-/// relations* are mirrored driver-side, and an acyclic [`TreeCache`] over
-/// the bag query carries bag deltas to the output — the bag layer is where
-/// the cyclic view becomes an acyclic one.
-#[derive(Debug)]
-struct BagsCache {
-    /// The acyclic query over the materialized bags.
+struct BagTree {
+    /// The acyclic query over the bags: a single-edge bag is its edge (own
+    /// column layout), a multi-edge bag covers its edges' attributes,
+    /// ascending.
     bag_query: Query,
-    /// `bag_of[e]` = the bag owning base edge `e` (λ partitions the edges).
+    /// `edges_of[b]` = the base edges of bag `b`, ascending (a partition).
+    edges_of: Vec<Vec<usize>>,
+    /// `bag_of[e]` = the bag owning base edge `e`.
     bag_of: Vec<usize>,
     /// Per bag: the grid state (`None` for single-edge bags, whose bag
-    /// relation is the base relation itself, permuted).
+    /// relation is the base relation itself).
     grids: Vec<Option<BagGrid>>,
-    /// Driver-side mirror of the materialized bag relations (sorted sets —
-    /// a bag tuple's derivation count is exactly 1 because λ partitions the
-    /// edges, so plain sets suffice).
-    bag_base: Database,
-    /// Bag-level join-tree shards over `bag_query`.
     tree: TreeCache,
-    /// Weighted per-tuple replication factor across the bag grids (the
-    /// planner's pricing input).
+    /// Per-tuple replication factor, weighted by relation size (the
+    /// planner's pricing input): 1 on single-edge bags, the free-dimension
+    /// product on a grid.
     repl: f64,
 }
 
-#[derive(Debug)]
-enum ViewCache {
-    Tree(TreeCache),
-    Grid(GridCache),
-    Bags(BagsCache),
+impl BagTree {
+    /// Bag and position within the bag's sub-query of base edge `e`.
+    fn locate(&self, e: usize) -> (usize, usize) {
+        let b = self.bag_of[e];
+        let j = self.edges_of[b]
+            .iter()
+            .position(|&x| x == e)
+            .expect("edge belongs to its bag");
+        (b, j)
+    }
 }
 
 /// A query registered for incremental maintenance: the counted
@@ -203,7 +204,7 @@ pub struct MaterializedView {
     mat: Vec<FxHashMap<Tuple, i64>>,
     mat_seed: u64,
     seed_base: u64,
-    cache: ViewCache,
+    cache: BagTree,
     registration: EpochStats,
     out_size: u64,
     /// Churn absorbed since the last full build.
@@ -261,6 +262,30 @@ impl MaterializedView {
         self.skew.as_ref()
     }
 
+    /// One-line rendering of the maintained bag tree for EXPLAIN: each
+    /// bag's edges and, for a multi-edge bag, its shares grid over the
+    /// bag's attributes.
+    pub(crate) fn describe_bags(&self) -> String {
+        let q = &self.query;
+        let bags = self.cache.edges_of.iter().zip(&self.cache.grids);
+        let rendered: Vec<String> = bags
+            .map(|(es, grid)| {
+                let names: Vec<&str> = es.iter().map(|&e| q.edge(e).name.as_str()).collect();
+                let shares = grid.as_ref().map_or_else(String::new, |g| {
+                    let dims: Vec<String> = g
+                        .sub_q
+                        .all_attrs()
+                        .iter()
+                        .map(|a| format!("{}={}", q.attr_name(a), g.shares.0[a]))
+                        .collect();
+                    format!(" shares[{}]", dims.join(" "))
+                });
+                format!("{{{}}}{shares}", names.join(" "))
+            })
+            .collect();
+        rendered.join(" ")
+    }
+
     /// The counted materialization, gathered **without communication
     /// charge** (test/result inspection, like
     /// [`crate::DistRelation::gather_free`]): sorted `(tuple, count)` pairs,
@@ -283,15 +308,6 @@ impl MaterializedView {
 const VIEW_SALT: u64 = 0x7a1e_5eed_0d15_c0de;
 /// Salt of the materialization routing seed.
 const MAT_SALT: u64 = 0x00d1_ce00_5a17_0001;
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Register `q` with its current instance: run the full build (join,
 /// materialization, caches) inside one stats epoch and return the view.
@@ -325,10 +341,15 @@ pub(crate) fn register(
         mat: Vec::new(),
         mat_seed: mix(seed_base, MAT_SALT),
         seed_base,
-        cache: ViewCache::Tree(TreeCache {
-            shards: Vec::new(),
-            paths: Vec::new(),
-        }),
+        // Placeholder until the build below places the bags.
+        cache: BagTree {
+            bag_query: q.clone(),
+            edges_of: Vec::new(),
+            bag_of: Vec::new(),
+            grids: Vec::new(),
+            tree: TreeCache::default(),
+            repl: 1.0,
+        },
         registration: EpochStats::default(),
         out_size: 0,
         cum_delta: 0,
@@ -342,77 +363,52 @@ pub(crate) fn register(
     view
 }
 
-/// Full build from `view.base`: join, counted materialization, caches, and
-/// (for binary views) skew detection. Used by registration and by the
-/// recompute fall-back; the caller wraps it in an epoch.
+/// Full build from `view.base`: bag grids, join, counted materialization,
+/// bag-tree shards, and (for binary views) skew detection. Used by
+/// registration and by the recompute fall-back; the caller wraps it in an
+/// epoch.
 fn build(cluster: &mut Cluster, view: &mut MaterializedView) {
     let p = cluster.p();
     let mut exec_seed = mix(view.seed_base, view.rebuilds);
     view.mat = (0..p).map(|_| FxHashMap::default()).collect();
-    view.skew = None;
-    match view.class {
-        JoinClass::Cyclic => {
-            // Cyclic builds are re-priced from the current sizes (a pure
-            // driver-side function, so rebuilds and restores agree): the
-            // whole-query delta-HyperCube grid against the GHD bag route.
-            let sizes: Vec<u64> = view.base.relations.iter().map(|r| r.len() as u64).collect();
-            let (plan, _est) = crate::planner::choose_plan_cyclic(&view.query, &sizes, p);
-            view.plan = plan;
-            if plan == Plan::Ghd {
-                build_bags(cluster, view, exec_seed);
-            } else {
-                // Delta-HyperCube state: place every relation on the shares
-                // grid and cache the per-cell fragments; the materialization
-                // is the per-cell local join of those fragments.
-                let shares = worst_case_shares(&view.query, &sizes, p);
-                let grid = build_grid(
-                    cluster,
-                    &view.query,
-                    &view.base.relations,
-                    shares,
-                    mix(exec_seed, 0x9e1d),
-                );
-                let outputs = grid_full_join(cluster, view, &grid);
-                view.cache = ViewCache::Grid(grid);
-                merge_outputs(cluster, view, outputs);
-            }
+    place_bags(cluster, view, exec_seed);
+    let bags = &view.cache;
+    let bag_dist: DistDatabase = (0..bags.grids.len())
+        .map(|b| bag_relation(cluster, bags, &view.base, b))
+        .collect();
+    // The output join: an acyclic view's bags are its relations, so its
+    // class plan runs on them; the bags of a cyclic view join acyclically.
+    let out = {
+        let mut net = cluster.net();
+        if view.class == JoinClass::Cyclic {
+            let mut join_seed = mix(exec_seed, 0x0ba6);
+            yannakakis(&mut net, &bags.bag_query, bag_dist, None, &mut join_seed)
+        } else {
+            execute_plan_dist(&mut net, view.plan, &view.query, bag_dist, &mut exec_seed)
+                .normalized()
         }
-        _ => {
-            // Acyclic: the class plan computes the view, then the output is
-            // routed to its count owners; tree shards are built per directed
-            // tree edge.
-            let dist = distribute_db(&view.base, p);
-            let out = {
-                let mut net = cluster.net();
-                execute_plan_dist(&mut net, view.plan, &view.query, dist, &mut exec_seed)
-            }
-            .normalized();
-            let arity = view.out_attrs.len();
-            let mat_seed = view.mat_seed;
-            let received = {
-                let mut net = cluster.net();
-                let outbox: Vec<DeltaOutbox> =
-                    net.run_local(out.parts.into_parts(), |_, part: Vec<Tuple>| {
-                        let mut ob = DeltaOutbox::with_capacity(arity, part.len());
-                        for t in &part {
-                            ob.push(hash_to_server(t.values(), mat_seed, p), t.values(), 1);
-                        }
-                        ob
-                    });
-                net.exchange_deltas(arity, outbox)
-            };
-            merge_outputs(cluster, view, received);
-            view.cache = ViewCache::Tree(build_tree(
-                cluster,
-                &view.query,
-                &view.base,
-                mix(exec_seed, 0x7ee5),
-            ));
-            view.skew = detect_view_skew(cluster, view);
-        }
-    }
-    view.out_size = view.mat.iter().map(|m| m.len() as u64).sum();
+    };
+    debug_assert_eq!(out.attrs, view.out_attrs);
+    install_counts(cluster, view, &out.parts.into_parts(), |t| (t, 1));
+    view.cache.tree = build_tree(cluster, &view.cache, &view.base, mix(exec_seed, 0x7ee5));
+    view.skew = detect_view_skew(cluster, view);
     view.cum_delta = 0;
+}
+
+/// Route counted output rows (already in output order; `signed` reads a
+/// row's tuple and count) to their owners and fold them into the
+/// materialization (one delta round).
+fn install_counts<R: Sync>(
+    cluster: &mut Cluster,
+    view: &mut MaterializedView,
+    rows: &[Vec<R>],
+    signed: impl Fn(&R) -> (&Tuple, i64) + Sync,
+) {
+    let arity = view.out_attrs.len();
+    let identity: Vec<usize> = (0..arity).collect();
+    let received = route_to_counts(cluster, arity, view.mat_seed, rows, signed, &identity);
+    merge_outputs(cluster, view, received);
+    view.out_size = view.mat.iter().map(|m| m.len() as u64).sum();
 }
 
 /// Binary-join views get a heavy-hitter profile at build time.
@@ -434,11 +430,120 @@ fn detect_view_skew(cluster: &mut Cluster, view: &MaterializedView) -> Option<Jo
     ))
 }
 
-/// Build the directed-tree-edge shards of an acyclic query over `base`
-/// (the view query itself, or the bag query of a GHD view).
-fn build_tree(cluster: &mut Cluster, q: &Query, base: &Database, seed: u64) -> TreeCache {
+/// Decompose the view into its bag tree and place every multi-edge bag on
+/// its grid; the tree shards are built separately ([`build_tree`]). Shared
+/// by full builds and checkpoint restores.
+///
+/// The decomposition follows from the class and the priced plan: acyclic
+/// classes take one bag per edge (their own join tree — also on
+/// disconnected queries, which no GHD covers); cyclic views are re-priced
+/// from the current sizes (a pure driver-side function, so rebuilds and
+/// restores agree) and take the GHD's bags under [`Plan::Ghd`], one bag of
+/// all edges otherwise.
+fn place_bags(cluster: &mut Cluster, view: &mut MaterializedView, exec_seed: u64) {
     let p = cluster.p();
-    let tree = q.join_tree().expect("acyclic view has a join tree");
+    let q = &view.query;
+    let m = q.n_edges();
+    let sizes: Vec<u64> = view.base.relations.iter().map(|r| r.len() as u64).collect();
+    let edges_of: Vec<Vec<usize>> = if view.class != JoinClass::Cyclic {
+        (0..m).map(|e| vec![e]).collect()
+    } else {
+        view.plan = crate::planner::choose_plan_cyclic(q, &sizes, p).0;
+        if view.plan == Plan::Ghd {
+            let ghd = aj_relation::Ghd::build(q).expect("GHD-planned view query is connected");
+            ghd.edges_of
+        } else {
+            vec![(0..m).collect()]
+        }
+    };
+    let mut bag_of = vec![0usize; m];
+    let mut bag_edges: Vec<Edge> = Vec::with_capacity(edges_of.len());
+    let mut grids: Vec<Option<BagGrid>> = Vec::with_capacity(edges_of.len());
+    let mut weighted_repl = 0f64;
+    for (b, es) in edges_of.iter().enumerate() {
+        for &e in es {
+            bag_of[e] = b;
+        }
+        if let [e] = es[..] {
+            bag_edges.push(q.edge(e).clone());
+            grids.push(None);
+            weighted_repl += sizes[e] as f64;
+        } else {
+            // A cyclic core: its edges go on the bag's own
+            // worst-case-optimal grid. Bag 0's seed is the whole-query
+            // grid seed, so a one-bag view places exactly like HyperCube.
+            let (sub_q, _) = q.restrict(aj_relation::EdgeSet::from_iter(es.iter().copied()));
+            let sub_rels: Vec<&Relation> = es.iter().map(|&e| &view.base.relations[e]).collect();
+            let sub_sizes: Vec<u64> = es.iter().map(|&e| sizes[e]).collect();
+            let shares = worst_case_shares(&sub_q, &sub_sizes, p);
+            let seed = mix(exec_seed, 0x9e1d + b as u64);
+            let (grid, weighted) = build_grid(cluster, sub_q, &sub_rels, shares, seed);
+            bag_edges.push(Edge {
+                name: format!("B{b}"),
+                attrs: grid.sub_q.all_attrs().to_vec(),
+            });
+            grids.push(Some(grid));
+            weighted_repl += weighted;
+        }
+    }
+    let repl = if grids.iter().any(Option::is_some) {
+        weighted_repl / view.base.input_size().max(1) as f64
+    } else {
+        1.0
+    };
+    view.cache = BagTree {
+        bag_query: Query::from_parts(q.attr_names().to_vec(), bag_edges),
+        edges_of,
+        bag_of,
+        grids,
+        tree: TreeCache::default(),
+        repl,
+    };
+}
+
+/// The materialized relation of bag `b`, distributed: a single-edge bag is
+/// its base relation in the free initial placement; a multi-edge bag is the
+/// per-cell generic join of its resident fragments — each bag tuple lands
+/// in exactly one cell, so the cell joins partition the bag (free local
+/// work).
+fn bag_relation(cluster: &mut Cluster, bags: &BagTree, base: &Database, b: usize) -> DistRelation {
+    let p = cluster.p();
+    let attrs = bags.bag_query.edge(b).attrs.clone();
+    let parts = match &bags.grids[b] {
+        None => {
+            aj_mpc::Partitioned::distribute(base.relations[bags.edges_of[b][0]].tuples.clone(), p)
+        }
+        Some(grid) => {
+            let net = cluster.net();
+            aj_mpc::Partitioned::from_parts(net.run_local((0..p).collect::<Vec<_>>(), |s, _| {
+                if grid.frags[s].iter().any(Vec::is_empty) {
+                    return Vec::new();
+                }
+                let locals: Vec<LocalRel> = grid
+                    .sub_q
+                    .edges()
+                    .iter()
+                    .zip(&grid.frags[s])
+                    .map(|(edge, frag)| LocalRel {
+                        attrs: edge.attrs.clone(),
+                        tuples: frag.clone(),
+                    })
+                    .collect();
+                let (joined, tuples) = crate::wcoj::generic_join(&locals);
+                debug_assert_eq!(joined, attrs);
+                tuples
+            }))
+        }
+    };
+    DistRelation { attrs, parts }
+}
+
+/// Build the directed-tree-edge shards of the bag query: one shard per
+/// directed edge (from → to) caching bag `to` hashed on the tree edge's
+/// shared attributes.
+fn build_tree(cluster: &mut Cluster, bags: &BagTree, base: &Database, seed: u64) -> TreeCache {
+    let q = &bags.bag_query;
+    let tree = q.join_tree().expect("the bag query has a join tree");
     let m = q.n_edges();
     // Undirected tree adjacency (neighbors ascending, for determinism).
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
@@ -451,8 +556,6 @@ fn build_tree(cluster: &mut Cluster, q: &Query, base: &Database, seed: u64) -> T
     for nbrs in &mut adj {
         nbrs.sort_unstable();
     }
-    // One shard per directed edge (from → to): partner `to` hashed on the
-    // tree edge's shared attributes.
     let mut shards: Vec<EdgeShard> = Vec::new();
     let mut shard_of: FxHashMap<(usize, usize), usize> = FxHashMap::default();
     for (from, nbrs) in adj.iter().enumerate() {
@@ -467,8 +570,8 @@ fn build_tree(cluster: &mut Cluster, q: &Query, base: &Database, seed: u64) -> T
             key.sort_unstable();
             let key_pos = q.edge(to).positions_of(&key);
             let shard_seed = mix(seed, ((from as u64) << 32) | to as u64);
-            let index =
-                shard_relation(cluster, &base.relations[to].tuples, &key_pos, shard_seed, p);
+            let partner = bag_relation(cluster, bags, base, to);
+            let index = shard_relation(cluster, partner, &key_pos, shard_seed);
             shard_of.insert((from, to), shards.len());
             shards.push(EdgeShard {
                 to,
@@ -479,7 +582,7 @@ fn build_tree(cluster: &mut Cluster, q: &Query, base: &Database, seed: u64) -> T
             });
         }
     }
-    // BFS propagation order from every source edge.
+    // BFS propagation order from every source bag.
     let mut paths: Vec<Vec<usize>> = Vec::with_capacity(m);
     for start in 0..m {
         let mut order = Vec::with_capacity(m.saturating_sub(1));
@@ -500,19 +603,18 @@ fn build_tree(cluster: &mut Cluster, q: &Query, base: &Database, seed: u64) -> T
     TreeCache { shards, paths }
 }
 
-/// Route one relation's tuples to their key-hash owners and build the
-/// per-server probe index (one block-exchange round, `|R|` units).
+/// Route one bag relation's tuples to their key-hash owners and build the
+/// per-server probe index (one block-exchange round, `|B|` units).
 fn shard_relation(
     cluster: &mut Cluster,
-    tuples: &[Tuple],
+    rel: DistRelation,
     key_pos: &[usize],
     seed: u64,
-    p: usize,
 ) -> Vec<FxHashMap<Tuple, Vec<Tuple>>> {
-    let arity = tuples.first().map(Tuple::arity).unwrap_or(key_pos.len());
-    let parts = aj_mpc::Partitioned::distribute(tuples.to_vec(), p);
+    let p = cluster.p();
+    let arity = rel.attrs.len();
     let mut net = cluster.net();
-    let outbox: Vec<RowOutbox> = net.run_local(parts.into_parts(), |_, part: Vec<Tuple>| {
+    let outbox: Vec<RowOutbox> = net.run_local(rel.parts.into_parts(), |_, part: Vec<Tuple>| {
         let mut ob = RowOutbox::with_capacity(arity, part.len());
         let mut key: Vec<Value> = Vec::with_capacity(key_pos.len());
         for t in &part {
@@ -537,24 +639,24 @@ fn shard_relation(
     })
 }
 
-/// Build the grid cache of a cyclic query over `relations` (the view query
-/// itself, or one multi-edge bag of a GHD view): place every relation's
-/// tuples on the shares grid (one block-exchange round per relation) and
-/// keep the sorted per-cell fragments resident.
+/// Place one multi-edge bag's relations on its shares grid (one
+/// block-exchange round per relation) and keep the sorted per-cell
+/// fragments resident. Also returns the placement's replicated tuple count
+/// `Σ_e |R_e| · copies_e` (the pricing input).
 fn build_grid(
     cluster: &mut Cluster,
-    q: &Query,
-    relations: &[Relation],
+    sub_q: Query,
+    relations: &[&Relation],
     shares: Shares,
     seed: u64,
-) -> GridCache {
+) -> (BagGrid, f64) {
     let p = cluster.p();
-    let n_attrs = q.n_attrs();
+    let n_attrs = sub_q.n_attrs();
     let mut stride = vec![1usize; n_attrs];
     for a in 1..n_attrs {
         stride[a] = stride[a - 1] * shares.0[a - 1];
     }
-    let free: Vec<Vec<Attr>> = q
+    let free: Vec<Vec<Attr>> = sub_q
         .edges()
         .iter()
         .map(|e| {
@@ -564,7 +666,7 @@ fn build_grid(
         })
         .collect();
     let mut frags: Vec<Vec<Vec<Tuple>>> = (0..p)
-        .map(|_| (0..q.n_edges()).map(|_| Vec::new()).collect())
+        .map(|_| (0..sub_q.n_edges()).map(|_| Vec::new()).collect())
         .collect();
     let mut weighted_repl = 0f64;
     for (e, rel) in relations.iter().enumerate() {
@@ -600,16 +702,15 @@ fn build_grid(
             frags[s][e] = frag;
         }
     }
-    let input: usize = relations.iter().map(Relation::len).sum();
-    let repl = weighted_repl / input.max(1) as f64;
-    GridCache {
+    let grid = BagGrid {
+        sub_q,
         shares,
         stride,
         seed,
         free,
         frags,
-        repl,
-    }
+    };
+    (grid, weighted_repl)
 }
 
 /// Cells of the shares grid a tuple of layout `attrs` is consistent with:
@@ -640,205 +741,6 @@ fn grid_cells(
         cells = next;
     }
     cells
-}
-
-/// The initial full join of a grid view, computed from the freshly placed
-/// fragments: per cell, join all resident fragments locally and route the
-/// outputs to their count owners (one delta round, `OUT` units).
-fn grid_full_join(
-    cluster: &mut Cluster,
-    view: &MaterializedView,
-    grid: &GridCache,
-) -> Vec<DeltaBlock> {
-    let p = cluster.p();
-    let q = &view.query;
-    let out_attrs = &view.out_attrs;
-    let arity = out_attrs.len();
-    let mat_seed = view.mat_seed;
-    let frags = &grid.frags;
-    let mut net = cluster.net();
-    let outbox: Vec<DeltaOutbox> = net.run_local((0..p).collect::<Vec<_>>(), |s, _| {
-        let mut ob = DeltaOutbox::new(arity);
-        if frags[s].iter().any(Vec::is_empty) {
-            return ob;
-        }
-        let locals: Vec<LocalRel> = q
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(e, edge)| LocalRel {
-                attrs: edge.attrs.clone(),
-                tuples: frags[s][e].clone(),
-            })
-            .collect();
-        let (attrs, tuples) = multiway_join(&locals);
-        let (attrs, tuples) = normalize(&attrs, tuples);
-        debug_assert_eq!(&attrs, out_attrs);
-        for t in &tuples {
-            ob.push(hash_to_server(t.values(), mat_seed, p), t.values(), 1);
-        }
-        ob
-    });
-    net.exchange_deltas(arity, outbox)
-}
-
-/// Salt of the per-bag grid seed stream within one build.
-const BAG_SALT: u64 = 0x6a9d_ba95_0000_0001;
-
-/// Full build of a GHD-planned cyclic view: materialize every bag on its
-/// own shares grid (single-edge bags are free permutations of their base
-/// relation), join the bags acyclically for the output, and keep the bag
-/// grids plus the bag-level tree shards as the view's caches.
-fn build_bags(cluster: &mut Cluster, view: &mut MaterializedView, exec_seed: u64) {
-    let p = cluster.p();
-    let q = view.query.clone();
-    let ghd = aj_relation::Ghd::build(&q).expect("GHD-planned view query is connected");
-    let (bags, bag_dist) = build_bag_state(cluster, &q, &ghd, &view.base, exec_seed);
-    // The output join over the materialized bags (acyclic by construction),
-    // then one delta round to the count owners — same as the acyclic arm.
-    let bag_query = bags.bag_query.clone();
-    let out = {
-        let mut net = cluster.net();
-        let mut join_seed = mix(exec_seed, 0x0ba6);
-        crate::yannakakis::yannakakis(&mut net, &bag_query, bag_dist, None, &mut join_seed)
-    }
-    .normalized();
-    debug_assert_eq!(out.attrs, view.out_attrs);
-    let arity = view.out_attrs.len();
-    let mat_seed = view.mat_seed;
-    let received = {
-        let mut net = cluster.net();
-        let outbox: Vec<DeltaOutbox> =
-            net.run_local(out.parts.into_parts(), |_, part: Vec<Tuple>| {
-                let mut ob = DeltaOutbox::with_capacity(arity, part.len());
-                for t in &part {
-                    ob.push(hash_to_server(t.values(), mat_seed, p), t.values(), 1);
-                }
-                ob
-            });
-        net.exchange_deltas(arity, outbox)
-    };
-    merge_outputs(cluster, view, received);
-    view.cache = ViewCache::Bags(bags);
-}
-
-/// Build the bag-layer state of a GHD view from the current base: per bag,
-/// the grid placement plus the materialized bag relation (distributed and
-/// as a driver mirror), plus the bag-level tree shards. Shared by full
-/// builds and checkpoint restores (which skip the output join).
-fn build_bag_state(
-    cluster: &mut Cluster,
-    q: &Query,
-    ghd: &aj_relation::Ghd,
-    base: &Database,
-    exec_seed: u64,
-) -> (BagsCache, crate::dist::DistDatabase) {
-    let p = cluster.p();
-    let bag_query = ghd.bag_query(q);
-    let mut bag_of = vec![0usize; q.n_edges()];
-    for (b, es) in ghd.edges_of.iter().enumerate() {
-        for &e in es {
-            bag_of[e] = b;
-        }
-    }
-    let mut grids: Vec<Option<BagGrid>> = Vec::with_capacity(ghd.n_bags());
-    let mut bag_rels: Vec<Relation> = Vec::with_capacity(ghd.n_bags());
-    let mut bag_dist: crate::dist::DistDatabase = Vec::with_capacity(ghd.n_bags());
-    let mut weighted_repl = 0f64;
-    for b in 0..ghd.n_bags() {
-        let bag_attrs = bag_query.edge(b).attrs.clone();
-        if let [e] = ghd.edges_of[b][..] {
-            // A single-edge bag IS its base relation: permuting columns to
-            // the canonical ascending layout is free local work, and the
-            // round-robin spread is the free initial placement.
-            let pos = q.edge(e).positions_of(&bag_attrs);
-            let mut tuples: Vec<Tuple> = base.relations[e]
-                .tuples
-                .iter()
-                .map(|t| t.project(&pos))
-                .collect();
-            weighted_repl += tuples.len() as f64;
-            bag_dist.push(crate::dist::DistRelation {
-                attrs: bag_attrs.clone(),
-                parts: aj_mpc::Partitioned::distribute(tuples.clone(), p),
-            });
-            tuples.sort_unstable();
-            tuples.dedup();
-            bag_rels.push(Relation::new(bag_attrs, tuples));
-            grids.push(None);
-        } else {
-            // A multi-edge bag (a cyclic core): place its edges on the bag's
-            // own worst-case-optimal grid and materialize the bag by a
-            // per-cell generic join — each output assignment lands in
-            // exactly one cell, so the cell joins partition the bag.
-            let es = aj_relation::EdgeSet::from_iter(ghd.edges_of[b].iter().copied());
-            let (sub_q, sub_edges) = q.restrict(es);
-            let sub_rels: Vec<Relation> = sub_edges
-                .iter()
-                .map(|&e| base.relations[e].clone())
-                .collect();
-            let sub_sizes: Vec<u64> = sub_rels.iter().map(|r| r.len() as u64).collect();
-            let shares = worst_case_shares(&sub_q, &sub_sizes, p);
-            let grid = build_grid(
-                cluster,
-                &sub_q,
-                &sub_rels,
-                shares,
-                mix(mix(exec_seed, BAG_SALT), b as u64),
-            );
-            let sub_input: usize = sub_rels.iter().map(Relation::len).sum();
-            weighted_repl += grid.repl * sub_input as f64;
-            let parts = {
-                let frags = &grid.frags;
-                let (sub_ref, bag_ref) = (&sub_q, &bag_attrs);
-                let net = cluster.net();
-                net.run_local((0..p).collect::<Vec<_>>(), |s, _| {
-                    if frags[s].iter().any(Vec::is_empty) {
-                        return Vec::new();
-                    }
-                    let locals: Vec<LocalRel> = sub_ref
-                        .edges()
-                        .iter()
-                        .enumerate()
-                        .map(|(j, edge)| LocalRel {
-                            attrs: edge.attrs.clone(),
-                            tuples: frags[s][j].clone(),
-                        })
-                        .collect();
-                    let (attrs, tuples) = crate::wcoj::generic_join(&locals);
-                    debug_assert_eq!(&attrs, bag_ref);
-                    tuples
-                })
-            };
-            let mut tuples: Vec<Tuple> = parts.iter().flatten().cloned().collect();
-            tuples.sort_unstable();
-            bag_dist.push(crate::dist::DistRelation {
-                attrs: bag_attrs.clone(),
-                parts: aj_mpc::Partitioned::from_parts(parts),
-            });
-            bag_rels.push(Relation::new(bag_attrs, tuples));
-            grids.push(Some(BagGrid {
-                sub_q,
-                sub_edges,
-                grid,
-            }));
-        }
-    }
-    let bag_base = Database::new(bag_rels);
-    let tree = build_tree(cluster, &bag_query, &bag_base, mix(exec_seed, 0x7ee5));
-    let input: usize = base.relations.iter().map(Relation::len).sum();
-    let repl = weighted_repl / input.max(1) as f64;
-    (
-        BagsCache {
-            bag_query,
-            bag_of,
-            grids,
-            bag_base,
-            tree,
-            repl,
-        },
-        bag_dist,
-    )
 }
 
 /// Fold routed signed output rows into the per-server counted
@@ -897,11 +799,6 @@ pub(crate) fn apply_update(
     }
     let batch_size = batch.size();
     let touched = batch.deltas.iter().filter(|d| !d.is_empty()).count();
-    let repl = match &view.cache {
-        ViewCache::Tree(_) => 1.0,
-        ViewCache::Grid(g) => g.repl,
-        ViewCache::Bags(b) => b.repl,
-    };
     let (strategy, maintain_est, recompute_est) = choose_maintenance(
         view.class,
         view.query.n_edges(),
@@ -910,7 +807,7 @@ pub(crate) fn apply_update(
         batch_size,
         touched,
         view.cum_delta,
-        repl,
+        view.cache.repl,
         cluster.p(),
     );
     if cluster.tracing_enabled() {
@@ -949,98 +846,79 @@ pub(crate) fn apply_update(
     }
 }
 
-/// The delta pass: per touched relation (ascending edge order), propagate
-/// the signed rows through the cached state, fold the derived signed
-/// outputs into the materialization, then apply the relation's delta to
-/// every cache that shards it — so later relations in the same batch join
-/// against the already-updated earlier ones (the standard
-/// `ΔR_i ⋈ R_{<i}^new ⋈ R_{>i}^old` decomposition, which sums to exactly
-/// `ΔQ`).
+/// The delta pass: per touched relation (ascending edge order), lift the
+/// signed rows to their bag's delta, walk it through the cached bag tree,
+/// fold the derived signed outputs into the materialization, then apply the
+/// delta to every cache that holds the relation or its bag — so later
+/// relations in the same batch join against the already-updated earlier
+/// ones (the standard `ΔR_i ⋈ R_{<i}^new ⋈ R_{>i}^old` decomposition, which
+/// sums to exactly `ΔQ`).
 fn maintain(cluster: &mut Cluster, view: &mut MaterializedView, batch: &UpdateBatch) {
     for e in 0..view.query.n_edges() {
         if batch.deltas[e].is_empty() {
             continue;
         }
-        let signed: Vec<(Tuple, i64)> = batch.deltas[e]
-            .signed()
-            .map(|(t, w)| (t.clone(), w))
-            .collect();
-        // GHD views lift the base delta to a *bag* delta first; the bag
-        // delta then walks the bag-level tree exactly like an acyclic
-        // view's delta walks its own.
-        let dbag: Option<Vec<(Tuple, i64)>> = match &view.cache {
-            ViewCache::Bags(_) => Some(bag_delta(cluster, view, e, &signed)),
-            _ => None,
-        };
-        let outputs = match &view.cache {
-            ViewCache::Tree(_) => propagate_tree(cluster, view, e, &signed),
-            ViewCache::Grid(_) => propagate_grid(cluster, view, e, &signed),
-            ViewCache::Bags(bags) => tree_walk(
-                cluster,
-                &bags.bag_query,
-                &bags.tree,
-                bags.bag_of[e],
-                dbag.as_deref().expect("bag delta computed above"),
-                &view.out_attrs,
-                view.mat_seed,
-            ),
-        };
+        // The free initial placement of the batch's rows; every step below
+        // reads it in place.
+        let signed = place_signed(batch.deltas[e].signed(), cluster.p());
+        let bags = &view.cache;
+        let (b, local_e) = bags.locate(e);
+        // A single-edge bag's delta is the base delta itself; a multi-edge
+        // bag joins it against the bag's resident fragments first.
+        let lifted = bags.grids[b]
+            .as_ref()
+            .map(|grid| bag_grid_delta(cluster, grid, local_e, &signed));
+        let dbag = lifted.as_ref().unwrap_or(&signed);
+        let outputs = tree_walk(
+            cluster,
+            &bags.bag_query,
+            &bags.tree,
+            b,
+            dbag,
+            &view.out_attrs,
+            view.mat_seed,
+        );
         merge_outputs(cluster, view, outputs);
-        update_caches(cluster, view, e, &signed, dbag.as_deref());
-        update_view_skew(view, e, &signed);
+        update_caches(cluster, &mut view.cache, e, &signed, dbag);
+        update_view_skew(view, e, batch.deltas[e].signed());
     }
 }
 
-/// Lift one base relation's signed delta to its bag's signed delta: a
-/// single-edge bag's delta is the base delta permuted to the bag layout
-/// (free local work); a multi-edge bag routes the delta through the bag's
-/// cached grid and joins it against the resident fragments of the bag's
-/// other edges — exactly delta-HyperCube, scoped to the bag. Because λ
-/// partitions the edges, every derived bag tuple projects to exactly one
-/// delta row, so the weights stay ±1 and the bag relations stay sets.
-fn bag_delta(
+/// Apply one relation's signed delta to every cache that holds it: the
+/// owning bag's grid fragments (one delta round through the grid
+/// placement) and — via the bag delta `dbag` — every tree shard caching
+/// the bag (one delta round each, routed by that shard's key).
+fn update_caches(
     cluster: &mut Cluster,
-    view: &MaterializedView,
+    bags: &mut BagTree,
     e: usize,
-    signed: &[(Tuple, i64)],
-) -> Vec<(Tuple, i64)> {
-    let ViewCache::Bags(bags) = &view.cache else {
-        unreachable!("bag delta on a bag-cached view");
-    };
-    let b = bags.bag_of[e];
-    match &bags.grids[b] {
-        None => {
-            let bag_attrs = &bags.bag_query.edge(b).attrs;
-            let pos = view.query.edge(e).positions_of(bag_attrs);
-            signed.iter().map(|(t, w)| (t.project(&pos), *w)).collect()
-        }
-        Some(bg) => {
-            let local_e = bg
-                .sub_edges
-                .iter()
-                .position(|&x| x == e)
-                .expect("edge belongs to its bag");
-            bag_grid_delta(cluster, &bg.sub_q, &bg.grid, local_e, signed)
-        }
+    signed: &[Vec<(Tuple, i64)>],
+    dbag: &[Vec<(Tuple, i64)>],
+) {
+    let (b, local_e) = bags.locate(e);
+    if let Some(grid) = &mut bags.grids[b] {
+        update_grid_frags(cluster, local_e, grid, signed);
     }
+    let bag_arity = bags.bag_query.edge(b).attrs.len();
+    update_tree_shards(cluster, &mut bags.tree, b, bag_arity, dbag);
 }
 
-/// Delta-HyperCube within one bag: route the signed rows through the bag's
-/// cached grid, join each cell's delta fragment against the resident
-/// fragments of the bag's other edges, and return the signed bag tuples
-/// (canonical ascending layout), collected driver-side — the collection is
-/// free result inspection; every movement was charged by the exchange.
+/// Delta-HyperCube within one bag: route the signed rows of sub-query edge
+/// `e` through the bag's cached grid, join each cell's delta fragment
+/// against the resident fragments of the bag's other edges, and return the
+/// signed bag tuples (canonical ascending layout) where their cells derived
+/// them. Because λ partitions the edges, every derived bag tuple
+/// projects to exactly one delta row, so the weights stay ±1 and the bag
+/// relations stay sets.
 fn bag_grid_delta(
     cluster: &mut Cluster,
-    sub_q: &Query,
-    grid: &GridCache,
+    grid: &BagGrid,
     e: usize,
-    signed: &[(Tuple, i64)],
-) -> Vec<(Tuple, i64)> {
-    let p = cluster.p();
-    let edge_attrs = &sub_q.edge(e).attrs;
-    let arity = edge_attrs.len();
-    let acc = place_signed(signed, p);
+    signed: &[Vec<(Tuple, i64)>],
+) -> SignedParts {
+    let sub_q = &grid.sub_q;
+    // The cell-local join order and resulting schema are pure functions of
+    // (bag, edge) — identical at every cell.
     let order = grid_join_order(sub_q, e);
     let schema = grid_join_schema(sub_q, e, &order);
     let mut bag_attrs = schema.clone();
@@ -1050,25 +928,9 @@ fn bag_grid_delta(
         .map(|a| schema.iter().position(|x| x == a).expect("attr in schema"))
         .collect();
     let mut net = cluster.net();
-    let outbox: Vec<DeltaOutbox> = net.run_local(acc, |_, rows: Vec<(Tuple, i64)>| {
-        let mut ob = DeltaOutbox::with_capacity(arity, rows.len());
-        for (t, w) in &rows {
-            for cell in grid_cells(
-                t.values(),
-                edge_attrs,
-                &grid.free[e],
-                &grid.shares,
-                &grid.stride,
-                grid.seed,
-            ) {
-                ob.push(cell, t.values(), *w);
-            }
-        }
-        ob
-    });
-    let received = net.exchange_deltas(arity, outbox);
+    let received = route_to_cells(&mut net, grid, e, signed);
     let frags = &grid.frags;
-    let derived: Vec<Vec<(Tuple, i64)>> = net.run_local(received, |s, block: DeltaBlock| {
+    net.run_local(received, |s, block: DeltaBlock| {
         if block.is_empty() {
             return Vec::new();
         }
@@ -1081,12 +943,15 @@ fn bag_grid_delta(
                 (Tuple::from_slice(&out_row), w)
             })
             .collect()
-    });
-    derived.into_iter().flatten().collect()
+    })
 }
 
 /// Fold a relation's signed key counts into the maintained profile.
-fn update_view_skew(view: &mut MaterializedView, e: usize, signed: &[(Tuple, i64)]) {
+fn update_view_skew<'a>(
+    view: &mut MaterializedView,
+    e: usize,
+    signed: impl Iterator<Item = (&'a Tuple, i64)>,
+) {
     let Some(skew) = view.skew.as_mut() else {
         return;
     };
@@ -1100,7 +965,7 @@ fn update_view_skew(view: &mut MaterializedView, e: usize, signed: &[(Tuple, i64
         .collect();
     key.sort_unstable();
     let pos = q.edge(e).positions_of(&key);
-    let changes: Vec<(Tuple, i64)> = signed.iter().map(|(t, w)| (t.project(&pos), *w)).collect();
+    let changes: Vec<(Tuple, i64)> = signed.map(|(t, w)| (t.project(&pos), w)).collect();
     let side = if e == 0 {
         &mut skew.left
     } else {
@@ -1111,51 +976,29 @@ fn update_view_skew(view: &mut MaterializedView, e: usize, signed: &[(Tuple, i64
 
 /// Spread a batch's signed rows over the servers (the free initial
 /// placement, round-robin like [`aj_mpc::Partitioned::distribute`]).
-fn place_signed(signed: &[(Tuple, i64)], p: usize) -> Vec<Vec<(Tuple, i64)>> {
-    let mut parts: Vec<Vec<(Tuple, i64)>> = (0..p).map(|_| Vec::new()).collect();
-    for (i, (t, w)) in signed.iter().enumerate() {
-        parts[i % p].push((t.clone(), *w));
+fn place_signed<'a>(signed: impl Iterator<Item = (&'a Tuple, i64)>, p: usize) -> SignedParts {
+    let mut parts: SignedParts = (0..p).map(|_| Vec::new()).collect();
+    for (i, (t, w)) in signed.enumerate() {
+        parts[i % p].push((t.clone(), w));
     }
     parts
 }
 
-/// Tree propagation: BFS-walk the cached shards from the delta's edge (one
-/// delta round per step), then route the projected signed outputs to their
-/// count owners.
-fn propagate_tree(
-    cluster: &mut Cluster,
-    view: &MaterializedView,
-    e: usize,
-    signed: &[(Tuple, i64)],
-) -> Vec<DeltaBlock> {
-    let ViewCache::Tree(tree) = &view.cache else {
-        unreachable!("tree propagation on a tree-cached view");
-    };
-    tree_walk(
-        cluster,
-        &view.query,
-        tree,
-        e,
-        signed,
-        &view.out_attrs,
-        view.mat_seed,
-    )
-}
-
-/// Walk signed rows from edge `e` through an acyclic query's cached tree
-/// shards (the view query of a tree view, or the bag query of a GHD view)
-/// and route the projected signed outputs to their count owners.
+/// Walk signed rows from bag `e` through the bag query's cached tree shards
+/// (one delta round per step), then route the projected signed outputs to
+/// their count owners.
 fn tree_walk(
     cluster: &mut Cluster,
     q: &Query,
     tree: &TreeCache,
     e: usize,
-    signed: &[(Tuple, i64)],
+    signed: &[Vec<(Tuple, i64)>],
     out_attrs: &[Attr],
     mat_seed: u64,
 ) -> Vec<DeltaBlock> {
     let p = cluster.p();
-    let mut acc = place_signed(signed, p);
+    let mut joined: SignedParts;
+    let mut acc = signed;
     let mut acc_attrs: Vec<Attr> = q.edge(e).attrs.clone();
     for &si in &tree.paths[e] {
         let shard = &tree.shards[si];
@@ -1173,10 +1016,10 @@ fn tree_walk(
         let (seed, index) = (shard.seed, &shard.index);
         let mut net = cluster.net();
         let acc_key_ref = &acc_key_pos;
-        let outbox: Vec<DeltaOutbox> = net.run_local(acc, |_, rows: Vec<(Tuple, i64)>| {
+        let outbox: Vec<DeltaOutbox> = net.run_local(acc.iter().collect(), |_, rows| {
             let mut ob = DeltaOutbox::with_capacity(arity, rows.len());
             let mut key: Vec<Value> = Vec::with_capacity(acc_key_ref.len());
-            for (t, w) in &rows {
+            for (t, w) in rows {
                 t.project_into(acc_key_ref, &mut key);
                 ob.push(hash_to_server(key.as_slice(), seed, p), t.values(), *w);
             }
@@ -1184,7 +1027,7 @@ fn tree_walk(
         });
         let received = net.exchange_deltas(arity, outbox);
         let append_ref = &append_pos;
-        acc = net.run_local(received, |s, block: DeltaBlock| {
+        joined = net.run_local(received, |s, block: DeltaBlock| {
             let idx = &index[s];
             let mut out: Vec<(Tuple, i64)> = Vec::new();
             let mut key: Vec<Value> = Vec::with_capacity(acc_key_ref.len());
@@ -1203,6 +1046,7 @@ fn tree_walk(
             }
             out
         });
+        acc = &joined;
         acc_attrs.extend(append_pos.iter().map(|&c| partner.attrs[c]));
     }
     // Project to the canonical output order and route to the count owners.
@@ -1210,95 +1054,39 @@ fn tree_walk(
         .iter()
         .map(|a| acc_attrs.iter().position(|x| x == a).expect("attr covered"))
         .collect();
-    route_to_counts(cluster, out_attrs.len(), mat_seed, acc, &out_pos)
+    route_to_counts(
+        cluster,
+        out_attrs.len(),
+        mat_seed,
+        acc,
+        |(t, w)| (t, *w),
+        &out_pos,
+    )
 }
 
-/// Project signed rows onto the view's output order and route them to their
-/// materialization owners (one delta round).
-fn route_to_counts(
+/// Project signed rows (`signed` reads a row's tuple and weight) onto the
+/// view's output order and route them to their materialization owners (one
+/// delta round).
+fn route_to_counts<R: Sync>(
     cluster: &mut Cluster,
     arity: usize,
     mat_seed: u64,
-    acc: Vec<Vec<(Tuple, i64)>>,
+    acc: &[Vec<R>],
+    signed: impl Fn(&R) -> (&Tuple, i64) + Sync,
     out_pos: &[usize],
 ) -> Vec<DeltaBlock> {
     let p = cluster.p();
     let mut net = cluster.net();
-    let outbox: Vec<DeltaOutbox> = net.run_local(acc, |_, rows: Vec<(Tuple, i64)>| {
+    let outbox: Vec<DeltaOutbox> = net.run_local(acc.iter().collect(), |_, rows| {
         let mut ob = DeltaOutbox::with_capacity(arity, rows.len());
         let mut out: Vec<Value> = Vec::with_capacity(arity);
-        for (t, w) in &rows {
+        for (t, w) in rows.iter().map(&signed) {
             t.project_into(out_pos, &mut out);
-            ob.push(hash_to_server(out.as_slice(), mat_seed, p), &out, *w);
-        }
-        ob
-    });
-    net.exchange_deltas(arity, outbox)
-}
-
-/// Delta-HyperCube propagation: route the signed rows through the cached
-/// shares grid (replicating across the edge's free dimensions, exactly like
-/// the resident placement) and join each cell's delta fragment against the
-/// resident fragments of the other relations.
-fn propagate_grid(
-    cluster: &mut Cluster,
-    view: &MaterializedView,
-    e: usize,
-    signed: &[(Tuple, i64)],
-) -> Vec<DeltaBlock> {
-    let ViewCache::Grid(grid) = &view.cache else {
-        unreachable!("grid propagation on a grid-cached view");
-    };
-    let p = cluster.p();
-    let q = &view.query;
-    let edge_attrs = &q.edge(e).attrs;
-    let arity = edge_attrs.len();
-    let acc = place_signed(signed, p);
-    // The cell-local join order and resulting schema are pure functions of
-    // (query, edge) — identical at every cell.
-    let order = grid_join_order(q, e);
-    let schema = grid_join_schema(q, e, &order);
-    let out_pos: Vec<usize> = view
-        .out_attrs
-        .iter()
-        .map(|a| schema.iter().position(|x| x == a).expect("attr covered"))
-        .collect();
-    let out_arity = view.out_attrs.len();
-    let mat_seed = view.mat_seed;
-    let mut net = cluster.net();
-    let outbox: Vec<DeltaOutbox> = net.run_local(acc, |_, rows: Vec<(Tuple, i64)>| {
-        let mut ob = DeltaOutbox::with_capacity(arity, rows.len());
-        for (t, w) in &rows {
-            for cell in grid_cells(
-                t.values(),
-                edge_attrs,
-                &grid.free[e],
-                &grid.shares,
-                &grid.stride,
-                grid.seed,
-            ) {
-                ob.push(cell, t.values(), *w);
-            }
-        }
-        ob
-    });
-    let received = net.exchange_deltas(arity, outbox);
-    let frags = &grid.frags;
-    let outbox: Vec<DeltaOutbox> = net.run_local(received, |s, block: DeltaBlock| {
-        let mut ob = DeltaOutbox::new(out_arity);
-        if block.is_empty() {
-            return ob;
-        }
-        let derived = grid_cell_join(q, e, &order, &block, &frags[s]);
-        let mut out: Vec<Value> = Vec::with_capacity(out_arity);
-        for (vals, w) in derived {
-            out.clear();
-            out.extend(out_pos.iter().map(|&c| vals[c]));
             ob.push(hash_to_server(out.as_slice(), mat_seed, p), &out, w);
         }
         ob
     });
-    net.exchange_deltas(out_arity, outbox)
+    net.exchange_deltas(arity, outbox)
 }
 
 /// The order in which a cell-local delta join visits the other edges:
@@ -1392,75 +1180,25 @@ fn grid_cell_join(
     acc
 }
 
-/// Apply one relation's signed delta to every cache that shards it: the
-/// tree shards with `to == e` (one delta round each, routed by that shard's
-/// key), on grid views the cell fragments of edge `e` (one delta round
-/// through the grid placement), and on GHD views the owning bag's grid
-/// fragments plus — via the lifted bag delta `dbag` — the bag-level tree
-/// shards and the driver-side bag mirror.
-fn update_caches(
-    cluster: &mut Cluster,
-    view: &mut MaterializedView,
-    e: usize,
-    signed: &[(Tuple, i64)],
-    dbag: Option<&[(Tuple, i64)]>,
-) {
-    let p = cluster.p();
-    let edge_attrs = view.query.edge(e).attrs.clone();
-    let arity = edge_attrs.len();
-    match &mut view.cache {
-        ViewCache::Tree(tree) => update_tree_shards(cluster, tree, e, arity, signed, p),
-        ViewCache::Grid(grid) => update_grid_frags(cluster, &edge_attrs, e, grid, signed, p),
-        ViewCache::Bags(bags) => {
-            let b = bags.bag_of[e];
-            let dbag = dbag.expect("bag delta computed before the cache update");
-            if let Some(bg) = &mut bags.grids[b] {
-                let local_e = bg
-                    .sub_edges
-                    .iter()
-                    .position(|&x| x == e)
-                    .expect("edge belongs to its bag");
-                update_grid_frags(cluster, &edge_attrs, local_e, &mut bg.grid, signed, p);
-            }
-            let bag_arity = bags.bag_query.edge(b).attrs.len();
-            update_tree_shards(cluster, &mut bags.tree, b, bag_arity, dbag, p);
-            // Driver-side bag mirror: free bookkeeping, kept sorted.
-            let tuples = &mut bags.bag_base.relations[b].tuples;
-            for (t, w) in dbag {
-                match tuples.binary_search(t) {
-                    Ok(i) if *w < 0 => {
-                        tuples.remove(i);
-                    }
-                    Err(i) if *w > 0 => {
-                        tuples.insert(i, t.clone());
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-}
-
-/// Fold a signed delta of relation `e` (tuple arity `arity`) into every
-/// tree shard caching it (one delta round per shard, routed by that shard's
+/// Fold a signed delta of bag `e` (tuple arity `arity`) into every tree
+/// shard caching it (one delta round per shard, routed by that shard's
 /// key).
 fn update_tree_shards(
     cluster: &mut Cluster,
     tree: &mut TreeCache,
     e: usize,
     arity: usize,
-    signed: &[(Tuple, i64)],
-    p: usize,
+    signed: &[Vec<(Tuple, i64)>],
 ) {
+    let p = cluster.p();
     for shard in tree.shards.iter_mut().filter(|s| s.to == e) {
-        let parts = place_signed(signed, p);
         let (seed, key_pos) = (shard.seed, shard.key_pos.clone());
         let mut net = cluster.net();
         let key_ref = &key_pos;
-        let outbox: Vec<DeltaOutbox> = net.run_local(parts, |_, rows: Vec<(Tuple, i64)>| {
+        let outbox: Vec<DeltaOutbox> = net.run_local(signed.iter().collect(), |_, rows| {
             let mut ob = DeltaOutbox::with_capacity(arity, rows.len());
             let mut key: Vec<Value> = Vec::with_capacity(key_ref.len());
-            for (t, w) in &rows {
+            for (t, w) in rows {
                 t.project_into(key_ref, &mut key);
                 ob.push(hash_to_server(key.as_slice(), seed, p), t.values(), *w);
             }
@@ -1484,31 +1222,47 @@ fn update_tree_shards(
     }
 }
 
-/// Fold a signed delta of (local) edge `e` into a grid cache's resident
-/// cell fragments: one delta round through the same grid placement the
-/// resident tuples took.
-fn update_grid_frags(
-    cluster: &mut Cluster,
-    edge_attrs: &[Attr],
+/// Route signed rows of sub-query edge `e` to the cells of the bag's grid
+/// their tuples are placed in (one delta round): fixed coordinates hashed,
+/// free dimensions replicated — exactly the resident placement.
+fn route_to_cells(
+    net: &mut aj_mpc::Net,
+    grid: &BagGrid,
     e: usize,
-    grid: &mut GridCache,
-    signed: &[(Tuple, i64)],
-    p: usize,
-) {
+    signed: &[Vec<(Tuple, i64)>],
+) -> Vec<DeltaBlock> {
+    let edge_attrs = &grid.sub_q.edge(e).attrs;
     let arity = edge_attrs.len();
-    let parts = place_signed(signed, p);
-    let (free_e, shares, stride, seed) = (&grid.free[e], &grid.shares, &grid.stride, grid.seed);
-    let mut net = cluster.net();
-    let outbox: Vec<DeltaOutbox> = net.run_local(parts, |_, rows: Vec<(Tuple, i64)>| {
+    let outbox: Vec<DeltaOutbox> = net.run_local(signed.iter().collect(), |_, rows| {
         let mut ob = DeltaOutbox::with_capacity(arity, rows.len());
-        for (t, w) in &rows {
-            for cell in grid_cells(t.values(), edge_attrs, free_e, shares, stride, seed) {
+        for (t, w) in rows {
+            for cell in grid_cells(
+                t.values(),
+                edge_attrs,
+                &grid.free[e],
+                &grid.shares,
+                &grid.stride,
+                grid.seed,
+            ) {
                 ob.push(cell, t.values(), *w);
             }
         }
         ob
     });
-    let received = net.exchange_deltas(arity, outbox);
+    net.exchange_deltas(arity, outbox)
+}
+
+/// Fold a signed delta of sub-query edge `e` into a bag grid's resident
+/// cell fragments: one delta round through the same grid placement the
+/// resident tuples took.
+fn update_grid_frags(
+    cluster: &mut Cluster,
+    e: usize,
+    grid: &mut BagGrid,
+    signed: &[Vec<(Tuple, i64)>],
+) {
+    let mut net = cluster.net();
+    let received = route_to_cells(&mut net, grid, e, signed);
     let frag_shards = std::mem::take(&mut grid.frags);
     let inputs: Vec<_> = frag_shards.into_iter().zip(received).collect();
     grid.frags = net.run_local(
@@ -1539,7 +1293,7 @@ fn update_grid_frags(
 /// canonically sorted buffer), the base mirror, the staleness counters the
 /// planner prices with, and the maintained skew profile. Everything a
 /// supervisor needs to rebuild the view on a respawned cluster without
-/// re-running the original join: the caches (tree shards / grid fragments)
+/// re-running the original join: the caches (bag grids / tree shards)
 /// are *derived* state and are reconstructed from the base during
 /// [`crate::engine::QueryEngine::restore`].
 ///
@@ -1688,77 +1442,21 @@ pub(crate) fn restore(
     cluster.begin_epoch();
     let p = cluster.p();
     let exec_seed = mix(view.seed_base, view.rebuilds);
-    match view.class {
-        JoinClass::Cyclic => {
-            // Re-price exactly like a build at this rebuild count would:
-            // pricing is a pure function of the restored base sizes, so the
-            // restored cache type always matches the crashed run's.
-            let sizes: Vec<u64> = view.base.relations.iter().map(|r| r.len() as u64).collect();
-            let (plan, _est) = crate::planner::choose_plan_cyclic(&view.query, &sizes, p);
-            view.plan = plan;
-            if plan == Plan::Ghd {
-                let ghd =
-                    aj_relation::Ghd::build(&view.query).expect("GHD-planned view is connected");
-                let q = view.query.clone();
-                // The bag state (grids, mirrors, tree shards) is re-derived
-                // from the restored base; the output join is skipped — the
-                // materialization is installed from the snapshot below.
-                let (bags, _bag_dist) = build_bag_state(cluster, &q, &ghd, &view.base, exec_seed);
-                view.cache = ViewCache::Bags(bags);
-            } else {
-                let shares = worst_case_shares(&view.query, &sizes, p);
-                // Same grid seed as `build` at this rebuild count: the
-                // restored fragments land exactly where the crashed run
-                // placed them.
-                let grid = build_grid(
-                    cluster,
-                    &view.query,
-                    &view.base.relations,
-                    shares,
-                    mix(exec_seed, 0x9e1d),
-                );
-                view.cache = ViewCache::Grid(grid);
-            }
-        }
-        _ => {
-            // The original build derives the tree seed from the seed stream
-            // *after* the plan execution advanced it; a restore skips the
-            // join, so its shard seeds differ from the crashed run's. That
-            // is sound: shard routing seeds only decide *where* cached
-            // partner tuples live, and every later delta round re-derives
-            // the owner from the shard's own stored seed.
-            view.cache = ViewCache::Tree(build_tree(
-                cluster,
-                &view.query,
-                &view.base,
-                mix(exec_seed, 0x7ee5),
-            ));
-        }
-    }
+    // Same decomposition and grid seeds as `build` at this rebuild count
+    // (cyclic pricing is a pure function of the restored base sizes): the
+    // restored fragments land exactly where the crashed run placed them.
+    // The tree seed is not the crashed run's — an acyclic build derives it
+    // *after* the plan execution advanced the seed stream, and a restore
+    // skips the join. That is sound: shard routing seeds only decide
+    // *where* cached partner tuples live, and every later delta round
+    // re-derives the owner from the shard's own stored seed.
+    place_bags(cluster, view, exec_seed);
+    view.cache.tree = build_tree(cluster, &view.cache, &view.base, mix(exec_seed, 0x7ee5));
     // Install the counted materialization from the snapshot: each entry is
     // routed to its hash owner carrying its exact count as the weight.
-    let arity = view.out_attrs.len();
-    let mat_seed = view.mat_seed;
     view.mat = (0..p).map(|_| FxHashMap::default()).collect();
-    let entries: Vec<(Tuple, i64)> = ckpt
-        .snapshot
-        .iter()
-        .map(|(t, c)| (t.clone(), *c as i64))
-        .collect();
-    let parts = place_signed(&entries, p);
-    let received = {
-        let mut net = cluster.net();
-        let outbox: Vec<DeltaOutbox> = net.run_local(parts, |_, rows: Vec<(Tuple, i64)>| {
-            let mut ob = DeltaOutbox::with_capacity(arity, rows.len());
-            for (t, w) in &rows {
-                ob.push(hash_to_server(t.values(), mat_seed, p), t.values(), *w);
-            }
-            ob
-        });
-        net.exchange_deltas(arity, outbox)
-    };
-    merge_outputs(cluster, view, received);
-    view.out_size = view.mat.iter().map(|m| m.len() as u64).sum();
+    let entries = ckpt.snapshot.iter().map(|(t, c)| (t, *c as i64));
+    install_counts(cluster, view, &place_signed(entries, p), |(t, w)| (t, *w));
     let stats = cluster.epoch();
     cluster.trim_round_log();
     stats

@@ -256,6 +256,17 @@ pub fn next_seed(seed: &mut u64) -> u64 {
     *seed
 }
 
+/// SplitMix64-style combine of a seed and a salt (a shape fingerprint, a
+/// rebuild count, a stream tag): derives independent seed streams.
+pub(crate) fn mix(a: u64, b: u64) -> u64 {
+    let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,8 +32,9 @@
 //!   [`QueryEngine::apply_update`]) — registered queries stay exactly
 //!   materialized under signed insert/delete batches via the delta
 //!   subsystem ([`crate::delta`]): counted deletions, delta propagation
-//!   through cached join trees / HyperCube grids, a cost-based
-//!   recompute fall-back, and per-view stats epochs.
+//!   through one cached bag tree (per-edge bags, one HyperCube bag, or a
+//!   GHD's bags), a cost-based recompute fall-back, and per-view stats
+//!   epochs.
 //!
 //! Determinism: each query runs on a seed stream derived from the engine's
 //! base seed and the query's signature fingerprint, so a repeated shape —
@@ -51,10 +52,8 @@ use aj_relation::{Database, JoinTree, Query};
 use crate::aggregate::output_size_with_tree;
 use crate::binary::detect_join_skew;
 use crate::delta::{self, MaterializedView, UpdateOutcome, ViewCheckpoint, ViewId};
-use crate::dist::distribute_db;
-use crate::planner::{
-    candidate_costs, choose_plan_skew, cyclic_candidate_costs, execute_plan_skew, Plan,
-};
+use crate::dist::{distribute_db, mix};
+use crate::planner::{candidate_costs, cyclic_candidate_costs, execute_plan_skew, pick_plan, Plan};
 use crate::DistRelation;
 use aj_relation::delta::UpdateBatch;
 
@@ -342,7 +341,8 @@ impl QueryEngine {
                 } else {
                     None
                 };
-                let (plan, est) = choose_plan_skew(class, in_size, out, p, skew.as_ref());
+                // Price every candidate once; the pick and the reported
+                // alternatives read the same list.
                 let mut alternatives = candidate_costs(class, in_size, out, p);
                 if let Some(profile) = &skew {
                     alternatives.push((
@@ -350,6 +350,7 @@ impl QueryEngine {
                         crate::binary::hybrid_load_estimate(profile, in_size, p),
                     ));
                 }
+                let (plan, est) = pick_plan(class, &alternatives);
                 (plan, Some(out), Some(est), skew, alternatives)
             } else if self.config.cost_based && class == JoinClass::Cyclic {
                 // Cyclic cost-based planning is communication-free: per-relation
@@ -358,7 +359,7 @@ impl QueryEngine {
                 // over them — the planning epoch stays empty.
                 let sizes: Vec<u64> = dist.iter().map(|r| r.total_len() as u64).collect();
                 let alternatives = cyclic_candidate_costs(q, &sizes, p);
-                let (plan, est) = crate::planner::choose_plan_cyclic(q, &sizes, p);
+                let (plan, est) = pick_plan(class, &alternatives);
                 (plan, None, Some(est), None, alternatives)
             } else {
                 (Plan::for_class(class), None, None, None, Vec::new())
@@ -679,8 +680,9 @@ impl QueryEngine {
         out
     }
 
-    /// [`QueryEngine::explain`] for a registered view: the build plan,
-    /// current sizes and churn, and the loads of the most recent full build.
+    /// [`QueryEngine::explain`] for a registered view: the build plan, the
+    /// bag tree the view is maintained over, current sizes and churn, and
+    /// the loads of the most recent full build.
     ///
     /// # Panics
     /// Panics on an unknown [`ViewId`].
@@ -698,6 +700,7 @@ impl QueryEngine {
             view.cum_delta(),
             view.rebuilds(),
         );
+        let _ = writeln!(out, "bags: {}", view.describe_bags());
         let _ = writeln!(out, "base: in={}", view.base().input_size());
         let reg = view.registration();
         let _ = writeln!(
@@ -754,16 +757,6 @@ fn hybrid_applicable(q: &Query) -> bool {
 }
 
 const PLANNING_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// SplitMix64-style combine of the base seed and a shape fingerprint.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 #[cfg(test)]
 mod tests {

@@ -133,22 +133,12 @@ pub fn choose_plan_skew(
     p: usize,
     skew: Option<&JoinSkew>,
 ) -> (Plan, f64) {
-    let base = choose_plan(class, in_size, out_size, p);
-    let base_est = match base {
-        Plan::WorstCase => f64::INFINITY, // cyclic: no closed form, no hybrid either
-        _ => estimated_load(base, in_size, out_size, p),
-    };
-    match skew {
-        Some(profile) if class != JoinClass::Cyclic => {
-            let hybrid_est = crate::binary::hybrid_load_estimate(profile, in_size, p);
-            if hybrid_est < base_est {
-                (Plan::SkewHybrid, hybrid_est)
-            } else {
-                (base, base_est)
-            }
-        }
-        _ => (base, base_est),
+    let mut priced = candidate_costs(class, in_size, out_size, p);
+    if let (Some(profile), true) = (skew, class != JoinClass::Cyclic) {
+        let hybrid_est = crate::binary::hybrid_load_estimate(profile, in_size, p);
+        priced.push((Plan::SkewHybrid, hybrid_est));
     }
+    pick_plan(class, &priced)
 }
 
 /// The priced candidate set [`choose_plan`] compares for a class: every
@@ -181,26 +171,51 @@ pub fn candidate_costs(
 /// cheapest. Ties fall back to [`plan_for`]'s class answer — the cost model
 /// refines class dispatch, it never contradicts it without evidence.
 pub fn choose_plan(class: JoinClass, in_size: u64, out_size: u64, p: usize) -> Plan {
-    let priced = candidate_costs(class, in_size, out_size, p);
-    if priced.is_empty() {
-        return Plan::for_class(class); // cyclic: no bound comparison to run
-    }
+    pick_plan(class, &candidate_costs(class, in_size, out_size, p)).0
+}
+
+/// Pick the plan and its estimate from an already-priced candidate list —
+/// the one place the tie rules live, so a caller that also reports the list
+/// (the engine's `alternatives`) prices every candidate exactly once.
+///
+/// * Acyclic classes take [`candidate_costs`]' list, optionally extended by
+///   a profile-priced [`Plan::SkewHybrid`]: the cheapest closed form wins,
+///   hair-width gaps are ties, and ties fall back to the class answer; the
+///   hybrid must then be *strictly* cheaper than that pick.
+/// * [`JoinClass::Cyclic`] takes [`cyclic_candidate_costs`]' list (the class
+///   answer first): a later candidate must win strictly, beyond the same
+///   tolerance. An empty list (nothing priced) is the class answer at an
+///   infinite estimate.
+pub(crate) fn pick_plan(class: JoinClass, priced: &[(Plan, f64)]) -> (Plan, f64) {
     let class_plan = Plan::for_class(class);
-    let best = priced.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
+    if class == JoinClass::Cyclic {
+        let Some(&(_, wc)) = priced.first() else {
+            return (class_plan, f64::INFINITY);
+        };
+        return priced[1..]
+            .iter()
+            .copied()
+            .find(|&(_, c)| c < wc * (1.0 - 1e-9) - 1e-9)
+            .unwrap_or((class_plan, wc));
+    }
+    let closed = || {
+        priced
+            .iter()
+            .copied()
+            .filter(|&(plan, _)| plan != Plan::SkewHybrid)
+    };
+    let best = closed().map(|(_, c)| c).fold(f64::INFINITY, f64::min);
     // Relative tolerance: bounds computed from the same IN/OUT/p differ only
     // meaningfully; hair-width gaps are ties.
     let tied = |c: f64| c <= best * (1.0 + 1e-9) + 1e-9;
-    if priced
-        .iter()
-        .any(|&(plan, c)| plan == class_plan && tied(c))
-    {
-        return class_plan;
+    let base = closed()
+        .find(|&(plan, c)| plan == class_plan && tied(c))
+        .or_else(|| closed().find(|&(_, c)| tied(c)))
+        .expect("nonempty candidate set");
+    match priced.iter().find(|&&(plan, _)| plan == Plan::SkewHybrid) {
+        Some(&hybrid) if hybrid.1 < base.1 => hybrid,
+        _ => base,
     }
-    priced
-        .iter()
-        .find(|&&(_, c)| tied(c))
-        .map(|&(plan, _)| plan)
-        .expect("nonempty candidate set")
 }
 
 /// Cost-based plan choice for **cyclic** queries, from per-relation sizes
@@ -228,16 +243,7 @@ pub fn choose_plan(class: JoinClass, in_size: u64, out_size: u64, p: usize) -> P
 /// assert_eq!(plan, Plan::WorstCase);
 /// ```
 pub fn choose_plan_cyclic(q: &Query, sizes: &[u64], p: usize) -> (Plan, f64) {
-    let priced = cyclic_candidate_costs(q, sizes, p);
-    let wc = priced[0].1;
-    for &(plan, c) in &priced[1..] {
-        // Strict-improvement rule with the same hair-width tolerance as
-        // choose_plan: a tie is not evidence against the class answer.
-        if c < wc * (1.0 - 1e-9) - 1e-9 {
-            return (plan, c);
-        }
-    }
-    (Plan::WorstCase, wc)
+    pick_plan(JoinClass::Cyclic, &cyclic_candidate_costs(q, sizes, p))
 }
 
 /// The priced candidate set [`choose_plan_cyclic`] compares: whole-query

@@ -47,11 +47,11 @@ fn shapes() -> Vec<(&'static str, Query, Database)> {
     db.dedup_all();
     cases.push(("star3", q, db));
 
-    // Triangle (cyclic → delta-HyperCube).
+    // Triangle (cyclic → one bag of all edges: whole-query delta-HyperCube).
     let inst = aj_instancegen::fig6::generate(40, 90, 5);
     cases.push(("triangle", inst.query, inst.db));
 
-    // Triangle + 6-path appendage (cyclic → GHD bag caches).
+    // Triangle + 6-path appendage (cyclic → the GHD's bags).
     let (q, db) = ghd_shape();
     cases.push(("ghd", q, db));
 
@@ -60,7 +60,8 @@ fn shapes() -> Vec<(&'static str, Query, Database)> {
 
 /// A triangle with a 6-path tail hanging off attribute `C`: the cyclic
 /// cost model prices the GHD bag route below whole-query HyperCube, so a
-/// registered view takes the `ViewCache::Bags` path.
+/// registered view is decomposed into the GHD's bags — one gridded
+/// multi-edge bag plus single-edge bags — rather than one bag of all edges.
 fn ghd_shape() -> (Query, Database) {
     let mut b = aj_relation::QueryBuilder::new();
     b.relation("R1", &["A", "B"]);

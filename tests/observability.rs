@@ -154,27 +154,75 @@ fn explain_is_deterministic_and_names_the_candidates() {
     assert!(seq.contains("predicted vs actual"));
 }
 
-/// EXPLAIN for registered views: deterministic across backends and renders
-/// the maintenance state.
+/// A triangle with a 6-path tail hanging off `C`: prices to the GHD plan
+/// (the greedy merge closes the triangle with one two-edge bag; the third
+/// triangle edge and every path edge stay bags of their own).
+fn triangle_with_tail() -> (Query, Database) {
+    let mut b = QueryBuilder::new();
+    b.relation("R1", &["A", "B"]);
+    b.relation("R2", &["B", "C"]);
+    b.relation("R3", &["C", "A"]);
+    b.relation("T0", &["C", "X0"]);
+    for i in 0..6 {
+        b.relation(
+            &format!("T{}", i + 1),
+            &[&format!("X{i}"), &format!("X{}", i + 1)],
+        );
+    }
+    let q = b.build();
+    let rows = |k: u64| -> Vec<Vec<u64>> {
+        (0..24u64)
+            .map(|i| vec![i % 6, (i * k + i / 12 + 1) % 6])
+            .collect()
+    };
+    let per_edge: Vec<_> = (0..q.n_edges()).map(|e| rows(e as u64 + 2)).collect();
+    let mut db = acyclic_joins::relation::database_from_rows(&q, &per_edge);
+    db.dedup_all();
+    (q, db)
+}
+
+/// EXPLAIN for registered views: deterministic across backends, renders the
+/// maintenance state, and shows the bag tree the view is maintained over —
+/// per-edge bags for a tree view, one gridded bag for whole-query
+/// delta-HyperCube, both kinds for a GHD view.
 #[test]
 fn explain_view_is_deterministic_across_backends() {
-    let q = shapes::star_query(3);
-    let db = star_db(&q);
-    let mut mirror = db.clone();
-    mirror.dedup_all();
-    let batches = updates::update_stream(&q, &mirror, 3, 0.1, 0.0, 0xab5);
-    let drive = |make: fn() -> Cluster| {
-        let mut engine = QueryEngine::with_cluster(make(), Default::default());
-        let view = engine.register_view(&q, &db);
-        for batch in &batches {
-            engine.apply_update(view, batch);
-        }
-        engine.explain_view(view)
-    };
-    let seq = drive(|| Cluster::new(4));
-    assert_eq!(seq, drive(|| Cluster::new_net(4)), "net diverged");
-    assert!(seq.contains("view v0:"));
-    assert!(seq.contains("last full build:"));
+    let star = shapes::star_query(3);
+    let star_db = star_db(&star);
+    let triangle = acyclic_joins::instancegen::fig6::generate(40, 90, 5);
+    let (ghd, ghd_db) = triangle_with_tail();
+    let cases = [
+        (&star, &star_db, "bags: {R1} {R2} {R3}\n"),
+        (
+            &triangle.query,
+            &triangle.db,
+            "bags: {R1 R2 R3} shares[B=2 C=2 A=2]\n",
+        ),
+        (
+            &ghd,
+            &ghd_db,
+            "bags: {R1 R2} shares[A=1 B=8 C=1] {R3} {T0} {T1}",
+        ),
+    ];
+    for (q, db, bags) in cases {
+        let mut mirror = db.clone();
+        mirror.dedup_all();
+        let batches = updates::update_stream(q, &mirror, 3, 0.1, 0.0, 0xab5);
+        let drive = |make: fn() -> Cluster| {
+            let mut engine = QueryEngine::with_cluster(make(), Default::default());
+            let view = engine.register_view(q, db);
+            for batch in &batches {
+                engine.apply_update(view, batch);
+            }
+            engine.explain_view(view)
+        };
+        let seq = drive(|| Cluster::new(8));
+        assert_eq!(seq, drive(|| Cluster::new_parallel(8)), "par diverged");
+        assert_eq!(seq, drive(|| Cluster::new_net(8)), "net diverged");
+        assert!(seq.contains("view v0:"));
+        assert!(seq.contains(bags), "expected `{bags}` in:\n{seq}");
+        assert!(seq.contains("last full build:"));
+    }
 }
 
 /// Checkpoint/restore bookkeeping shows up in the trace as logical events,
