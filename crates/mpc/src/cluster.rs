@@ -8,7 +8,7 @@ use crate::executor::{
     run_consuming, run_consuming_at, run_indexed, run_indexed_at, Execute, ParExecutor, SeqExecutor,
 };
 use crate::fault::{FaultPlan, FaultyTransport};
-use crate::net_executor::{NetExecutor, RoundSync};
+use crate::net_executor::{NetExecutor, WireRound};
 use crate::rows::{DeltaBlock, DeltaOutbox, RowOutbox};
 use crate::stats::{EpochStats, Stats};
 use crate::transport::{ChanTransport, Transport};
@@ -325,6 +325,119 @@ impl Cluster {
     }
 }
 
+/// One sender's outbox as the wire path ([`Net::route_wire`]) sees it: split
+/// into one [`Wire`] body per destination, and reassembled at a receiver
+/// from the bodies of all senders.
+trait WireOutbox: Send {
+    /// What one (sender, destination) frame carries — and, concatenated
+    /// over all senders, what a receiver ends up with.
+    type Body: Wire + Send;
+    /// The tag of this outbox's data frames.
+    const KIND: FrameKind;
+
+    /// The destination of every unit, in send order.
+    fn dests(&self) -> impl Iterator<Item = ServerId> + '_;
+
+    /// Bucket the units by destination (all `< p`), preserving send order.
+    fn split(self, p: usize) -> Vec<Self::Body>;
+
+    /// Concatenate the bodies received from senders `0..p`, in that order
+    /// (each is decoded as the iterator yields it); also returns the number
+    /// of units received.
+    fn reassemble(bodies: impl Iterator<Item = Self::Body>) -> (Self::Body, u64);
+}
+
+impl<T: Send + Wire> WireOutbox for Vec<(ServerId, T)> {
+    type Body = Vec<T>;
+    const KIND: FrameKind = FrameKind::Items;
+
+    fn dests(&self) -> impl Iterator<Item = ServerId> + '_ {
+        self.iter().map(|(dest, _)| *dest)
+    }
+
+    fn split(self, p: usize) -> Vec<Vec<T>> {
+        bucket_items(p, self)
+    }
+
+    fn reassemble(bodies: impl Iterator<Item = Vec<T>>) -> (Vec<T>, u64) {
+        let mut inbox = Vec::new();
+        for mut bucket in bodies {
+            inbox.append(&mut bucket);
+        }
+        let count = inbox.len() as u64;
+        (inbox, count)
+    }
+}
+
+/// Each sender radix-partitions its rows into one [`TupleBlock`] per
+/// destination locally; each receiver concatenates the decoded blocks — the
+/// same (sender, send-order) delivery the shared-memory radix exchange
+/// produces. Every block carries its arity, and a receiver's own block has
+/// the arity [`Net::exchange_rows`] validated, so `reassemble` agreeing on
+/// one arity means agreeing on that one.
+impl WireOutbox for RowOutbox {
+    type Body = TupleBlock;
+    const KIND: FrameKind = FrameKind::Rows;
+
+    fn dests(&self) -> impl Iterator<Item = ServerId> + '_ {
+        self.dests.iter().copied()
+    }
+
+    fn split(self, p: usize) -> Vec<TupleBlock> {
+        scatter_rows(self.rows.arity(), p, std::slice::from_ref(&self)).0
+    }
+
+    fn reassemble(blocks: impl Iterator<Item = TupleBlock>) -> (TupleBlock, u64) {
+        let blocks: Vec<TupleBlock> = blocks.collect();
+        let total: usize = blocks.iter().map(TupleBlock::len).sum();
+        let mut inbox = TupleBlock::with_capacity(blocks[0].arity(), total);
+        for block in &blocks {
+            inbox.extend_from_block(block);
+        }
+        (inbox, total as u64)
+    }
+}
+
+/// Bucket one sender's messages by destination `0..p`, preserving send
+/// order.
+fn bucket_items<T>(p: usize, msgs: Vec<(ServerId, T)>) -> Vec<Vec<T>> {
+    let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+    for (dest, item) in msgs {
+        assert!(dest < p, "destination {dest} out of range (p = {p})");
+        buckets[dest].push(item);
+    }
+    buckets
+}
+
+/// Radix-scatter the rows of `outboxes`, taken in order, into one block per
+/// destination `0..p`: one counting pass to pre-size every block, one
+/// scatter pass appending rows. Also returns the per-destination row counts.
+fn scatter_rows(arity: usize, p: usize, outboxes: &[RowOutbox]) -> (Vec<TupleBlock>, Vec<u64>) {
+    let mut counts = vec![0u64; p];
+    for ob in outboxes {
+        for &d in &ob.dests {
+            assert!(d < p, "destination {d} out of range (p = {p})");
+            counts[d] += 1;
+        }
+    }
+    let mut blocks: Vec<TupleBlock> = counts
+        .iter()
+        .map(|&c| TupleBlock::with_capacity(arity, c as usize))
+        .collect();
+    for ob in outboxes {
+        if arity == 0 {
+            for &d in &ob.dests {
+                blocks[d].push_empty_rows(1);
+            }
+        } else {
+            for (i, &d) in ob.dests.iter().enumerate() {
+                blocks[d].push_row(ob.rows.row(i));
+            }
+        }
+    }
+    (blocks, counts)
+}
+
 /// A view over a (possibly strided) arithmetic progression of servers of a
 /// [`Cluster`]: local server `i` is absolute server `lo + i·stride`.
 ///
@@ -428,8 +541,8 @@ impl Net<'_> {
         // has no such choice: everything goes through the wire.
         let total_messages: usize = outbox.iter().map(Vec::len).sum();
         let parallel_worthwhile = total_messages >= 4 * self.len.max(64);
-        let (inbox, counts) = if self.cluster.executor.as_net().is_some() {
-            self.route_items_wire(outbox)
+        let (inbox, counts) = if let Some(nx) = self.cluster.executor.as_net() {
+            self.route_wire(nx, outbox)
         } else if self.cluster.executor.is_parallel() && self.len > 1 && parallel_worthwhile {
             self.route_parallel(outbox)
         } else {
@@ -440,62 +553,55 @@ impl Net<'_> {
         inbox
     }
 
-    /// Wire routing ([`NetExecutor`] only): every server of the view —
-    /// concurrently, each on its own thread — serializes its per-destination
-    /// buckets into [`Frame`]s (one frame per destination, empty buckets
+    /// Wire routing ([`NetExecutor`] only), the one wire round behind
+    /// [`Net::exchange`] and [`Net::exchange_rows`]: every server of the
+    /// view — concurrently, each on its own thread — splits its outbox into
+    /// one [`Wire`] body per destination ([`WireOutbox::split`]), serializes
+    /// each into a [`Frame`] (one frame per destination, empty bodies
     /// included), pushes them through the transport, then receives exactly
-    /// `p` frames and assembles its inbox **by sender id**, so the delivery
-    /// order is (sender, send-order) — bit-identical to the shared-memory
-    /// paths — no matter in which order frames arrived. Frames carry the
-    /// cluster's exchange counter as a sequence number, asserted on receive.
+    /// `p` frames and reassembles its inbox **by sender id**
+    /// ([`WireOutbox::reassemble`]), so the delivery order is (sender,
+    /// send-order) — bit-identical to the shared-memory paths — no matter
+    /// in which order frames arrived. Frames carry the cluster's exchange
+    /// counter as a sequence number, asserted on receive.
     ///
     /// Received-unit counts are computed per receiver on its worker and
     /// merged into [`Stats`] by the coordinator at the round barrier.
-    fn route_items_wire<T: Send + Wire>(
+    fn route_wire<O: WireOutbox>(
         &self,
-        outbox: Vec<Vec<(ServerId, T)>>,
-    ) -> (Vec<Vec<T>>, Vec<u64>) {
-        let nx = self
-            .cluster
-            .executor
-            .as_net()
-            .expect("wire routing requires the network backend");
+        nx: &NetExecutor,
+        outbox: Vec<O>,
+    ) -> (Vec<O::Body>, Vec<u64>) {
         let p = self.len;
-        let (lo, stride) = (self.lo, self.stride);
-        let seq = self.cluster.stats.exchanges;
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        let round = WireRound {
+            lo: self.lo,
+            stride: self.stride,
+            len: p,
+            kind: O::KIND,
+            seq: self.cluster.stats.exchanges,
+            done: &done,
+        };
         // Validate destinations before the round starts: a server that dies
         // before sending would leave its peers blocked in `recv`.
-        for msgs in &outbox {
-            for (dest, _) in msgs {
-                assert!(*dest < p, "destination {dest} out of range (p = {p})");
+        for ob in &outbox {
+            for dest in ob.dests() {
+                assert!(dest < p, "destination {dest} out of range (p = {p})");
             }
         }
-        let sync = RoundSync::new(p);
-        let delivered: Vec<(Vec<T>, u64)> =
-            run_consuming_at(nx, outbox, &|i| lo + i * stride, |s, msgs| {
-                let abs_s = lo + s * stride;
-                let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-                for (dest, item) in msgs {
-                    buckets[dest].push(item);
-                }
-                let outgoing: Vec<Frame> = buckets
-                    .into_iter()
-                    .map(|bucket| Frame::new(FrameKind::Items, seq, abs_s as u64, &bucket))
-                    .collect();
-                // Send, (reliably) receive, validate, and order by sender —
-                // all inside the executor's exchange protocol.
-                let frames =
-                    nx.exchange_frames(&sync, lo, stride, p, s, FrameKind::Items, seq, outgoing);
-                let mut inbox = Vec::new();
-                for frame in frames {
-                    let mut bucket: Vec<T> = frame.decode_body();
-                    inbox.append(&mut bucket);
-                }
-                let count = inbox.len() as u64;
-                (inbox, count)
-            });
-        let counts = delivered.iter().map(|(_, c)| *c).collect();
-        (delivered.into_iter().map(|(v, _)| v).collect(), counts)
+        let delivered = run_consuming_at(nx, outbox, &|i| round.abs(i), |s, ob: O| {
+            let from = round.abs(s) as u64;
+            let outgoing = ob
+                .split(p)
+                .into_iter()
+                .map(|body| Frame::new(O::KIND, round.seq, from, &body))
+                .collect();
+            // Send, (reliably) receive, validate, and order by sender — all
+            // inside the executor's exchange protocol.
+            let frames = nx.exchange_frames(round, s, outgoing);
+            O::reassemble(frames.into_iter().map(|f| f.decode_body()))
+        });
+        delivered.into_iter().unzip()
     }
 
     /// Sequential routing: count first (to pre-size receive buffers), then
@@ -531,12 +637,7 @@ impl Net<'_> {
         let exec = self.cluster.executor.as_ref();
         // Pass 1 (parallel over senders): bucket each outbox by destination.
         let staged: Vec<Vec<Mutex<Vec<T>>>> = run_consuming(exec, outbox, |_, msgs| {
-            let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-            for (dest, item) in msgs {
-                assert!(dest < p, "destination {dest} out of range (p = {p})");
-                buckets[dest].push(item);
-            }
-            buckets.into_iter().map(Mutex::new).collect()
+            bucket_items(p, msgs).into_iter().map(Mutex::new).collect()
         });
         // Pass 2 (parallel over receivers): concatenate in sender order and
         // count received units into this receiver's shard of the counters.
@@ -585,8 +686,8 @@ impl Net<'_> {
         }
         let total_rows: usize = outbox.iter().map(RowOutbox::len).sum();
         let parallel_worthwhile = total_rows >= 4 * self.len.max(64);
-        let (inbox, counts) = if self.cluster.executor.as_net().is_some() {
-            self.route_rows_wire(arity, outbox)
+        let (inbox, counts) = if let Some(nx) = self.cluster.executor.as_net() {
+            self.route_wire(nx, outbox)
         } else if self.cluster.executor.is_parallel()
             && self.len > 1
             && parallel_worthwhile
@@ -594,116 +695,12 @@ impl Net<'_> {
         {
             self.route_rows_parallel(arity, outbox)
         } else {
-            self.route_rows_sequential(arity, outbox)
+            // Sequential radix routing: all senders scattered in order.
+            scatter_rows(arity, self.len, &outbox)
         };
         self.cluster
             .record_round(self.lo, self.stride, &counts, RoundKind::Rows);
         inbox
-    }
-
-    /// Wire routing for blocks ([`NetExecutor`] only): each sender radix-
-    /// partitions its rows into one [`TupleBlock`] per destination locally,
-    /// ships each block as a [`FrameKind::Rows`] frame, and each receiver
-    /// concatenates the decoded blocks in sender order — the same
-    /// (sender, send-order) delivery the shared-memory radix exchange
-    /// produces. See [`Net::route_items_wire`] for the protocol details.
-    fn route_rows_wire(&self, arity: usize, outbox: Vec<RowOutbox>) -> (Vec<TupleBlock>, Vec<u64>) {
-        let nx = self
-            .cluster
-            .executor
-            .as_net()
-            .expect("wire routing requires the network backend");
-        let p = self.len;
-        let (lo, stride) = (self.lo, self.stride);
-        let seq = self.cluster.stats.exchanges;
-        // Validate before the round starts (see route_items_wire).
-        for ob in &outbox {
-            for &d in &ob.dests {
-                assert!(d < p, "destination {d} out of range (p = {p})");
-            }
-        }
-        let sync = RoundSync::new(p);
-        let delivered: Vec<(TupleBlock, u64)> =
-            run_consuming_at(nx, outbox, &|i| lo + i * stride, |s, ob: RowOutbox| {
-                let abs_s = lo + s * stride;
-                // Local radix scatter into per-destination blocks.
-                let mut per_dest = vec![0usize; p];
-                for &d in &ob.dests {
-                    per_dest[d] += 1;
-                }
-                let mut blocks: Vec<TupleBlock> = per_dest
-                    .iter()
-                    .map(|&c| TupleBlock::with_capacity(arity, c))
-                    .collect();
-                if arity == 0 {
-                    for &d in &ob.dests {
-                        blocks[d].push_empty_rows(1);
-                    }
-                } else {
-                    for (i, &d) in ob.dests.iter().enumerate() {
-                        blocks[d].push_row(ob.rows.row(i));
-                    }
-                }
-                let outgoing: Vec<Frame> = blocks
-                    .into_iter()
-                    .map(|block| Frame::new(FrameKind::Rows, seq, abs_s as u64, &block))
-                    .collect();
-                let frames =
-                    nx.exchange_frames(&sync, lo, stride, p, s, FrameKind::Rows, seq, outgoing);
-                let decoded: Vec<TupleBlock> = frames
-                    .iter()
-                    .map(|frame| {
-                        let block: TupleBlock = frame.decode_body();
-                        assert_eq!(block.arity(), arity, "wire: block arity mismatch");
-                        block
-                    })
-                    .collect();
-                let total: usize = decoded.iter().map(TupleBlock::len).sum();
-                let mut inbox = TupleBlock::with_capacity(arity, total);
-                for block in &decoded {
-                    inbox.extend_from_block(block);
-                }
-                let count = inbox.len() as u64;
-                (inbox, count)
-            });
-        let counts = delivered.iter().map(|(_, c)| *c).collect();
-        (delivered.into_iter().map(|(b, _)| b).collect(), counts)
-    }
-
-    /// Sequential radix routing: one counting pass to pre-size every
-    /// receiver block, one scatter pass appending rows in sender order.
-    fn route_rows_sequential(
-        &self,
-        arity: usize,
-        outbox: Vec<RowOutbox>,
-    ) -> (Vec<TupleBlock>, Vec<u64>) {
-        let mut counts = vec![0u64; self.len];
-        for ob in &outbox {
-            for &d in &ob.dests {
-                assert!(
-                    d < self.len,
-                    "destination {d} out of range (p = {})",
-                    self.len
-                );
-                counts[d] += 1;
-            }
-        }
-        let mut inbox: Vec<TupleBlock> = counts
-            .iter()
-            .map(|&c| TupleBlock::with_capacity(arity, c as usize))
-            .collect();
-        for ob in &outbox {
-            if arity == 0 {
-                for &d in &ob.dests {
-                    inbox[d].push_empty_rows(1);
-                }
-            } else {
-                for (i, &d) in ob.dests.iter().enumerate() {
-                    inbox[d].push_row(ob.rows.row(i));
-                }
-            }
-        }
-        (inbox, counts)
     }
 
     /// Parallel radix routing: counting pass over senders, offset matrix at

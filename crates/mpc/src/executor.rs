@@ -11,12 +11,13 @@
 //!   server order. Deterministic stepping, zero overhead, the right choice
 //!   for debugging and for tiny instances.
 //! * [`ParExecutor`] — server closures run concurrently on a **persistent
-//!   worker pool** created once per executor: workers park on a condvar
-//!   between parallel regions and pull server indices from an atomic cursor
-//!   (work stealing) inside one. A hot experiment executes thousands of
-//!   regions; reusing parked threads replaces a spawn/join pair per region
-//!   (tens of microseconds and a kernel round trip each) with one
-//!   notify/park cycle.
+//!   worker pool** created once per executor (the crate's one region pool,
+//!   `pool.rs`, shared with [`crate::NetExecutor`]): workers park on a
+//!   condvar between parallel regions and pull server indices from an
+//!   atomic cursor (work stealing) inside one. A hot experiment executes
+//!   thousands of regions; reusing parked threads replaces a spawn/join
+//!   pair per region (tens of microseconds and a kernel round trip each)
+//!   with one notify/park cycle.
 //!
 //! # Determinism and load accounting
 //!
@@ -32,7 +33,9 @@
 use std::cell::UnsafeCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
+
+use crate::pool::{resume_lowest, Pool};
 
 /// An execution backend for per-server work.
 ///
@@ -91,188 +94,19 @@ impl Execute for SeqExecutor {
     }
 }
 
-/// The current parallel region, type-erased so parked workers can pick it
-/// up. The raw pointer is only dereferenced between region publication and
-/// the region's completion barrier, during which the coordinator keeps the
-/// referent alive on its stack.
-#[derive(Clone, Copy)]
-struct RegionTask {
-    task: *const (dyn Fn(usize) + Sync),
-    n: usize,
-}
-
-// SAFETY: the pointer is only shared with workers while the coordinating
-// thread blocks inside `Pool::run_region`, which outlives every worker's
-// use of it (the completion barrier). The pointee is `Sync`, so concurrent
-// calls from several workers are allowed.
-unsafe impl Send for RegionTask {}
-
-struct PoolState {
-    /// Region sequence number; workers use it to detect fresh work.
-    generation: u64,
-    /// The active region, if any.
-    region: Option<RegionTask>,
-    /// Workers still inside the active region.
-    active: usize,
-    /// Panic payloads raised in the active region, tagged with the index
-    /// whose task raised them. Re-raised lowest-index-first so a
-    /// multi-worker failure is deterministic.
-    panics: Vec<(usize, Box<dyn std::any::Any + Send + 'static>)>,
-    /// Set once, on drop: workers exit their park loop.
-    shutdown: bool,
-}
-
-/// Shared core of a persistent pool: region hand-off state plus the
-/// work-stealing cursor of the active region.
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Workers park here between regions.
-    work_cv: Condvar,
-    /// The coordinator parks here until `active` drops to zero.
-    done_cv: Condvar,
-    cursor: AtomicUsize,
-    workers: usize,
-}
-
-impl Pool {
-    fn new(workers: usize) -> Arc<Pool> {
-        let pool = Arc::new(Pool {
-            state: Mutex::new(PoolState {
-                generation: 0,
-                region: None,
-                active: 0,
-                panics: Vec::new(),
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            cursor: AtomicUsize::new(0),
-            workers,
-        });
-        for _ in 0..workers {
-            let p = Arc::clone(&pool);
-            // Workers hold a weak-free Arc clone; `shutdown` (set by the
-            // owning executor's Drop) is what terminates them.
-            std::thread::spawn(move || p.worker_loop());
-        }
-        pool
-    }
-
-    fn worker_loop(&self) {
-        let mut seen_generation = 0u64;
-        loop {
-            let region = {
-                let mut st = self.state.lock().unwrap();
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    if st.generation != seen_generation {
-                        if let Some(r) = st.region {
-                            seen_generation = st.generation;
-                            break r;
-                        }
-                    }
-                    st = self.work_cv.wait(st).unwrap();
-                }
-            };
-            // SAFETY: the coordinator blocks in `run_region` until this
-            // worker reports completion below, so the task outlives this
-            // dereference.
-            let task = unsafe { &*region.task };
-            // Catch panics **per index**, not per drain loop: the worker
-            // keeps draining after a failed task, so every index still runs
-            // and the region's panic set is the same no matter how indices
-            // were distributed over threads — which is what makes the
-            // lowest-index re-raise below deterministic.
-            loop {
-                let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= region.n {
-                    break;
-                }
-                if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| task(i))) {
-                    self.state.lock().unwrap().panics.push((i, payload));
-                }
-            }
-            let mut st = self.state.lock().unwrap();
-            st.active -= 1;
-            if st.active == 0 {
-                self.done_cv.notify_all();
-            }
-        }
-    }
-
-    /// Publish one region, let every worker drain it, wait for the barrier,
-    /// and re-raise the first worker panic with its original payload.
-    fn run_region(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        // SAFETY: `RegionTask` erases the closure's lifetime; the barrier
-        // below (waiting for `active == 0`) guarantees no worker touches the
-        // pointer after this function returns.
-        let region = RegionTask {
-            task: unsafe {
-                std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
-                    task,
-                )
-            },
-            n,
-        };
-        let mut st = self.state.lock().unwrap();
-        // Serialize overlapping regions: clones of one executor may be
-        // driven from different threads, and a second region must not reset
-        // the shared cursor while the first is mid-drain (that would break
-        // the exactly-once contract `run_indexed`'s slots rely on).
-        while st.region.is_some() {
-            st = self.done_cv.wait(st).unwrap();
-        }
-        self.cursor.store(0, Ordering::Relaxed);
-        st.region = Some(region);
-        st.active = self.workers;
-        st.generation = st.generation.wrapping_add(1);
-        self.work_cv.notify_all();
-        while st.active > 0 {
-            st = self.done_cv.wait(st).unwrap();
-        }
-        st.region = None;
-        let mut panics = std::mem::take(&mut st.panics);
-        drop(st);
-        // Wake any coordinator parked above waiting to publish its region.
-        self.done_cv.notify_all();
-        if !panics.is_empty() {
-            // Deterministic re-raise: the lowest index (= lowest server id
-            // in a cluster round) wins, regardless of which worker finished
-            // when.
-            panics.sort_by_key(|(i, _)| *i);
-            std::panic::resume_unwind(panics.swap_remove(0).1);
-        }
-    }
-}
-
-/// Shuts the pool down when the last executor clone drops. Worker threads
-/// hold `Arc<Pool>` but never an `Arc<PoolGuard>`, so the guard's drop runs
-/// exactly when no executor can publish further regions.
-struct PoolGuard(Arc<Pool>);
-
-impl Drop for PoolGuard {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock().unwrap();
-        st.shutdown = true;
-        self.0.work_cv.notify_all();
-    }
-}
-
 /// Run per-server work concurrently on a persistent parking worker pool.
 ///
-/// The pool's threads are created **once**, when the executor is built, and
-/// park on a condvar between parallel regions; a region is published as a
-/// `(closure, n)` pair, drained via an atomic index cursor (work stealing —
-/// uneven per-server workloads, exactly what skewed instances produce, still
-/// keep every worker busy), and closed by a completion barrier. Worker
-/// panics are caught per index and re-raised on the coordinating thread
-/// with their original payload; if several indices panic in one region, the
-/// lowest index wins deterministically.
+/// The pool's threads (`aj-par-{w}`) are created **once**, when the executor
+/// is built, and park on a condvar between parallel regions; a region hands
+/// every worker the same closure, which drains an atomic index cursor (work
+/// stealing — uneven per-server workloads, exactly what skewed instances
+/// produce, still keep every worker busy), and is closed by a completion
+/// barrier. Panics are caught per index and re-raised on the coordinating
+/// thread with their original payload; if several indices panic in one
+/// region, the lowest index wins deterministically.
 ///
-/// Cloning shares the pool. Dropping the last clone parks no more work and
-/// shuts the worker threads down.
+/// Cloning shares the pool. Dropping the last clone shuts the worker threads
+/// down and joins them.
 ///
 /// [`crate::Net::exchange`] routes small rounds (control messages) on the
 /// sequential path since staging `O(p²)` buckets costs more than it saves;
@@ -282,7 +116,7 @@ impl Drop for PoolGuard {
 pub struct ParExecutor {
     threads: usize,
     /// `None` when `threads == 1`: regions run inline, no pool is spawned.
-    pool: Option<Arc<PoolGuard>>,
+    pool: Option<Arc<Pool>>,
 }
 
 impl std::fmt::Debug for ParExecutor {
@@ -312,7 +146,7 @@ impl ParExecutor {
         assert!(threads >= 1, "a pool needs at least one thread");
         ParExecutor {
             threads,
-            pool: (threads > 1).then(|| Arc::new(PoolGuard(Pool::new(threads)))),
+            pool: (threads > 1).then(|| Arc::new(Pool::new(threads, "aj-par"))),
         }
     }
 
@@ -331,7 +165,28 @@ impl Default for ParExecutor {
 impl Execute for ParExecutor {
     fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         match &self.pool {
-            Some(guard) if n > 1 => guard.0.run_region(n, task),
+            Some(pool) if n > 1 => {
+                let cursor = AtomicUsize::new(0);
+                let panics = Mutex::new(Vec::new());
+                // Catch panics **per index**, not per drain loop: a worker
+                // keeps draining after a failed task, so every index still
+                // runs and the region's panic set is the same no matter how
+                // indices were distributed over threads — which is what
+                // makes the lowest-index re-raise deterministic.
+                pool.run_region(&|_worker| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| task(i))) {
+                        panics
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push((i, payload));
+                    }
+                });
+                resume_lowest(panics.into_inner().unwrap_or_else(PoisonError::into_inner));
+            }
             _ => {
                 for i in 0..n {
                     task(i);
@@ -457,130 +312,12 @@ pub(crate) fn run_consuming_at<S: Send, T: Send>(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Mutex;
 
     #[test]
     fn seq_visits_every_index_in_order() {
         let seen = Mutex::new(Vec::new());
         SeqExecutor.run(5, &|i| seen.lock().unwrap().push(i));
         assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn par_visits_every_index_exactly_once() {
-        let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        ParExecutor::with_threads(4).run(100, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
-        }
-    }
-
-    #[test]
-    fn pool_is_reused_across_regions() {
-        // Thousands of regions on one executor: with per-region spawning
-        // this test thrashes; with a parked pool it is instant, and every
-        // region still visits every index exactly once.
-        let exec = ParExecutor::with_threads(4);
-        let total = AtomicU64::new(0);
-        for round in 0..2000u64 {
-            let hits = AtomicU64::new(0);
-            exec.run(8, &|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 8, "region {round}");
-            total.fetch_add(hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 16_000);
-    }
-
-    #[test]
-    fn concurrent_regions_from_clones_serialize() {
-        // Two threads hammer the same shared pool through clones; regions
-        // must serialize, so every region still visits each index exactly
-        // once (the contract run_indexed's unsynchronized slots rely on).
-        let exec = ParExecutor::with_threads(3);
-        let exec2 = exec.clone();
-        std::thread::scope(|scope| {
-            for e in [&exec, &exec2] {
-                scope.spawn(move || {
-                    for round in 0..300 {
-                        let hits = AtomicU64::new(0);
-                        e.run(16, &|_| {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        });
-                        assert_eq!(hits.load(Ordering::Relaxed), 16, "round {round}");
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn clones_share_one_pool() {
-        let a = ParExecutor::with_threads(3);
-        let b = a.clone();
-        let hits = AtomicU64::new(0);
-        a.run(10, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        b.run(10, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
-    fn worker_panic_propagates_with_payload() {
-        let exec = ParExecutor::with_threads(4);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.run(64, &|i| {
-                if i == 33 {
-                    panic!("boom at {i}");
-                }
-            });
-        }));
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("boom at 33"), "original payload lost: {msg}");
-        // The pool survives a panicked region and runs the next one.
-        let hits = AtomicU64::new(0);
-        exec.run(16, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-    }
-
-    /// Regression: with several panicking indices in one region, the
-    /// re-raised payload used to be whichever worker *finished* last — a
-    /// race. It must always be the lowest index's payload.
-    #[test]
-    fn multi_worker_panic_reraises_lowest_index() {
-        let exec = ParExecutor::with_threads(4);
-        for round in 0..100 {
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                exec.run(64, &|i| {
-                    // Indices 5, 21, 37, 53 panic; stagger finish times so a
-                    // first-finisher policy would pick different winners.
-                    if i % 16 == 5 {
-                        if i > 5 {
-                            std::thread::sleep(std::time::Duration::from_micros(i as u64));
-                        }
-                        panic!("failed at {i}");
-                    }
-                });
-            }));
-            let payload = result.expect_err("panic must propagate");
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert_eq!(msg, "failed at 5", "round {round}");
-        }
     }
 
     #[test]

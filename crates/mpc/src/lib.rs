@@ -50,6 +50,7 @@ pub mod fault;
 mod hashing;
 pub mod net_executor;
 mod partitioned;
+mod pool;
 mod rows;
 pub mod skew;
 mod stats;
@@ -89,18 +90,6 @@ pub fn run<R>(p: usize, f: impl FnOnce(&mut Net) -> R) -> (R, Stats) {
 /// wall-clock time is not.
 pub fn run_parallel<R>(p: usize, f: impl FnOnce(&mut Net) -> R) -> (R, Stats) {
     let mut cluster = Cluster::new_parallel(p);
-    let out = {
-        let mut net = cluster.net();
-        f(&mut net)
-    };
-    (out, cluster.stats().clone())
-}
-
-/// Like [`run`], but on the **network backend**: one worker thread per
-/// server, all cross-server traffic serialized through wire frames over
-/// in-process channels. Results and stats are identical to [`run`].
-pub fn run_net<R>(p: usize, f: impl FnOnce(&mut Net) -> R) -> (R, Stats) {
-    let mut cluster = Cluster::new_net(p);
     let out = {
         let mut net = cluster.net();
         f(&mut net)

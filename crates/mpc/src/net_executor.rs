@@ -43,8 +43,8 @@
 //! * frames from an older exchange (`seq` below the current one — leftovers
 //!   of an aborted or heavily delayed round) are silently discarded;
 //! * a server leaves the exchange only once **all** participants report
-//!   both "received everything" and "everything I sent was acked" (a shared
-//!   [`RoundSync`] counter). While any server still misses data, its sender
+//!   both "received everything" and "everything I sent was acked" (the shared
+//!   `WireRound::done` counter). While any server still misses data, its sender
 //!   is unacked and keeps retransmitting; while anyone retransmits, every
 //!   receiver is still polling and re-acking — so the protocol terminates
 //!   whenever the transport delivers each frame with nonzero probability,
@@ -58,25 +58,26 @@
 //!
 //! # Crashes and recovery
 //!
-//! Worker panics are caught per server and re-raised on the coordinating
-//! thread; when several servers panic in one round, the **lowest absolute
-//! server id's** payload wins, deterministically (same policy as
-//! [`crate::ParExecutor`]), except that [`PeerAbort`] markers — workers
-//! that bailed out of a reliable exchange because a *peer* died — always
-//! lose to the genuine failure. A panic whose payload is an
-//! [`InjectedCrash`] is treated as a fatal server-thread death: the thread
-//! really exits, and the pool respawns a fresh thread for that server
-//! before the next round — the "dead server" that `aj_core`'s checkpoint
-//! supervisor detects and recovers from. Dropping the executor joins every
-//! worker thread (no leaks), tolerating poisoned locks left by panicking
-//! rounds.
+//! The `p` server threads are the crate's one region pool (`pool.rs`, shared
+//! with [`crate::ParExecutor`]) with a closure that runs the round index
+//! pinned to each server. The pool's panic policy is therefore the
+//! backend's: panics are caught per server and re-raised on the
+//! coordinating thread; when several servers panic in one round, the
+//! **lowest absolute server id's** payload wins, deterministically, except
+//! that [`PeerAbort`] markers — workers that bailed out of a reliable
+//! exchange because a *peer* died — always lose to the genuine failure. A
+//! panic whose payload is an [`crate::InjectedCrash`] is a fatal
+//! server-thread death: the thread really exits, and the pool respawns a
+//! fresh thread for that server before the next round — the "dead server"
+//! that `aj_core`'s checkpoint supervisor detects and recovers from.
+//! Dropping the executor joins every worker thread (no leaks), tolerating
+//! poisoned locks left by panicking rounds.
 
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::executor::Execute;
-use crate::fault::InjectedCrash;
+use crate::pool::Pool;
 use crate::transport::{ChanTransport, Transport};
 use crate::wire::{Frame, FrameKind};
 
@@ -147,273 +148,45 @@ impl FrameStats {
     }
 }
 
-/// Completion barrier of one reliable exchange, shared by its participants:
-/// a server increments `done` once it has received every inbox frame *and*
-/// seen every frame it sent acked, and exits only when all `participants`
-/// have. Created per exchange by the cluster's wire routing.
-pub(crate) struct RoundSync {
-    done: AtomicUsize,
-    participants: usize,
-}
-
-impl RoundSync {
-    /// A barrier for `participants` servers.
-    pub(crate) fn new(participants: usize) -> RoundSync {
-        RoundSync {
-            done: AtomicUsize::new(0),
-            participants,
-        }
-    }
-}
-
-/// Validate a received frame's header against the current round and
-/// translate its absolute sender id to the view's local id.
-pub(crate) fn frame_sender(
-    frame: &Frame,
-    kind: FrameKind,
-    seq: u64,
-    lo: usize,
-    stride: usize,
-    len: usize,
-) -> usize {
-    assert_eq!(frame.kind, kind, "wire: wrong frame kind for this round");
-    assert_eq!(
-        frame.seq, seq,
-        "wire: frame from exchange {} received in exchange {seq}",
-        frame.seq
-    );
-    let from = frame.from as usize;
-    assert!(
-        from >= lo && (from - lo).is_multiple_of(stride) && (from - lo) / stride < len,
-        "wire: frame from server {from} outside view (lo={lo}, stride={stride}, len={len})",
-    );
-    (from - lo) / stride
-}
-
-/// The active round, type-erased so parked workers can pick it up. Raw
-/// pointers are only dereferenced between publication and the round's
-/// completion barrier, during which the coordinator keeps both referents
-/// alive on its stack.
+/// One wire round as every participant sees it: the view `(lo, stride,
+/// len)` plus the tag `(kind, seq)` its data frames carry. Built once per
+/// round by the cluster's wire routing.
 #[derive(Clone, Copy)]
-struct NetRegion {
-    task: *const (dyn Fn(usize) + Sync),
-    /// Per worker: the task index assigned to it, or `usize::MAX`.
-    assign: *const [usize],
+pub(crate) struct WireRound<'a> {
+    pub(crate) lo: usize,
+    pub(crate) stride: usize,
+    pub(crate) len: usize,
+    pub(crate) kind: FrameKind,
+    pub(crate) seq: u64,
+    /// Completion count of the reliable protocol, starting at 0: a server
+    /// increments it once it has received every inbox frame *and* seen
+    /// every frame it sent acked, and leaves only when all `len` have.
+    pub(crate) done: &'a AtomicUsize,
 }
 
-// SAFETY: the pointers are only shared with workers while the coordinating
-// thread blocks inside `NetPool::run_region`, which outlives every worker's
-// use of them (the completion barrier). The task is `Sync`.
-unsafe impl Send for NetRegion {}
-
-struct NetState {
-    /// Round sequence number; workers use it to detect fresh work.
-    generation: u64,
-    region: Option<NetRegion>,
-    /// Workers that have not yet passed the current round's barrier.
-    active: usize,
-    /// Panics raised by workers this round, tagged with the task index.
-    panics: Vec<(usize, Box<dyn std::any::Any + Send + 'static>)>,
-    /// Workers whose thread exited on a fatal (injected-crash) panic and
-    /// must be respawned before the next round.
-    dead: Vec<bool>,
-    shutdown: bool,
-}
-
-struct NetPool {
-    state: Mutex<NetState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    workers: usize,
-    /// Set the moment any worker of the current round panics; reliable
-    /// exchanges poll it to abandon a round whose peer died. Cleared when
-    /// the next round is published.
-    aborted: AtomicBool,
-    /// Join handles of every live worker thread (grows on respawn).
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl NetPool {
-    fn new(workers: usize) -> Arc<NetPool> {
-        let pool = Arc::new(NetPool {
-            state: Mutex::new(NetState {
-                generation: 0,
-                region: None,
-                active: 0,
-                panics: Vec::new(),
-                dead: vec![false; workers],
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            workers,
-            aborted: AtomicBool::new(false),
-            handles: Mutex::new(Vec::with_capacity(workers)),
-        });
-        for w in 0..workers {
-            pool.spawn_worker(w);
-        }
-        pool
+impl WireRound<'_> {
+    /// Absolute id of the view's local server `i`.
+    pub(crate) fn abs(&self, i: usize) -> usize {
+        self.lo + i * self.stride
     }
 
-    /// Lock the pool state, shrugging off poison: a worker that panicked
-    /// while holding the lock leaves consistent state (every mutation is a
-    /// single push/flag flip), and recovery code must keep running after
-    /// panicking rounds.
-    fn lock_state(&self) -> MutexGuard<'_, NetState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn spawn_worker(self: &Arc<Self>, w: usize) {
-        let p = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("aj-server-{w}"))
-            .spawn(move || p.worker_loop(w))
-            .expect("net: spawn server thread");
-        self.handles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
-    }
-
-    fn worker_loop(&self, me: usize) {
-        let mut seen_generation = 0u64;
-        loop {
-            let region = {
-                let mut st = self.lock_state();
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    if st.generation != seen_generation {
-                        if let Some(r) = st.region {
-                            seen_generation = st.generation;
-                            break r;
-                        }
-                    }
-                    st = self
-                        .work_cv
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            // SAFETY: the coordinator blocks in `run_region` until this
-            // worker reports completion below, so both referents outlive
-            // these dereferences.
-            let index = unsafe { &*region.assign }[me];
-            let mut fatal = false;
-            if index != usize::MAX {
-                // SAFETY: same lifetime argument as `assign` above — the
-                // task closure is borrowed for the whole `run_region` call,
-                // which cannot return before this worker signals done.
-                let task = unsafe { &*region.task };
-                if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| task(index))) {
-                    fatal = payload.is::<InjectedCrash>();
-                    // Raise the abort flag before recording the panic so
-                    // peers polling it can start unwinding immediately.
-                    self.aborted.store(true, Ordering::Release);
-                    self.lock_state().panics.push((index, payload));
-                }
-            }
-            let mut st = self.lock_state();
-            if fatal {
-                st.dead[me] = true;
-            }
-            st.active -= 1;
-            if st.active == 0 {
-                self.done_cv.notify_all();
-            }
-            if fatal {
-                // The server thread genuinely dies; `run_region` respawns a
-                // successor before the next round.
-                return;
-            }
-        }
-    }
-
-    /// Publish one round with an explicit task→worker assignment, wait for
-    /// the barrier, and deterministically re-raise the lowest-index genuine
-    /// panic (PeerAbort markers lose; see module docs). Respawns any worker
-    /// whose thread died in an earlier round before publishing.
-    fn run_region(self: &Arc<Self>, assign: &[usize], task: &(dyn Fn(usize) + Sync)) {
-        assert_eq!(assign.len(), self.workers);
-        // SAFETY: lifetime erasure as in `ParExecutor`; the barrier below
-        // guarantees no worker touches either pointer after this returns.
-        let region = NetRegion {
-            task: unsafe {
-                std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
-                    task,
-                )
-            },
-            assign: assign as *const [usize],
-        };
-        let mut st = self.lock_state();
-        while st.region.is_some() {
-            st = self
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        for w in 0..self.workers {
-            if st.dead[w] {
-                st.dead[w] = false;
-                self.spawn_worker(w);
-            }
-        }
-        self.aborted.store(false, Ordering::Release);
-        st.region = Some(region);
-        st.active = self.workers;
-        st.generation = st.generation.wrapping_add(1);
-        self.work_cv.notify_all();
-        while st.active > 0 {
-            st = self
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        st.region = None;
-        let mut panics = std::mem::take(&mut st.panics);
-        drop(st);
-        self.done_cv.notify_all();
-        if !panics.is_empty() {
-            // Deterministic even if several servers failed: the lowest task
-            // index (= lowest absolute server) with a *genuine* payload
-            // wins; PeerAbort markers only surface if nothing else exists.
-            panics.sort_by_key(|(i, _)| *i);
-            let pick = panics
-                .iter()
-                .position(|(_, p)| !p.is::<PeerAbort>())
-                .unwrap_or(0);
-            std::panic::resume_unwind(panics.swap_remove(pick).1);
-        }
-    }
-}
-
-/// Shuts the pool down when the owning executor drops (workers hold
-/// `Arc<NetPool>`, never the guard), then joins every worker thread —
-/// including threads respawned after injected crashes — so a dropped
-/// executor leaks nothing even after panicked rounds.
-struct NetPoolGuard(Arc<NetPool>);
-
-impl Drop for NetPoolGuard {
-    fn drop(&mut self) {
-        {
-            let mut st = self.0.lock_state();
-            st.shutdown = true;
-        }
-        self.0.work_cv.notify_all();
-        let handles = std::mem::take(
-            &mut *self
-                .0
-                .handles
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
+    /// Validate a received frame's header against this round (`kind` is the
+    /// round's own, or [`FrameKind::Ack`]) and translate its absolute
+    /// sender id to the view's local id.
+    fn frame_sender(&self, frame: &Frame, kind: FrameKind) -> usize {
+        let (lo, stride, len, seq) = (self.lo, self.stride, self.len, self.seq);
+        assert_eq!(frame.kind, kind, "wire: wrong frame kind for this round");
+        assert_eq!(
+            frame.seq, seq,
+            "wire: frame from exchange {} received in exchange {seq}",
+            frame.seq
         );
-        for h in handles {
-            // A worker that panicked fatally has already exited; join just
-            // reaps it. Parked workers wake on the notify above.
-            let _ = h.join();
-        }
+        let from = frame.from as usize;
+        assert!(
+            from >= lo && (from - lo).is_multiple_of(stride) && (from - lo) / stride < len,
+            "wire: frame from server {from} outside view (lo={lo}, stride={stride}, len={len})",
+        );
+        (from - lo) / stride
     }
 }
 
@@ -421,7 +194,7 @@ impl Drop for NetPoolGuard {
 /// pluggable frame [`Transport`] (see the module docs).
 pub struct NetExecutor {
     p: usize,
-    pool: NetPoolGuard,
+    pool: Pool,
     transport: Arc<dyn Transport>,
     /// Run every exchange through the ack/retransmit protocol (required on
     /// lossy transports; see the module docs).
@@ -483,7 +256,7 @@ impl NetExecutor {
         );
         NetExecutor {
             p,
-            pool: NetPoolGuard(NetPool::new(p)),
+            pool: Pool::new(p, "aj-server"),
             transport,
             reliable,
             payload_bytes: AtomicU64::new(0),
@@ -538,63 +311,41 @@ impl NetExecutor {
         }
     }
 
-    /// Did a worker of the current round panic? Reliable exchanges poll
-    /// this to abandon rounds whose peer died instead of retransmitting at
-    /// a corpse forever.
-    pub(crate) fn round_aborted(&self) -> bool {
-        self.pool.0.aborted.load(Ordering::Acquire)
-    }
-
-    /// One server's side of a frame exchange: send `outgoing[d]` to each
-    /// local destination `d` of the view `(lo, stride, len)` and return the
-    /// `len` inbox frames indexed by local sender, validated against
-    /// `(kind, seq)`. Dispatches to the raw or reliable protocol; called
-    /// from the cluster's wire routing on each server's own worker thread.
-    #[allow(clippy::too_many_arguments)] // the view tuple + frame tag, as passed by the round
+    /// One server's side of a frame exchange: local server `s` of `round`'s
+    /// view sends `outgoing[d]` to each local destination `d` and returns
+    /// the `len` inbox frames indexed by local sender, validated against
+    /// the round's `(kind, seq)`. Dispatches to the raw or reliable
+    /// protocol; called from the cluster's wire routing on each server's
+    /// own worker thread.
     pub(crate) fn exchange_frames(
         &self,
-        sync: &RoundSync,
-        lo: usize,
-        stride: usize,
-        len: usize,
+        round: WireRound,
         s: usize,
-        kind: FrameKind,
-        seq: u64,
         outgoing: Vec<Frame>,
     ) -> Vec<Frame> {
-        debug_assert_eq!(outgoing.len(), len, "one frame per destination");
+        debug_assert_eq!(outgoing.len(), round.len, "one frame per destination");
         if self.reliable {
-            self.exchange_reliable(sync, lo, stride, len, s, kind, seq, outgoing)
+            self.exchange_reliable(round, s, outgoing)
         } else {
-            self.exchange_raw(lo, stride, len, s, kind, seq, outgoing)
+            self.exchange_raw(round, s, outgoing)
         }
     }
 
     /// The raw protocol: fire everything, then block until `len` frames
     /// arrive. Correct only on perfect (lossless, non-duplicating)
     /// transports.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_raw(
-        &self,
-        lo: usize,
-        stride: usize,
-        len: usize,
-        s: usize,
-        kind: FrameKind,
-        seq: u64,
-        outgoing: Vec<Frame>,
-    ) -> Vec<Frame> {
-        let abs_s = lo + s * stride;
+    fn exchange_raw(&self, round: WireRound, s: usize, outgoing: Vec<Frame>) -> Vec<Frame> {
+        let abs_s = round.abs(s);
         let transport = self.transport();
         for (d, frame) in outgoing.into_iter().enumerate() {
             self.payload_bytes
                 .fetch_add(frame.wire_bytes(), Ordering::Relaxed);
-            transport.send(abs_s, lo + d * stride, frame);
+            transport.send(abs_s, round.abs(d), frame);
         }
-        let mut by_sender: Vec<Option<Frame>> = (0..len).map(|_| None).collect();
-        for _ in 0..len {
+        let mut by_sender: Vec<Option<Frame>> = (0..round.len).map(|_| None).collect();
+        for _ in 0..round.len {
             let frame = transport.recv(abs_s);
-            let sender = frame_sender(&frame, kind, seq, lo, stride, len);
+            let sender = round.frame_sender(&frame, round.kind);
             assert!(
                 by_sender[sender].is_none(),
                 "wire: duplicate frame from server {sender}"
@@ -610,24 +361,14 @@ impl NetExecutor {
     /// The reliable protocol (see the module docs): poll, ack, dedup, and
     /// retransmit under a capped exponential backoff counted in logical
     /// poll steps, leaving only when every participant is done.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_reliable(
-        &self,
-        sync: &RoundSync,
-        lo: usize,
-        stride: usize,
-        len: usize,
-        s: usize,
-        kind: FrameKind,
-        seq: u64,
-        outgoing: Vec<Frame>,
-    ) -> Vec<Frame> {
-        let abs_s = lo + s * stride;
+    fn exchange_reliable(&self, round: WireRound, s: usize, outgoing: Vec<Frame>) -> Vec<Frame> {
+        let WireRound { len, seq, .. } = round;
+        let abs_s = round.abs(s);
         let transport = self.transport();
         for (d, frame) in outgoing.iter().enumerate() {
             self.payload_bytes
                 .fetch_add(frame.wire_bytes(), Ordering::Relaxed);
-            transport.send(abs_s, lo + d * stride, frame.clone());
+            transport.send(abs_s, round.abs(d), frame.clone());
         }
         let mut acked = vec![false; len];
         let mut n_acked = 0usize;
@@ -641,8 +382,9 @@ impl NetExecutor {
         let mut idle: u64 = 0;
         let mut probe: u64 = PROBE_INITIAL;
         loop {
-            if self.round_aborted() {
-                // A peer's thread died; nobody will complete this round.
+            if self.pool.aborted() {
+                // A peer's thread died; nobody will complete this round,
+                // so stop retransmitting at a corpse.
                 std::panic::panic_any(PeerAbort { server: abs_s });
             }
             match transport.try_recv(abs_s) {
@@ -655,20 +397,20 @@ impl NetExecutor {
                         continue;
                     }
                     if frame.kind == FrameKind::Ack {
-                        let sender = frame_sender(&frame, FrameKind::Ack, seq, lo, stride, len);
+                        let sender = round.frame_sender(&frame, FrameKind::Ack);
                         if !acked[sender] {
                             acked[sender] = true;
                             n_acked += 1;
                         }
                     } else {
-                        let sender = frame_sender(&frame, kind, seq, lo, stride, len);
+                        let sender = round.frame_sender(&frame, round.kind);
                         // Ack every copy (a lost ack heals on the
                         // retransmit), keep only the first.
                         let ack = Frame::ack(seq, abs_s as u64);
                         self.ack_bytes
                             .fetch_add(ack.wire_bytes(), Ordering::Relaxed);
                         self.ack_frames.fetch_add(1, Ordering::Relaxed);
-                        transport.send(abs_s, lo + sender * stride, ack);
+                        transport.send(abs_s, round.abs(sender), ack);
                         if inbox[sender].is_none() {
                             inbox[sender] = Some(frame);
                             n_got += 1;
@@ -685,7 +427,7 @@ impl NetExecutor {
                                 self.retransmit_bytes
                                     .fetch_add(frame.wire_bytes(), Ordering::Relaxed);
                                 self.retransmit_frames.fetch_add(1, Ordering::Relaxed);
-                                transport.send(abs_s, lo + d * stride, frame.clone());
+                                transport.send(abs_s, round.abs(d), frame.clone());
                             }
                         }
                         idle = 0;
@@ -696,11 +438,11 @@ impl NetExecutor {
             }
             if !signaled && n_got == len && n_acked == len {
                 signaled = true;
-                sync.done.fetch_add(1, Ordering::AcqRel);
+                round.done.fetch_add(1, Ordering::AcqRel);
             }
             // Keep polling (serving re-acks) until *every* participant is
             // done; only then can no further retransmission exist.
-            if signaled && sync.done.load(Ordering::Acquire) >= sync.participants {
+            if signaled && round.done.load(Ordering::Acquire) >= len {
                 break;
             }
         }
@@ -709,8 +451,14 @@ impl NetExecutor {
             .map(|f| f.expect("reliable exchange: inbox complete"))
             .collect()
     }
+}
 
-    fn region(
+impl Execute for NetExecutor {
+    fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        self.run_at(n, &|i| i, task);
+    }
+
+    fn run_at(
         &self,
         n: usize,
         abs: &(dyn Fn(usize) -> usize + Sync),
@@ -721,32 +469,22 @@ impl NetExecutor {
             "round of {n} servers on a {}-server network backend",
             self.p
         );
-        let mut assign = vec![usize::MAX; self.p];
+        // Per server thread: the round index pinned to it, if any.
+        let mut assign = vec![None; self.p];
         for i in 0..n {
             let w = abs(i);
             assert!(w < self.p, "absolute server {w} out of range");
             assert!(
-                assign[w] == usize::MAX,
+                assign[w].is_none(),
                 "two round indices pinned to server {w}"
             );
-            assign[w] = i;
+            assign[w] = Some(i);
         }
-        self.pool.0.run_region(&assign, task);
-    }
-}
-
-impl Execute for NetExecutor {
-    fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.region(n, &|i| i, task);
-    }
-
-    fn run_at(
-        &self,
-        n: usize,
-        abs: &(dyn Fn(usize) -> usize + Sync),
-        task: &(dyn Fn(usize) + Sync),
-    ) {
-        self.region(n, abs, task);
+        self.pool.run_region(&|w| {
+            if let Some(i) = assign[w] {
+                task(i);
+            }
+        });
     }
 
     fn is_parallel(&self) -> bool {
@@ -765,23 +503,9 @@ impl Execute for NetExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{CrashPoint, FaultPlan, FaultyTransport};
-    use crate::wire::{Frame, FrameKind};
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn visits_every_index_exactly_once() {
-        let exec = NetExecutor::new(8);
-        let hits: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
-        for _ in 0..200 {
-            exec.run(8, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 200);
-        }
-    }
+    use crate::fault::{CrashPoint, FaultPlan, FaultyTransport, InjectedCrash};
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Mutex;
 
     #[test]
     fn pins_index_to_absolute_server_thread() {
@@ -810,32 +534,6 @@ mod tests {
             let got = t.recv(s);
             assert_eq!(got.decode_body::<u64>(), ((s + p - 1) % p) as u64);
         });
-    }
-
-    #[test]
-    fn lowest_server_panic_wins_deterministically() {
-        let exec = NetExecutor::new(8);
-        for _ in 0..50 {
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                exec.run(8, &|i| {
-                    if i % 2 == 1 {
-                        panic!("server {i} failed");
-                    }
-                });
-            }));
-            let payload = result.expect_err("panic must propagate");
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert_eq!(msg, "server 1 failed");
-        }
-        // The pool survives panicked rounds.
-        let hits = AtomicU64::new(0);
-        exec.run(3, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -883,13 +581,21 @@ mod tests {
     /// returning each server's decoded inbox.
     fn all_to_all(exec: &NetExecutor, seq: u64) -> Vec<Vec<u64>> {
         let p = exec.p();
-        let sync = RoundSync::new(p);
+        let done = AtomicUsize::new(0);
+        let round = WireRound {
+            lo: 0,
+            stride: 1,
+            len: p,
+            kind: FrameKind::Items,
+            seq,
+            done: &done,
+        };
         let results: Mutex<Vec<(usize, Vec<u64>)>> = Mutex::new(Vec::new());
         exec.run(p, &|s| {
             let outgoing: Vec<Frame> = (0..p)
                 .map(|d| Frame::new(FrameKind::Items, seq, s as u64, &((s * 100 + d) as u64)))
                 .collect();
-            let inbox = exec.exchange_frames(&sync, 0, 1, p, s, FrameKind::Items, seq, outgoing);
+            let inbox = exec.exchange_frames(round, s, outgoing);
             let decoded: Vec<u64> = inbox.iter().map(|f| f.decode_body::<u64>()).collect();
             results.lock().unwrap().push((s, decoded));
         });
