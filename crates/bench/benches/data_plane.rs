@@ -1,8 +1,7 @@
 //! Wall-clock micro-benchmarks of the columnar data plane: `TupleBlock`
 //! versus `Vec<Tuple>` for build/sort/dedup/project, `FxHashMap` versus the
-//! SipHash-backed `std::collections::HashMap` for build-side indexes, the
-//! radix block exchange versus the per-item exchange, and skewed-vs-uniform
-//! binary-join routing (hash-only vs hybrid).
+//! SipHash-backed `std::collections::HashMap` for build-side indexes, and
+//! skewed-vs-uniform binary-join routing (hash-only vs hybrid).
 //!
 //! Run with `cargo bench --bench data_plane`; pass `--smoke` for the
 //! CI-bounded variant (tiny time budget, few iterations) that exists to
@@ -12,7 +11,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use aj_bench::microbench::{bench, black_box, default_budget};
-use aj_mpc::{Cluster, RowOutbox};
+use aj_mpc::Cluster;
 use aj_primitives::FxHashMap;
 use aj_relation::{Tuple, TupleBlock};
 
@@ -85,46 +84,6 @@ fn bench_hash_maps(budget: Duration, min_iters: usize) {
             hits += m.get(k.values()).copied().unwrap_or(0);
         }
         black_box(hits)
-    });
-}
-
-fn bench_exchange(budget: Duration, min_iters: usize) {
-    let p = 16usize;
-    let n_per = 8_000u64;
-
-    bench("exchange_rows/radix/128k", budget, min_iters, || {
-        let mut cluster = Cluster::new(p);
-        let mut net = cluster.net();
-        let outbox: Vec<RowOutbox> = (0..p)
-            .map(|s| {
-                let mut ob = RowOutbox::with_capacity(3, n_per as usize);
-                for i in 0..n_per {
-                    ob.push(
-                        ((s as u64 + i * 7) % p as u64) as usize,
-                        &[s as u64, i, i * 3],
-                    );
-                }
-                ob
-            })
-            .collect();
-        black_box(net.exchange_rows(3, outbox).len())
-    });
-    bench("exchange/per-tuple/128k", budget, min_iters, || {
-        let mut cluster = Cluster::new(p);
-        let mut net = cluster.net();
-        let outbox: Vec<Vec<(usize, Tuple)>> = (0..p)
-            .map(|s| {
-                (0..n_per)
-                    .map(|i| {
-                        (
-                            ((s as u64 + i * 7) % p as u64) as usize,
-                            Tuple::from([s as u64, i, i * 3]),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        black_box(net.exchange(outbox).len())
     });
 }
 
@@ -206,6 +165,5 @@ fn main() {
     }
     bench_block_vs_tuple(budget, min_iters);
     bench_hash_maps(budget, min_iters);
-    bench_exchange(budget, min_iters);
     bench_skew_routing(budget, min_iters);
 }

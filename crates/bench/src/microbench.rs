@@ -3,7 +3,7 @@
 //!
 //! Each benchmark runs a closure repeatedly, reports min/median wall time,
 //! and black-boxes the result so the optimizer cannot delete the work. Used
-//! by the `joins` and `primitives` bench targets (`cargo bench`).
+//! by the `joins` and `data_plane` bench targets (`cargo bench`).
 
 use std::time::{Duration, Instant};
 

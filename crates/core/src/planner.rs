@@ -723,35 +723,13 @@ mod tests {
     /// the uniform seed discipline.
     #[test]
     fn cyclic_cost_model_picks_ghd_for_appendages() {
-        // Triangle + 6-path tail hanging off attribute C.
-        let mut b = aj_relation::QueryBuilder::new();
-        b.relation("R1", &["A", "B"]);
-        b.relation("R2", &["B", "C"]);
-        b.relation("R3", &["C", "A"]);
-        for i in 0..6 {
-            b.relation(
-                &format!("T{i}"),
-                &[&format!("X{i}"), &format!("X{}", i + 1)],
-            );
-        }
-        b.relation("T6", &["C", "X0"]);
-        let q = b.build();
+        let (q, db) = shapes::triangle_with_tail(6);
         let sizes = vec![32u64; q.n_edges()];
         let (plan, est) = choose_plan_cyclic(&q, &sizes, 16);
         assert_eq!(plan, Plan::Ghd);
         assert!(est < crate::bounds::wc_share_cost(&q, &sizes, 16));
 
         // Execution matches the oracle and advances the seed like any arm.
-        let rows = |k: u64| -> Vec<Vec<u64>> {
-            (0..24u64).map(|i| vec![i % 6, (i * k + 1) % 6]).collect()
-        };
-        let mut db = aj_relation::database_from_rows(
-            &q,
-            &(0..q.n_edges())
-                .map(|e| rows(e as u64 + 2))
-                .collect::<Vec<_>>(),
-        );
-        db.dedup_all();
         let want = ram::naive_join(&q, &db);
         let mut cluster = Cluster::new(8);
         let out = {

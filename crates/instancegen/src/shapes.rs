@@ -1,6 +1,6 @@
 //! Query shapes used throughout the experiments.
 
-use aj_relation::{Query, QueryBuilder};
+use aj_relation::{Database, Query, QueryBuilder};
 
 /// The line-k join `R1(X0,X1) ⋈ R2(X1,X2) ⋈ … ⋈ Rk(X_{k-1},X_k)`.
 ///
@@ -90,6 +90,38 @@ pub fn cartesian_query(m: usize) -> Query {
         b.relation(&format!("R{}", i + 1), &[ai.as_str()]);
     }
     b.build()
+}
+
+/// A triangle `R1(A,B) ⋈ R2(B,C) ⋈ R3(C,A)` with a tail hanging off `C`:
+/// the path `T0(X0,X1) ⋈ … ⋈ T{n-1}(X{n-1},X{n})` of `tail_len = n` edges,
+/// attached by one last edge `T{n}(C,X0)` — with a small instance over the
+/// domain `0..6`. At `tail_len = 6` the cyclic cost model prices the GHD bag
+/// route (one gridded two-edge bag closing the triangle, every other edge a
+/// bag of its own) below whole-query HyperCube.
+pub fn triangle_with_tail(tail_len: usize) -> (Query, Database) {
+    let mut b = QueryBuilder::new();
+    b.relation("R1", &["A", "B"]);
+    b.relation("R2", &["B", "C"]);
+    b.relation("R3", &["C", "A"]);
+    for i in 0..tail_len {
+        b.relation(
+            &format!("T{i}"),
+            &[&format!("X{i}"), &format!("X{}", i + 1)],
+        );
+    }
+    b.relation(&format!("T{tail_len}"), &["C", "X0"]);
+    let q = b.build();
+    // Two images per key (branching 2, not a function graph): the join
+    // output stays comfortably non-empty under 5% update batches.
+    let rows = |k: u64| -> Vec<Vec<u64>> {
+        (0..24u64)
+            .map(|i| vec![i % 6, (i * k + i / 12 + 1) % 6])
+            .collect()
+    };
+    let per_edge: Vec<_> = (0..q.n_edges()).map(|e| rows(e as u64 + 2)).collect();
+    let mut db = aj_relation::database_from_rows(&q, &per_edge);
+    db.dedup_all();
+    (q, db)
 }
 
 #[cfg(test)]

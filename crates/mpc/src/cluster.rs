@@ -4,16 +4,13 @@
 use aj_obs::{Event, ObsConfig, RoundKind, Trace};
 use aj_relation::TupleBlock;
 
-use crate::executor::{
-    run_consuming, run_consuming_at, run_indexed, run_indexed_at, Execute, ParExecutor, SeqExecutor,
-};
+use crate::executor::{run_consuming_at, run_indexed_at, Execute, ParExecutor, SeqExecutor};
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::net_executor::{NetExecutor, WireRound};
 use crate::rows::{DeltaBlock, DeltaOutbox, RowOutbox};
 use crate::stats::{EpochStats, Stats};
 use crate::transport::{ChanTransport, Transport};
 use crate::wire::{Frame, FrameKind, Wire};
-use crate::Partitioned;
 
 /// Identifier of a server. Within a [`Net`] view, server ids are *local*:
 /// `0..net.p()`. The cluster translates them to absolute ids for accounting.
@@ -23,10 +20,10 @@ pub type ServerId = usize;
 ///
 /// A `Cluster` is inert by itself; obtain a [`Net`] view with
 /// [`Cluster::net`] to communicate. The cluster owns an [`Execute`] backend
-/// deciding whether per-server work (round closures, exchange routing) runs
-/// sequentially ([`SeqExecutor`], the default) or on a thread pool
-/// ([`ParExecutor`], via [`Cluster::new_parallel`]). Both backends produce
-/// identical results and identical [`Stats`]; only wall-clock time differs.
+/// deciding whether per-server work (round closures) runs sequentially
+/// ([`SeqExecutor`], the default) or on a thread pool ([`ParExecutor`], via
+/// [`Cluster::new_parallel`]). Both backends produce identical results and
+/// identical [`Stats`]; only wall-clock time differs.
 #[derive(Debug)]
 pub struct Cluster {
     p: usize,
@@ -269,8 +266,8 @@ impl Cluster {
 
     /// Record one communication round: `counts[s]` units received by absolute
     /// server `lo + s * stride`. Runs on the coordinating thread at the round
-    /// barrier; the per-receiver counts themselves are computed (possibly
-    /// concurrently) by whichever thread assembled each inbox.
+    /// barrier; on the wire arm the per-receiver counts themselves are
+    /// computed concurrently, by the server thread that assembled each inbox.
     ///
     /// With tracing on, this barrier is also where the round's
     /// [`Event::Exchange`] is recorded — after every worker closure has
@@ -325,10 +322,15 @@ impl Cluster {
     }
 }
 
-/// One sender's outbox as the wire path ([`Net::route_wire`]) sees it: split
-/// into one [`Wire`] body per destination, and reassembled at a receiver
-/// from the bodies of all senders.
-trait WireOutbox: Send {
+/// One sender's outbox as the one exchange ([`Net::route`]) sees it. A round
+/// is a counting pass ([`count_units`]) that pre-sizes what a scatter pass
+/// ([`Outbox::deliver`]) fills, and has two arms: in **memory** (`seq` and
+/// `par`) all senders' outboxes are delivered at once; on the **wire**
+/// ([`Net::route_wire`]) each sender delivers its own outbox into one
+/// [`Wire`] body per destination and each receiver [`Outbox::reassemble`]s
+/// the bodies of all senders. Both produce the same (sender, send-order)
+/// delivery.
+trait Outbox: Send + Sized {
     /// What one (sender, destination) frame carries — and, concatenated
     /// over all senders, what a receiver ends up with.
     type Body: Wire + Send;
@@ -338,8 +340,10 @@ trait WireOutbox: Send {
     /// The destination of every unit, in send order.
     fn dests(&self) -> impl Iterator<Item = ServerId> + '_;
 
-    /// Bucket the units by destination (all `< p`), preserving send order.
-    fn split(self, p: usize) -> Vec<Self::Body>;
+    /// Move the units of `outboxes`, taken in sender then send order, into
+    /// one body per destination, pre-sized from `counts` (=
+    /// [`count_units`] of the same outboxes).
+    fn deliver(counts: &[u64], outboxes: Vec<Self>) -> Vec<Self::Body>;
 
     /// Concatenate the bodies received from senders `0..p`, in that order
     /// (each is decoded as the iterator yields it); also returns the number
@@ -347,7 +351,7 @@ trait WireOutbox: Send {
     fn reassemble(bodies: impl Iterator<Item = Self::Body>) -> (Self::Body, u64);
 }
 
-impl<T: Send + Wire> WireOutbox for Vec<(ServerId, T)> {
+impl<T: Send + Wire> Outbox for Vec<(ServerId, T)> {
     type Body = Vec<T>;
     const KIND: FrameKind = FrameKind::Items;
 
@@ -355,8 +359,17 @@ impl<T: Send + Wire> WireOutbox for Vec<(ServerId, T)> {
         self.iter().map(|(dest, _)| *dest)
     }
 
-    fn split(self, p: usize) -> Vec<Vec<T>> {
-        bucket_items(p, self)
+    fn deliver(counts: &[u64], outboxes: Vec<Self>) -> Vec<Vec<T>> {
+        let mut inbox: Vec<Vec<T>> = counts
+            .iter()
+            .map(|&c| Vec::with_capacity(c as usize))
+            .collect();
+        for msgs in outboxes {
+            for (dest, item) in msgs {
+                inbox[dest].push(item);
+            }
+        }
+        inbox
     }
 
     fn reassemble(bodies: impl Iterator<Item = Vec<T>>) -> (Vec<T>, u64) {
@@ -369,13 +382,12 @@ impl<T: Send + Wire> WireOutbox for Vec<(ServerId, T)> {
     }
 }
 
-/// Each sender radix-partitions its rows into one [`TupleBlock`] per
-/// destination locally; each receiver concatenates the decoded blocks — the
-/// same (sender, send-order) delivery the shared-memory radix exchange
-/// produces. Every block carries its arity, and a receiver's own block has
-/// the arity [`Net::exchange_rows`] validated, so `reassemble` agreeing on
-/// one arity means agreeing on that one.
-impl WireOutbox for RowOutbox {
+/// Rows are **radix-partitioned**: `deliver` `memcpy`s each row into its
+/// destination's pre-sized flat [`TupleBlock`] — no per-tuple `Vec::push` of
+/// an owned tuple, no clone. Every block carries its arity, and a receiver's
+/// own block has the arity [`Net::exchange_rows`] validated, so `reassemble`
+/// agreeing on one arity means agreeing on that one.
+impl Outbox for RowOutbox {
     type Body = TupleBlock;
     const KIND: FrameKind = FrameKind::Rows;
 
@@ -383,8 +395,20 @@ impl WireOutbox for RowOutbox {
         self.dests.iter().copied()
     }
 
-    fn split(self, p: usize) -> Vec<TupleBlock> {
-        scatter_rows(self.rows.arity(), p, std::slice::from_ref(&self)).0
+    fn deliver(counts: &[u64], outboxes: Vec<Self>) -> Vec<TupleBlock> {
+        let arity = outboxes[0].rows.arity();
+        let mut blocks: Vec<TupleBlock> = counts
+            .iter()
+            .map(|&c| TupleBlock::with_capacity(arity, c as usize))
+            .collect();
+        for ob in &outboxes {
+            // (A 0-ary row is the empty slice: it moves no values but
+            // still counts.)
+            for (i, &d) in ob.dests.iter().enumerate() {
+                blocks[d].push_row(ob.rows.row(i));
+            }
+        }
+        blocks
     }
 
     fn reassemble(blocks: impl Iterator<Item = TupleBlock>) -> (TupleBlock, u64) {
@@ -398,44 +422,20 @@ impl WireOutbox for RowOutbox {
     }
 }
 
-/// Bucket one sender's messages by destination `0..p`, preserving send
-/// order.
-fn bucket_items<T>(p: usize, msgs: Vec<(ServerId, T)>) -> Vec<Vec<T>> {
-    let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-    for (dest, item) in msgs {
-        assert!(dest < p, "destination {dest} out of range (p = {p})");
-        buckets[dest].push(item);
-    }
-    buckets
-}
-
-/// Radix-scatter the rows of `outboxes`, taken in order, into one block per
-/// destination `0..p`: one counting pass to pre-size every block, one
-/// scatter pass appending rows. Also returns the per-destination row counts.
-fn scatter_rows(arity: usize, p: usize, outboxes: &[RowOutbox]) -> (Vec<TupleBlock>, Vec<u64>) {
+/// The counting pass of a round: how many units of `outboxes` go to each
+/// destination `0..p` — and the one place a destination is checked.
+///
+/// # Panics
+/// Panics if any destination is `>= p`.
+fn count_units<O: Outbox>(p: usize, outboxes: &[O]) -> Vec<u64> {
     let mut counts = vec![0u64; p];
     for ob in outboxes {
-        for &d in &ob.dests {
-            assert!(d < p, "destination {d} out of range (p = {p})");
-            counts[d] += 1;
+        for dest in ob.dests() {
+            assert!(dest < p, "destination {dest} out of range (p = {p})");
+            counts[dest] += 1;
         }
     }
-    let mut blocks: Vec<TupleBlock> = counts
-        .iter()
-        .map(|&c| TupleBlock::with_capacity(arity, c as usize))
-        .collect();
-    for ob in outboxes {
-        if arity == 0 {
-            for &d in &ob.dests {
-                blocks[d].push_empty_rows(1);
-            }
-        } else {
-            for (i, &d) in ob.dests.iter().enumerate() {
-                blocks[d].push_row(ob.rows.row(i));
-            }
-        }
-    }
-    (blocks, counts)
+    counts
 }
 
 /// A view over a (possibly strided) arithmetic progression of servers of a
@@ -519,59 +519,55 @@ impl Net<'_> {
     /// counts as one load unit at the receiver; senders are not charged (the
     /// MPC model only bounds incoming traffic).
     ///
-    /// Under a parallel executor, routing is two concurrent passes with a
-    /// barrier between them: every sender buckets its outbox by destination
-    /// (per-server staging), then every receiver concatenates its buckets in
-    /// sender order, counting its own received units; the sharded counts are
-    /// merged into [`Stats`] at the barrier.
-    ///
     /// # Panics
     /// Panics if `outbox.len() != self.p()` or any destination is out of
     /// range.
     pub fn exchange<T: Send + Wire>(&mut self, outbox: Vec<Vec<(ServerId, T)>>) -> Vec<Vec<T>> {
+        self.route(outbox, RoundKind::Items)
+    }
+
+    /// The one exchange behind [`Net::exchange`], [`Net::exchange_rows`] and
+    /// [`Net::exchange_deltas`]: count (and so check) the outbox, move it —
+    /// through the wire on the network backend ([`Net::route_wire`]), else
+    /// in memory on the coordinating thread ([`Outbox::deliver`], on `seq`
+    /// and `par` alike: a [`ParExecutor`] parallelises compute regions, not
+    /// routing) — and record the round.
+    fn route<O: Outbox>(&mut self, outbox: Vec<O>, kind: RoundKind) -> Vec<O::Body> {
+        let p = self.len;
         assert_eq!(
             outbox.len(),
-            self.len,
+            p,
             "outbox must have exactly one entry per server"
         );
-        // Parallel routing stages O(p²) buckets; for control rounds carrying
-        // only a handful of units (prefix sums, packing trees) the sequential
-        // path is strictly cheaper. The routing result is identical either
-        // way, so this is a pure wall-clock decision. The network backend
-        // has no such choice: everything goes through the wire.
-        let total_messages: usize = outbox.iter().map(Vec::len).sum();
-        let parallel_worthwhile = total_messages >= 4 * self.len.max(64);
-        let (inbox, counts) = if let Some(nx) = self.cluster.executor.as_net() {
-            self.route_wire(nx, outbox)
-        } else if self.cluster.executor.is_parallel() && self.len > 1 && parallel_worthwhile {
-            self.route_parallel(outbox)
-        } else {
-            self.route_sequential(outbox)
+        // Before either arm moves anything: on the wire, a server that dies
+        // on a bad destination before sending would leave its peers blocked
+        // in `recv`.
+        let sent = count_units(p, &outbox);
+        let (inbox, counts) = match self.cluster.executor.as_net() {
+            // Charged as received: each receiver counts what the wire
+            // delivered to it.
+            Some(nx) => self.route_wire(nx, outbox),
+            None => (O::deliver(&sent, outbox), sent),
         };
         self.cluster
-            .record_round(self.lo, self.stride, &counts, RoundKind::Items);
+            .record_round(self.lo, self.stride, &counts, kind);
         inbox
     }
 
-    /// Wire routing ([`NetExecutor`] only), the one wire round behind
-    /// [`Net::exchange`] and [`Net::exchange_rows`]: every server of the
-    /// view — concurrently, each on its own thread — splits its outbox into
-    /// one [`Wire`] body per destination ([`WireOutbox::split`]), serializes
-    /// each into a [`Frame`] (one frame per destination, empty bodies
-    /// included), pushes them through the transport, then receives exactly
-    /// `p` frames and reassembles its inbox **by sender id**
-    /// ([`WireOutbox::reassemble`]), so the delivery order is (sender,
-    /// send-order) — bit-identical to the shared-memory paths — no matter
-    /// in which order frames arrived. Frames carry the cluster's exchange
+    /// The wire arm of [`Net::route`] ([`NetExecutor`] only): every server
+    /// of the view — concurrently, each on its own thread — splits its
+    /// outbox into one [`Wire`] body per destination ([`Outbox::deliver`]
+    /// over that one sender), serializes each into a [`Frame`] (one frame
+    /// per destination, empty bodies included), pushes them through the
+    /// transport, then receives exactly `p` frames and reassembles its inbox
+    /// **by sender id** ([`Outbox::reassemble`]), so the delivery order is
+    /// (sender, send-order) — bit-identical to the memory arm — no matter in
+    /// which order frames arrived. Frames carry the cluster's exchange
     /// counter as a sequence number, asserted on receive.
     ///
     /// Received-unit counts are computed per receiver on its worker and
     /// merged into [`Stats`] by the coordinator at the round barrier.
-    fn route_wire<O: WireOutbox>(
-        &self,
-        nx: &NetExecutor,
-        outbox: Vec<O>,
-    ) -> (Vec<O::Body>, Vec<u64>) {
+    fn route_wire<O: Outbox>(&self, nx: &NetExecutor, outbox: Vec<O>) -> (Vec<O::Body>, Vec<u64>) {
         let p = self.len;
         let done = std::sync::atomic::AtomicUsize::new(0);
         let round = WireRound {
@@ -582,17 +578,10 @@ impl Net<'_> {
             seq: self.cluster.stats.exchanges,
             done: &done,
         };
-        // Validate destinations before the round starts: a server that dies
-        // before sending would leave its peers blocked in `recv`.
-        for ob in &outbox {
-            for dest in ob.dests() {
-                assert!(dest < p, "destination {dest} out of range (p = {p})");
-            }
-        }
         let delivered = run_consuming_at(nx, outbox, &|i| round.abs(i), |s, ob: O| {
             let from = round.abs(s) as u64;
-            let outgoing = ob
-                .split(p)
+            let per_dest = count_units(p, std::slice::from_ref(&ob));
+            let outgoing = O::deliver(&per_dest, vec![ob])
                 .into_iter()
                 .map(|body| Frame::new(O::KIND, round.seq, from, &body))
                 .collect();
@@ -602,56 +591,6 @@ impl Net<'_> {
             O::reassemble(frames.into_iter().map(|f| f.decode_body()))
         });
         delivered.into_iter().unzip()
-    }
-
-    /// Sequential routing: count first (to pre-size receive buffers), then
-    /// deliver in sender order.
-    fn route_sequential<T>(&self, outbox: Vec<Vec<(ServerId, T)>>) -> (Vec<Vec<T>>, Vec<u64>) {
-        let mut counts = vec![0u64; self.len];
-        for msgs in &outbox {
-            for (dest, _) in msgs {
-                assert!(
-                    *dest < self.len,
-                    "destination {dest} out of range (p = {})",
-                    self.len
-                );
-                counts[*dest] += 1;
-            }
-        }
-        let mut inbox: Vec<Vec<T>> = counts
-            .iter()
-            .map(|&c| Vec::with_capacity(c as usize))
-            .collect();
-        for msgs in outbox {
-            for (dest, item) in msgs {
-                inbox[dest].push(item);
-            }
-        }
-        (inbox, counts)
-    }
-
-    /// Parallel routing via per-server staging (see [`Net::exchange`]).
-    fn route_parallel<T: Send>(&self, outbox: Vec<Vec<(ServerId, T)>>) -> (Vec<Vec<T>>, Vec<u64>) {
-        use std::sync::Mutex;
-        let p = self.len;
-        let exec = self.cluster.executor.as_ref();
-        // Pass 1 (parallel over senders): bucket each outbox by destination.
-        let staged: Vec<Vec<Mutex<Vec<T>>>> = run_consuming(exec, outbox, |_, msgs| {
-            bucket_items(p, msgs).into_iter().map(Mutex::new).collect()
-        });
-        // Pass 2 (parallel over receivers): concatenate in sender order and
-        // count received units into this receiver's shard of the counters.
-        let mut delivered: Vec<(Vec<T>, u64)> = run_indexed(exec, p, |dest| {
-            let mut inbox = Vec::new();
-            for sender in staged.iter() {
-                let mut bucket = std::mem::take(&mut *sender[dest].lock().unwrap());
-                inbox.append(&mut bucket);
-            }
-            let count = inbox.len() as u64;
-            (inbox, count)
-        });
-        let counts = delivered.iter().map(|(_, c)| *c).collect();
-        (delivered.drain(..).map(|(v, _)| v).collect(), counts)
     }
 
     /// One communication round moving **blocks** (the columnar data plane):
@@ -665,122 +604,18 @@ impl Net<'_> {
     /// Routing is **radix-partitioned**: a counting pass computes
     /// per-destination row counts, then a single scatter pass `memcpy`s each
     /// row into its receiver's pre-sized flat buffer — no per-tuple
-    /// `Vec::push` or clone. Under a parallel executor both passes run
-    /// concurrently over senders, with the scatter writing through disjoint
-    /// per-(sender, destination) slices computed at the barrier between the
-    /// passes.
+    /// `Vec::push` or clone.
     ///
     /// # Panics
     /// Panics if `outbox.len() != self.p()`, a sender block's arity differs
     /// from `arity`, a sender's `dests` length differs from its row count,
     /// or any destination is out of range.
     pub fn exchange_rows(&mut self, arity: usize, outbox: Vec<RowOutbox>) -> Vec<TupleBlock> {
-        assert_eq!(
-            outbox.len(),
-            self.len,
-            "outbox must have exactly one entry per server"
-        );
         for ob in &outbox {
             assert_eq!(ob.rows.arity(), arity, "sender block arity mismatch");
             assert_eq!(ob.rows.len(), ob.dests.len(), "one destination per row");
         }
-        let total_rows: usize = outbox.iter().map(RowOutbox::len).sum();
-        let parallel_worthwhile = total_rows >= 4 * self.len.max(64);
-        let (inbox, counts) = if let Some(nx) = self.cluster.executor.as_net() {
-            self.route_wire(nx, outbox)
-        } else if self.cluster.executor.is_parallel()
-            && self.len > 1
-            && parallel_worthwhile
-            && arity > 0
-        {
-            self.route_rows_parallel(arity, outbox)
-        } else {
-            // Sequential radix routing: all senders scattered in order.
-            scatter_rows(arity, self.len, &outbox)
-        };
-        self.cluster
-            .record_round(self.lo, self.stride, &counts, RoundKind::Rows);
-        inbox
-    }
-
-    /// Parallel radix routing: counting pass over senders, offset matrix at
-    /// the barrier, then a concurrent scatter through disjoint
-    /// per-(sender, destination) slices of the pre-sized receiver buffers.
-    fn route_rows_parallel(
-        &self,
-        arity: usize,
-        outbox: Vec<RowOutbox>,
-    ) -> (Vec<TupleBlock>, Vec<u64>) {
-        /// Per-receiver base pointers for the scatter. Accessors go through
-        /// `&self` so closures capture the `Sync` wrapper, not the raw
-        /// pointers inside.
-        struct RawBufs(Vec<*mut u64>);
-        // SAFETY: every (sender, destination) range of a receiver buffer is
-        // written by exactly one sender task (ranges are disjoint by the
-        // offset construction), and reads happen only after the region
-        // barrier.
-        unsafe impl Send for RawBufs {}
-        // SAFETY: shared by reference across sender tasks, which only read
-        // the base pointers; the pointed-to ranges they write are disjoint
-        // per (sender, destination) as above, so concurrent `&RawBufs` use
-        // never races.
-        unsafe impl Sync for RawBufs {}
-        impl RawBufs {
-            #[inline]
-            fn base(&self, d: usize) -> *mut u64 {
-                self.0[d]
-            }
-        }
-
-        let p = self.len;
-        let exec = self.cluster.executor.as_ref();
-        // Counting pass (parallel over senders).
-        let outbox_ref = &outbox;
-        let per_sender: Vec<Vec<u32>> = run_indexed(exec, p, |s| {
-            let mut counts = vec![0u32; p];
-            for &d in &outbox_ref[s].dests {
-                assert!(d < p, "destination {d} out of range (p = {p})");
-                counts[d] += 1;
-            }
-            counts
-        });
-        // Barrier: sender-major offsets into each receiver buffer.
-        let mut totals = vec![0usize; p];
-        let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(p);
-        for counts in &per_sender {
-            offsets.push(totals.clone());
-            for (d, &c) in counts.iter().enumerate() {
-                totals[d] += c as usize;
-            }
-        }
-        // Scatter pass (parallel over senders) into pre-sized buffers.
-        let mut bufs: Vec<Vec<u64>> = totals.iter().map(|&t| vec![0u64; t * arity]).collect();
-        let raw = RawBufs(bufs.iter_mut().map(|b| b.as_mut_ptr()).collect());
-        let raw_ref = &raw;
-        let offsets_ref = &offsets;
-        run_indexed(exec, p, move |s| {
-            let ob = &outbox_ref[s];
-            let mut cursor = offsets_ref[s].clone();
-            let data = ob.rows.values();
-            for (i, &d) in ob.dests.iter().enumerate() {
-                // SAFETY: row slot (s, cursor[d]) has exactly one writer —
-                // this task — and lies inside receiver d's buffer.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        data.as_ptr().add(i * arity),
-                        raw_ref.base(d).add(cursor[d] * arity),
-                        arity,
-                    );
-                }
-                cursor[d] += 1;
-            }
-        });
-        let counts = totals.iter().map(|&t| t as u64).collect();
-        let inbox = bufs
-            .into_iter()
-            .map(|b| TupleBlock::from_values(arity, b))
-            .collect();
-        (inbox, counts)
+        self.route(outbox, RoundKind::Rows)
     }
 
     /// One **delta round**: the signed-row form of [`Net::exchange_rows`],
@@ -828,7 +663,7 @@ impl Net<'_> {
     }
 
     /// Like [`Net::round`], but each server's closure consumes an owned
-    /// per-server input (typically the shards of a [`Partitioned`]).
+    /// per-server input (typically the shards of a [`crate::Partitioned`]).
     ///
     /// # Panics
     /// Panics if `inputs.len() != self.p()`.
@@ -896,35 +731,6 @@ impl Net<'_> {
             }
         }
         self.exchange(outbox)
-    }
-
-    /// Gather one item from every server onto local server `dest`.
-    /// `items[s]` is the contribution of server `s`; the result (only
-    /// meaningful at `dest`) preserves server order.
-    pub fn gather_to<T: Send + Wire>(&mut self, dest: ServerId, items: Vec<T>) -> Vec<T> {
-        assert_eq!(items.len(), self.len);
-        let mut outbox: Vec<Vec<(ServerId, T)>> = (0..self.len).map(|_| Vec::new()).collect();
-        for (s, item) in items.into_iter().enumerate() {
-            outbox[s].push((dest, item));
-        }
-        let mut inbox = self.exchange(outbox);
-        std::mem::take(&mut inbox[dest])
-    }
-
-    /// Repartition a distributed collection: `route(s, &item)` gives the
-    /// destination of each item currently on server `s`.
-    pub fn repartition<T: Send + Wire>(
-        &mut self,
-        parts: Partitioned<T>,
-        route: impl Fn(usize, &T) -> ServerId + Sync,
-    ) -> Partitioned<T> {
-        let received = self.round_map(parts.into_parts(), |s, items| {
-            items
-                .into_iter()
-                .map(|item| (route(s, &item), item))
-                .collect()
-        });
-        Partitioned::from_parts(received)
     }
 
     /// Current statistics of the underlying cluster.
@@ -1016,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_and_gather() {
+    fn broadcast_reaches_every_server() {
         let mut cluster = Cluster::new(3);
         {
             let mut net = cluster.net();
@@ -1024,11 +830,9 @@ mod tests {
             for part in &got {
                 assert_eq!(part, &vec![7, 8]);
             }
-            let gathered = net.gather_to(0, vec![10u64, 20, 30]);
-            assert_eq!(gathered, vec![10, 20, 30]);
         }
-        // broadcast: every server received 2; gather: server 0 received 3.
-        assert_eq!(cluster.stats().max_load, 3);
+        // Every server received 2.
+        assert_eq!(cluster.stats().max_load, 2);
     }
 
     #[test]
@@ -1075,26 +879,46 @@ mod tests {
         assert_eq!(d.exchanges, 1);
     }
 
-    #[test]
-    #[should_panic(expected = "destination")]
-    fn bad_destination_panics() {
-        let mut cluster = Cluster::new(2);
-        let mut net = cluster.net();
-        net.exchange(vec![vec![(5, ())], vec![]]);
+    /// The three backends of the route tests below: `seq`, `par` on two
+    /// threads, and `net`.
+    fn backends(p: usize) -> [Cluster; 3] {
+        [
+            Cluster::new(p),
+            Cluster::with_executor(p, Box::new(ParExecutor::with_threads(2))),
+            Cluster::new_net(p),
+        ]
     }
 
+    /// One out-of-range destination behind 300 good units — items and rows,
+    /// on every backend — is refused by the one check in `Net::route`.
     #[test]
-    fn repartition_moves_items() {
-        let mut cluster = Cluster::new(2);
-        let mut net = cluster.net();
-        let parts = Partitioned::from_parts(vec![vec![1u64, 2], vec![3, 4]]);
-        let out = net.repartition(parts, |_, &x| (x % 2) as usize);
-        let mut evens = out.parts()[0].clone();
-        evens.sort_unstable();
-        assert_eq!(evens, vec![2, 4]);
-        let mut odds = out.parts()[1].clone();
-        odds.sort_unstable();
-        assert_eq!(odds, vec![1, 3]);
+    fn bad_destination_panics_on_every_backend_and_payload() {
+        let items = |net: &mut Net<'_>| {
+            let mut msgs = vec![(0usize, 1u64); 300];
+            msgs.push((5, 0));
+            net.exchange(vec![msgs, vec![]]);
+        };
+        let rows = |net: &mut Net<'_>| {
+            let mut ob = RowOutbox::new(1);
+            for i in 0..300u64 {
+                ob.push(0, &[i]);
+            }
+            ob.push(5, &[0]);
+            net.exchange_rows(1, vec![ob, RowOutbox::new(1)]);
+        };
+        let payloads: [&dyn Fn(&mut Net<'_>); 2] = [&items, &rows];
+        for send in payloads {
+            for mut cluster in backends(2) {
+                let name = cluster.executor().name();
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    send(&mut cluster.net())
+                }))
+                .expect_err("a bad destination must panic");
+                let msg = panic.downcast_ref::<String>().expect("formatted assert");
+                assert_eq!(msg, "destination 5 out of range (p = 2)", "{name}");
+                assert_eq!(cluster.stats().exchanges, 0, "{name}: no round ran");
+            }
+        }
     }
 
     /// The same exchange, on both executors: identical inboxes (order
@@ -1221,14 +1045,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "destination")]
-    fn net_backend_bad_destination_panics() {
-        let mut cluster = Cluster::new_net(2);
-        let mut net = cluster.net();
-        net.exchange(vec![vec![(5, 1u64)], vec![]]);
-    }
-
-    #[test]
     fn run_local_is_free_and_ordered() {
         let mut cluster = Cluster::new_parallel(5);
         {
@@ -1287,8 +1103,8 @@ mod tests {
         }
     }
 
-    /// Radix routing under the parallel executor delivers bit-identical
-    /// blocks and stats to the sequential path.
+    /// The block exchange delivers bit-identical blocks and stats on both
+    /// executors.
     #[test]
     fn exchange_rows_agrees_across_executors() {
         let p = 6usize;
@@ -1353,44 +1169,24 @@ mod tests {
         assert_eq!(minus, 40, "every third row was a delete");
     }
 
+    /// 0-ary rows carry no values but still count one unit each — through
+    /// the memory arm and, end to end, through wire frames.
     #[test]
     fn exchange_rows_zero_arity_counts_rows() {
-        let mut cluster = Cluster::new(2);
-        {
-            let mut net = cluster.net();
-            let mut ob = RowOutbox::new(0);
-            ob.rows.push_empty_rows(3);
-            ob.dests.extend([1, 1, 0]);
-            let inbox = net.exchange_rows(0, vec![ob, RowOutbox::new(0)]);
-            assert_eq!(inbox[0].len(), 1);
-            assert_eq!(inbox[1].len(), 2);
+        for mut cluster in backends(2) {
+            let name = cluster.executor().name();
+            {
+                let mut net = cluster.net();
+                let mut ob = RowOutbox::new(0);
+                ob.rows.push_empty_rows(300);
+                ob.dests.extend((0..300).map(|i| usize::from(i % 3 != 0)));
+                let inbox = net.exchange_rows(0, vec![ob, RowOutbox::new(0)]);
+                assert_eq!(inbox[0].len(), 100, "{name}");
+                assert_eq!(inbox[1].len(), 200, "{name}");
+                assert!(inbox.iter().all(|b| b.arity() == 0), "{name}");
+            }
+            assert_eq!(cluster.stats().max_load, 200, "{name}");
+            assert_eq!(cluster.stats().total_messages, 300, "{name}");
         }
-        assert_eq!(cluster.stats().max_load, 2);
-        assert_eq!(cluster.stats().total_messages, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "destination")]
-    fn exchange_rows_bad_destination_panics_in_parallel() {
-        let mut cluster = Cluster::with_executor(2, Box::new(ParExecutor::with_threads(2)));
-        let mut net = cluster.net();
-        let mut ob = RowOutbox::new(1);
-        for i in 0..300u64 {
-            ob.push(0, &[i]);
-        }
-        ob.push(7, &[0]);
-        net.exchange_rows(1, vec![ob, RowOutbox::new(1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "destination")]
-    fn bad_destination_panics_in_parallel() {
-        let mut cluster = Cluster::with_executor(2, Box::new(crate::ParExecutor::with_threads(2)));
-        let mut net = cluster.net();
-        // Enough messages to clear the small-round fallback so the bad
-        // destination is detected on the parallel routing path.
-        let mut msgs = vec![(0usize, ()); 300];
-        msgs.push((5, ()));
-        net.exchange(vec![msgs, vec![]]);
     }
 }

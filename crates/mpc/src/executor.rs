@@ -4,8 +4,8 @@
 //! The simulator charges *communication* through [`crate::Net::exchange`];
 //! *local computation* is free in the MPC cost model but very much not free
 //! in wall-clock time. An [`Execute`] backend decides how the per-server
-//! closures of a round ([`crate::Net::round`], [`crate::Net::run_local`], and
-//! the routing inside `exchange`) are driven:
+//! closures of a round ([`crate::Net::round`], [`crate::Net::run_local`])
+//! are driven:
 //!
 //! * [`SeqExecutor`] — every server's work runs on the calling thread, in
 //!   server order. Deterministic stepping, zero overhead, the right choice
@@ -22,13 +22,12 @@
 //! # Determinism and load accounting
 //!
 //! Executors only decide *where* closures run, never *what* they compute:
-//! results are collected into per-server slots, and the exchange routing
-//! assembles every inbox in (sender, send-order) order regardless of thread
-//! interleaving. Received-unit counts are computed per receiver inside the
-//! worker threads (sharded counters) and merged into [`crate::Stats`] at the
-//! round barrier by the coordinating thread, so both executors report
-//! **bit-identical** per-round maximum loads — a property the test suite
-//! asserts on random instances.
+//! results are collected into per-server slots, and the exchange routing —
+//! one pass on the coordinating thread after the region's barrier, the same
+//! code under both executors — assembles every inbox in (sender, send-order)
+//! order and counts the received units into [`crate::Stats`], so both
+//! executors report **bit-identical** per-round maximum loads — a property
+//! the test suite asserts on random instances.
 
 use std::cell::UnsafeCell;
 use std::panic::AssertUnwindSafe;
@@ -40,7 +39,7 @@ use crate::pool::{resume_lowest, Pool};
 /// An execution backend for per-server work.
 ///
 /// `run(n, task)` must invoke `task(i)` exactly once for every `i in 0..n`;
-/// the order and the thread are the backend's choice. ([`run_indexed`]
+/// the order and the thread are the backend's choice. (`run_indexed_at`
 /// relies on the exactly-once contract for its unsynchronized result slots.)
 pub trait Execute: Send + Sync + std::fmt::Debug {
     /// Invoke `task` once per index in `0..n`.
@@ -108,10 +107,11 @@ impl Execute for SeqExecutor {
 /// Cloning shares the pool. Dropping the last clone shuts the worker threads
 /// down and joins them.
 ///
-/// [`crate::Net::exchange`] routes small rounds (control messages) on the
-/// sequential path since staging `O(p²)` buckets costs more than it saves;
-/// `round`/`run_local` closures always parallelize — prefer [`SeqExecutor`]
-/// outright for workloads dominated by tiny control rounds.
+/// Only compute regions parallelize ([`crate::Net::round`], `round_map`,
+/// `run_each`, `run_local`); [`crate::Net::exchange`] routes on the
+/// coordinating thread, exactly as under [`SeqExecutor`]. Each region costs
+/// one pool wake — prefer [`SeqExecutor`] outright for workloads dominated
+/// by tiny control rounds.
 #[derive(Clone)]
 pub struct ParExecutor {
     threads: usize,
@@ -225,21 +225,13 @@ impl<T> SlotVec<T> {
     }
 }
 
-/// Run `f(i)` for `i in 0..n` on `exec`, collecting results in index order.
+/// Run `f(i)` for `i in 0..n` on `exec`, collecting results in index order;
+/// `abs(i)` names the absolute server whose work index `i` is (see
+/// [`Execute::run_at`]).
 ///
 /// Results are written through per-index `UnsafeCell` slots — no lock
 /// traffic on hot rounds; the exactly-once visit contract of [`Execute`]
 /// makes every slot single-writer (checked by a debug assertion).
-pub(crate) fn run_indexed<T: Send>(
-    exec: &dyn Execute,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    run_indexed_at(exec, n, &|i| i, f)
-}
-
-/// [`run_indexed`] with a placement hint: `abs(i)` names the absolute
-/// server whose work index `i` is (see [`Execute::run_at`]).
 pub(crate) fn run_indexed_at<T: Send>(
     exec: &dyn Execute,
     n: usize,
@@ -266,18 +258,9 @@ pub(crate) fn run_indexed_at<T: Send>(
         .collect()
 }
 
-/// Like [`run_indexed`], but each index consumes an owned input (same
+/// Like [`run_indexed_at`], but each index consumes an owned input (same
 /// slot discipline, in the other direction: each input is taken exactly
 /// once by its index's task).
-pub(crate) fn run_consuming<S: Send, T: Send>(
-    exec: &dyn Execute,
-    inputs: Vec<S>,
-    f: impl Fn(usize, S) -> T + Sync,
-) -> Vec<T> {
-    run_consuming_at(exec, inputs, &|i| i, f)
-}
-
-/// [`run_consuming`] with a placement hint (see [`Execute::run_at`]).
 pub(crate) fn run_consuming_at<S: Send, T: Send>(
     exec: &dyn Execute,
     inputs: Vec<S>,
@@ -323,8 +306,8 @@ mod tests {
     #[test]
     fn run_indexed_matches_across_executors() {
         let f = |i: usize| (i * i) as u64;
-        let seq = run_indexed(&SeqExecutor, 64, f);
-        let par = run_indexed(&ParExecutor::with_threads(8), 64, f);
+        let seq = run_indexed_at(&SeqExecutor, 64, &|i| i, f);
+        let par = run_indexed_at(&ParExecutor::with_threads(8), 64, &|i| i, f);
         assert_eq!(seq, par);
     }
 
@@ -332,7 +315,7 @@ mod tests {
     fn run_consuming_moves_inputs() {
         let inputs: Vec<Vec<u64>> = (0..32).map(|i| vec![i; 3]).collect();
         let expect: Vec<u64> = inputs.iter().map(|v| v.iter().sum()).collect();
-        let got = run_consuming(&ParExecutor::with_threads(4), inputs, |_, v| {
+        let got = run_consuming_at(&ParExecutor::with_threads(4), inputs, &|i| i, |_, v| {
             v.into_iter().sum::<u64>()
         });
         assert_eq!(got, expect);
@@ -342,7 +325,7 @@ mod tests {
     fn single_thread_pool_degrades_to_sequential() {
         let exec = ParExecutor::with_threads(1);
         assert!(exec.is_parallel());
-        let got = run_indexed(&exec, 10, |i| i);
+        let got = run_indexed_at(&exec, 10, &|i| i, |i| i);
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 

@@ -65,7 +65,7 @@ pub use fault::{CrashPoint, FaultPlan, FaultyTransport, InjectedCrash, LinkParti
 pub use hashing::{hash_mix, hash_to_server, HashKey};
 pub use net_executor::{FrameStats, NetExecutor, PeerAbort, WireBytes};
 pub use partitioned::Partitioned;
-pub use rows::{BlockPartitioned, DeltaBlock, DeltaOutbox, RowOutbox};
+pub use rows::{DeltaBlock, DeltaOutbox, RowOutbox};
 pub use skew::detect_heavy_hitters;
 pub use stats::{EpochStats, LoadReport, Stats};
 #[cfg(all(unix, feature = "uds"))]

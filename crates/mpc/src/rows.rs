@@ -4,11 +4,12 @@
 //! sender — every tuple is an owned allocation that gets pushed, moved, and
 //! re-pushed. The block exchange ([`crate::Net::exchange_rows`]) moves
 //! [`TupleBlock`]s instead: a sender hands over one flat buffer of rows and
-//! one destination per row, and the router delivers per-receiver blocks with
-//! a radix **counting pass** (per-destination row counts) followed by one
-//! **scatter pass** into pre-sized per-destination slices. No per-tuple
-//! `Vec::push` of an owned tuple, no per-tuple clone — values are `memcpy`d
-//! from flat buffer to flat buffer.
+//! one destination per row, and the router — one pass on the coordinating
+//! thread, or per sender on the network backend — delivers per-receiver
+//! blocks with a radix **counting pass** (per-destination row counts)
+//! followed by one **scatter pass** into pre-sized per-destination blocks.
+//! No per-tuple `Vec::push` of an owned tuple, no per-tuple clone — values
+//! are `memcpy`d from flat buffer to flat buffer.
 
 use aj_relation::delta::{decode_weight, encode_weight};
 use aj_relation::{TupleBlock, Value};
@@ -164,59 +165,6 @@ impl DeltaBlock {
             (payload, decode_weight(w[0]))
         })
     }
-
-    /// The underlying block (payload arity + 1, weight trailing).
-    pub fn as_block(&self) -> &TupleBlock {
-        &self.block
-    }
-}
-
-/// A distributed columnar collection: one [`TupleBlock`] per server of a
-/// [`crate::Net`] — the block counterpart of [`crate::Partitioned`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockPartitioned {
-    blocks: Vec<TupleBlock>,
-}
-
-impl BlockPartitioned {
-    /// Wrap per-server blocks.
-    pub fn from_blocks(blocks: Vec<TupleBlock>) -> Self {
-        BlockPartitioned { blocks }
-    }
-
-    /// `p` empty blocks of the given arity.
-    pub fn empty(p: usize, arity: usize) -> Self {
-        BlockPartitioned {
-            blocks: (0..p).map(|_| TupleBlock::new(arity)).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn p(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Borrow the shards.
-    pub fn blocks(&self) -> &[TupleBlock] {
-        &self.blocks
-    }
-
-    /// Take ownership of the shards.
-    pub fn into_blocks(self) -> Vec<TupleBlock> {
-        self.blocks
-    }
-
-    /// Total number of rows across all shards.
-    pub fn total_len(&self) -> usize {
-        self.blocks.iter().map(TupleBlock::len).sum()
-    }
-}
-
-impl std::ops::Index<usize> for BlockPartitioned {
-    type Output = TupleBlock;
-    fn index(&self, s: usize) -> &TupleBlock {
-        &self.blocks[s]
-    }
 }
 
 #[cfg(test)]
@@ -232,16 +180,5 @@ mod tests {
         assert_eq!(ob.len(), 2);
         assert_eq!(ob.rows.row(1), &[30, 40]);
         assert_eq!(ob.dests, vec![1, 0]);
-    }
-
-    #[test]
-    fn block_partitioned_round_trip() {
-        let mut a = TupleBlock::new(1);
-        a.push_row(&[7]);
-        let parts = BlockPartitioned::from_blocks(vec![a, TupleBlock::new(1)]);
-        assert_eq!(parts.p(), 2);
-        assert_eq!(parts.total_len(), 1);
-        assert_eq!(parts[0].row(0), &[7]);
-        assert_eq!(parts.into_blocks().len(), 2);
     }
 }

@@ -60,9 +60,7 @@ pub mod prelude {
         execute_best, execute_plan, DistDatabase, DistRelation, EngineConfig, MaintenanceChoice,
         MaterializedView, Plan, QueryEngine, QueryOutcome, UpdateOutcome, ViewId,
     };
-    pub use aj_mpc::{
-        BlockPartitioned, Cluster, DeltaBlock, DeltaOutbox, EpochStats, Net, Partitioned, RowOutbox,
-    };
+    pub use aj_mpc::{Cluster, DeltaBlock, DeltaOutbox, EpochStats, Net, Partitioned, RowOutbox};
     pub use aj_obs::{ObsConfig, Trace};
     pub use aj_primitives::{FxHashMap, FxHashSet};
     pub use aj_relation::{

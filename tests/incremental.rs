@@ -51,45 +51,12 @@ fn shapes() -> Vec<(&'static str, Query, Database)> {
     let inst = aj_instancegen::fig6::generate(40, 90, 5);
     cases.push(("triangle", inst.query, inst.db));
 
-    // Triangle + 6-path appendage (cyclic → the GHD's bags).
-    let (q, db) = ghd_shape();
+    // Triangle + 6-path appendage (cyclic → the GHD's bags: one gridded
+    // multi-edge bag plus single-edge bags, not one bag of all edges).
+    let (q, db) = aj_instancegen::shapes::triangle_with_tail(6);
     cases.push(("ghd", q, db));
 
     cases
-}
-
-/// A triangle with a 6-path tail hanging off attribute `C`: the cyclic
-/// cost model prices the GHD bag route below whole-query HyperCube, so a
-/// registered view is decomposed into the GHD's bags — one gridded
-/// multi-edge bag plus single-edge bags — rather than one bag of all edges.
-fn ghd_shape() -> (Query, Database) {
-    let mut b = aj_relation::QueryBuilder::new();
-    b.relation("R1", &["A", "B"]);
-    b.relation("R2", &["B", "C"]);
-    b.relation("R3", &["C", "A"]);
-    for i in 0..6 {
-        b.relation(
-            &format!("T{i}"),
-            &[&format!("X{i}"), &format!("X{}", i + 1)],
-        );
-    }
-    b.relation("T6", &["C", "X0"]);
-    let q = b.build();
-    // Two images per key (branching 2, not a function graph): the join
-    // output stays comfortably non-empty under 5% update batches.
-    let rows = |k: u64| -> Vec<Vec<u64>> {
-        (0..24u64)
-            .map(|i| vec![i % 6, (i * k + i / 12 + 1) % 6])
-            .collect()
-    };
-    let mut db = aj_relation::database_from_rows(
-        &q,
-        &(0..q.n_edges())
-            .map(|e| rows(e as u64 + 2))
-            .collect::<Vec<_>>(),
-    );
-    db.dedup_all();
-    (q, db)
 }
 
 /// The GHD shape really registers through the bag caches (not a silent
@@ -97,7 +64,7 @@ fn ghd_shape() -> (Query, Database) {
 /// exercises the lifted bag-delta maintenance path, not just rebuilds.
 #[test]
 fn ghd_planned_view_maintains_through_bag_caches() {
-    let (q, db) = ghd_shape();
+    let (q, db) = aj_instancegen::shapes::triangle_with_tail(6);
     let mut engine = QueryEngine::new(8);
     let view = engine.register_view(&q, &db);
     assert_eq!(

@@ -154,33 +154,6 @@ fn explain_is_deterministic_and_names_the_candidates() {
     assert!(seq.contains("predicted vs actual"));
 }
 
-/// A triangle with a 6-path tail hanging off `C`: prices to the GHD plan
-/// (the greedy merge closes the triangle with one two-edge bag; the third
-/// triangle edge and every path edge stay bags of their own).
-fn triangle_with_tail() -> (Query, Database) {
-    let mut b = QueryBuilder::new();
-    b.relation("R1", &["A", "B"]);
-    b.relation("R2", &["B", "C"]);
-    b.relation("R3", &["C", "A"]);
-    b.relation("T0", &["C", "X0"]);
-    for i in 0..6 {
-        b.relation(
-            &format!("T{}", i + 1),
-            &[&format!("X{i}"), &format!("X{}", i + 1)],
-        );
-    }
-    let q = b.build();
-    let rows = |k: u64| -> Vec<Vec<u64>> {
-        (0..24u64)
-            .map(|i| vec![i % 6, (i * k + i / 12 + 1) % 6])
-            .collect()
-    };
-    let per_edge: Vec<_> = (0..q.n_edges()).map(|e| rows(e as u64 + 2)).collect();
-    let mut db = acyclic_joins::relation::database_from_rows(&q, &per_edge);
-    db.dedup_all();
-    (q, db)
-}
-
 /// EXPLAIN for registered views: deterministic across backends, renders the
 /// maintenance state, and shows the bag tree the view is maintained over —
 /// per-edge bags for a tree view, one gridded bag for whole-query
@@ -190,7 +163,7 @@ fn explain_view_is_deterministic_across_backends() {
     let star = shapes::star_query(3);
     let star_db = star_db(&star);
     let triangle = acyclic_joins::instancegen::fig6::generate(40, 90, 5);
-    let (ghd, ghd_db) = triangle_with_tail();
+    let (ghd, ghd_db) = shapes::triangle_with_tail(6);
     let cases = [
         (&star, &star_db, "bags: {R1} {R2} {R3}\n"),
         (
