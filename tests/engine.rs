@@ -6,7 +6,9 @@
 //! per-query loads on both executors.
 
 use acyclic_joins::core::engine::{EngineConfig, QueryEngine, QueryOutcome};
-use acyclic_joins::instancegen::{fig3, fig4, fig6, line_query, random, shapes};
+use acyclic_joins::instancegen::{
+    fig3, fig4, fig6, line_query, random, randquery, shapes, updates,
+};
 use acyclic_joins::prelude::*;
 use acyclic_joins::relation::ram;
 
@@ -163,6 +165,156 @@ fn cost_based_never_worse_than_class_dispatch() {
         switched,
         "at least one case must exercise a genuine plan switch"
     );
+}
+
+/// One planner decision as a line: the chosen plan, its estimate and every
+/// priced alternative, costs as exact `f64` bits.
+fn decision_line(
+    label: &str,
+    plan: Plan,
+    est: Option<f64>,
+    alternatives: &[(Plan, f64)],
+) -> String {
+    let bits = |c: f64| format!("{:016x}", c.to_bits());
+    let est = est.map_or_else(|| "-".to_string(), bits);
+    let alts: Vec<String> = alternatives
+        .iter()
+        .map(|&(cand, cost)| format!("{cand}={}", bits(cost)))
+        .collect();
+    format!("{label} {plan} {est} [{}]", alts.join(" "))
+}
+
+/// Every plan decision the planner takes on fixed inputs: the mixed batch
+/// on a cost-based and a class-only engine, the skew-aware binary join,
+/// the cyclic pricing of the random connected queries `general_queries.rs`
+/// fuzzes, and the maintain-vs-recompute prices of the pinned 8-batch view
+/// streams (`incremental.rs::view_loads_are_pinned`).
+fn plan_decisions() -> Vec<String> {
+    let mut lines = Vec::new();
+    let batch = mixed_batch();
+    let class_only = EngineConfig {
+        cost_based: false,
+        ..EngineConfig::default()
+    };
+    for (name, cfg) in [("cost", EngineConfig::default()), ("class", class_only)] {
+        let mut engine = QueryEngine::with_cluster(acyclic_joins::mpc::Cluster::new(4), cfg);
+        for (i, o) in engine.run_batch(&batch).iter().enumerate() {
+            let label = format!("{name}#{i}");
+            lines.push(decision_line(
+                &label,
+                o.plan,
+                o.estimated_load,
+                &o.alternatives,
+            ));
+        }
+    }
+
+    let mut b = QueryBuilder::new();
+    b.relation("R1", &["A", "B"]);
+    b.relation("R2", &["B", "C"]);
+    let q = b.build();
+    let mut rows1: Vec<Vec<u64>> = (0..120).map(|i| vec![i, 0]).collect();
+    rows1.extend((0..80).map(|i| vec![200 + i, 1 + i % 40]));
+    let mut rows2: Vec<Vec<u64>> = (0..120).map(|i| vec![0, 1000 + i]).collect();
+    rows2.extend((0..80).map(|i| vec![1 + i % 40, 2000 + i]));
+    let db = acyclic_joins::relation::database_from_rows(&q, &[rows1, rows2]);
+    let cfg = EngineConfig {
+        skew_aware: true,
+        ..EngineConfig::default()
+    };
+    let mut engine = QueryEngine::with_cluster(acyclic_joins::mpc::Cluster::new(8), cfg);
+    let o = engine.run(&q, &db);
+    lines.push(decision_line(
+        "skew",
+        o.plan,
+        o.estimated_load,
+        &o.alternatives,
+    ));
+
+    for seed in 0u64..100 {
+        let q = randquery::random_connected_query(seed);
+        if q.is_acyclic() {
+            continue;
+        }
+        let db = if seed % 2 == 0 {
+            randquery::uniform_instance(&q, 24, 6, seed ^ 0xdb)
+        } else {
+            randquery::zipf_instance(&q, 24, 8, 1.2, seed ^ 0xdb)
+        };
+        let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
+        let (plan, est) = acyclic_joins::core::planner::choose_plan_cyclic(&q, &sizes, 4);
+        lines.push(decision_line(
+            &format!("cyclic#{seed}"),
+            plan,
+            Some(est),
+            &[],
+        ));
+    }
+    // The one cyclic shape where the GHD wins: a triangle with a path tail.
+    let (q, db) = shapes::triangle_with_tail(6);
+    let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
+    let (plan, est) = acyclic_joins::core::planner::choose_plan_cyclic(&q, &sizes, 16);
+    lines.push(decision_line("cyclic-tail", plan, Some(est), &[]));
+
+    let star = shapes::star_query(3);
+    let mut star_db = random::random_instance(&star, 60, 9, 77);
+    star_db.dedup_all();
+    let mut b = QueryBuilder::new();
+    b.relation("R1", &["A", "B"]);
+    b.relation("R2", &["B", "C"]);
+    let binary = b.build();
+    let binary_db = acyclic_joins::relation::database_from_rows(
+        &binary,
+        &[
+            (0..60).map(|i| vec![i, i % 7]).collect(),
+            (0..45).map(|i| vec![i % 7, 1000 + i]).collect(),
+        ],
+    );
+    let line3 = fig3::one_sided(48, 48 * 6);
+    let triangle = fig6::generate(40, 90, 5);
+    let views = vec![
+        ("binary", binary, binary_db),
+        ("line3", line3.query, line3.db),
+        ("star3", star, star_db),
+        ("triangle", triangle.query, triangle.db),
+        {
+            let (q, db) = shapes::triangle_with_tail(6);
+            ("ghd", q, db)
+        },
+    ];
+    for (label, q, db) in views {
+        let mut engine = QueryEngine::new(8);
+        let view = engine.register_view(&q, &db);
+        let mut mirror = db.clone();
+        mirror.dedup_all();
+        for (i, batch) in updates::update_stream(&q, &mirror, 8, 0.05, 0.0, 0x9175)
+            .iter()
+            .enumerate()
+        {
+            let o = engine.apply_update(view, batch);
+            lines.push(format!(
+                "view-{label}#{i} {} {:016x} {:016x}",
+                o.strategy,
+                o.maintain_estimate.to_bits(),
+                o.recompute_estimate.to_bits()
+            ));
+        }
+    }
+    lines
+}
+
+/// Every plan decision (plan, estimate and alternatives, bit for bit) is
+/// pinned in `plan_decisions.txt`: a refactor of the planner must take the
+/// same decisions at the same prices. On a mismatch the first diverging
+/// decision is reported.
+#[test]
+fn plan_decisions_are_pinned() {
+    let got = plan_decisions();
+    let want: Vec<&str> = include_str!("plan_decisions.txt").lines().collect();
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "decision {i} diverged");
+    }
+    assert_eq!(got.len(), want.len(), "number of decisions changed");
 }
 
 /// Per-query loads are bit-identical across SeqExecutor and ParExecutor.
