@@ -7,7 +7,7 @@
 //!
 //! * **`det-map`** — `std::collections::HashMap`/`HashSet` iterate in
 //!   `RandomState` order, different on every run. In result-affecting crates
-//!   every map must be the deterministic [`FxHashMap`] family
+//!   every map must be the deterministic `FxHashMap` family
 //!   (`aj_relation::fxhash`) or its iteration order must provably not reach
 //!   results (then waive the site with `// aj:allow(det-map): why`).
 //! * **`wall-clock`** — `Instant`, `SystemTime`, the timed blocking

@@ -21,7 +21,7 @@
 //!   planning artifacts.
 //! * epoch consistency — per-query epoch loads sum (messages, rounds) and
 //!   max (load) back to the cluster's cumulative stats (asserted).
-//! * with `--parallel`, the whole batch re-runs on a [`ParExecutor`]-backed
+//! * with `--parallel`, the whole batch re-runs on a [`ParExecutor`](aj_mpc::ParExecutor)-backed
 //!   engine and every per-query epoch must be bit-identical (asserted).
 
 use std::time::Instant;

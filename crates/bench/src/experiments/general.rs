@@ -8,16 +8,16 @@
 //! same normalized output — the same bit-identity the 100-seed fuzz
 //! (`tests/general_queries.rs`) checks against the RAM oracle, asserted
 //! here at bench scale on every row. The table reports per-query loads and
-//! the plan [`aj_core::planner::choose_plan_cyclic`] would pick at the
+//! the plan [`aj_core::planner::pick`] takes from the cyclic candidates at the
 //! measured sizes: GHD wins when a sparse cyclic core joins appendage
 //! edges (HyperCube must replicate the *whole* query's relations), and the
 //! planner falls back to HyperCube on dense compact cores where one-shot
 //! replication is the cheaper round.
 
 use aj_core::dist::distribute_db;
-use aj_core::planner::{choose_plan_cyclic, execute_plan_dist, Plan};
+use aj_core::planner::{candidates, execute, pick, Plan};
 use aj_instancegen::randquery::{self, QueryShape};
-use aj_relation::{Ghd, Query, Tuple};
+use aj_relation::{Ghd, JoinClass, Query, Tuple};
 
 use super::{measure, with_wall};
 use crate::table::ExpTable;
@@ -48,7 +48,7 @@ const BATCH: &[(QueryShape, usize, u64)] = &[
 fn run_arm(net: &mut aj_mpc::Net, plan: Plan, q: &Query, db: &aj_relation::Database) -> Vec<Tuple> {
     let dist = distribute_db(db, net.p());
     let mut seed = 17;
-    let out = execute_plan_dist(net, plan, q, dist, &mut seed).normalized();
+    let out = execute(net, plan, q, dist, None, &mut seed).normalized();
     let mut tuples = out.gather_free().tuples;
     tuples.sort_unstable();
     tuples.dedup();
@@ -72,7 +72,8 @@ fn general_table() -> ExpTable {
         let in_size = db.input_size();
         let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
         let ghd = Ghd::build(&q).expect("connected query");
-        let (plan, _est) = choose_plan_cyclic(&q, &sizes, P);
+        let cyclic = JoinClass::Cyclic;
+        let (plan, _est) = pick(cyclic, &candidates(cyclic, &q, &sizes, None, None, P));
         let (out_hcube, l_hcube, _) = measure(P, |net| run_arm(net, Plan::WorstCase, &q, &db));
         let (out_ghd, l_ghd, wall) = measure(P, |net| run_arm(net, Plan::Ghd, &q, &db));
         assert_eq!(
@@ -114,7 +115,7 @@ fn general_table() -> ExpTable {
         "Both arms run on the same placement and must emit the same normalized output (asserted).",
     );
     t.note(
-        "plan = choose_plan_cyclic's pick at the measured sizes; ties and trivial \
+        "plan = the planner's pick at the measured sizes; ties and trivial \
          single-bag GHDs fall back to hcube.",
     );
     t

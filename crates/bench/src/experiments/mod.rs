@@ -56,7 +56,7 @@ pub struct BenchRecord {
     pub p: usize,
     /// Simulated max load `L` of the cell.
     pub max_load: u64,
-    /// Work units processed: tuples routed for [`measure`] cells; experiments
+    /// Work units processed: tuples routed for `measure` cells; experiments
     /// with bespoke timing report their own unit (output tuples, queries).
     pub units: u64,
     /// Sequential-executor wall time, milliseconds.

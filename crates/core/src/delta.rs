@@ -75,7 +75,10 @@ use crate::binary::detect_join_skew;
 use crate::dist::{distribute_db, mix, DistDatabase, DistRelation};
 use crate::hypercube::{worst_case_shares, Shares};
 use crate::local::LocalRel;
-use crate::planner::{choose_maintenance, execute_plan_dist, MaintenanceChoice, Plan};
+use crate::planner::{
+    candidates, choose_maintenance, execute, hybrid_applicable, pick, MaintenanceChoice, Plan,
+    DEFAULT_SKEW_TOP_K,
+};
 use crate::yannakakis::yannakakis;
 
 /// Handle of a registered view within one engine.
@@ -384,8 +387,15 @@ fn build(cluster: &mut Cluster, view: &mut MaterializedView) {
             let mut join_seed = mix(exec_seed, 0x0ba6);
             yannakakis(&mut net, &bags.bag_query, bag_dist, None, &mut join_seed)
         } else {
-            execute_plan_dist(&mut net, view.plan, &view.query, bag_dist, &mut exec_seed)
-                .normalized()
+            execute(
+                &mut net,
+                view.plan,
+                &view.query,
+                bag_dist,
+                None,
+                &mut exec_seed,
+            )
+            .normalized()
         }
     };
     debug_assert_eq!(out.attrs, view.out_attrs);
@@ -413,20 +423,16 @@ fn install_counts<R: Sync>(
 
 /// Binary-join views get a heavy-hitter profile at build time.
 fn detect_view_skew(cluster: &mut Cluster, view: &MaterializedView) -> Option<JoinSkew> {
-    if view.query.n_edges() != 2 {
+    if !hybrid_applicable(&view.query) {
         return None;
     }
-    let p = cluster.p();
-    let dist = distribute_db(&view.base, p);
-    if dist[0].shared_attrs(&dist[1]).is_empty() {
-        return None;
-    }
+    let dist = distribute_db(&view.base, cluster.p());
     let mut net = cluster.net();
     Some(detect_join_skew(
         &mut net,
         &dist[0],
         &dist[1],
-        crate::planner::DEFAULT_SKEW_TOP_K,
+        DEFAULT_SKEW_TOP_K,
     ))
 }
 
@@ -448,7 +454,8 @@ fn place_bags(cluster: &mut Cluster, view: &mut MaterializedView, exec_seed: u64
     let edges_of: Vec<Vec<usize>> = if view.class != JoinClass::Cyclic {
         (0..m).map(|e| vec![e]).collect()
     } else {
-        view.plan = crate::planner::choose_plan_cyclic(q, &sizes, p).0;
+        let priced = candidates(view.class, q, &sizes, None, None, p);
+        view.plan = pick(view.class, &priced).0;
         if view.plan == Plan::Ghd {
             let ghd = aj_relation::Ghd::build(q).expect("GHD-planned view query is connected");
             ghd.edges_of

@@ -1,23 +1,25 @@
 //! The **query engine**: a long-lived serving layer that owns one
 //! [`Cluster`] and answers a stream of `(Query, Database)` requests.
 //!
-//! Where the one-shot [`crate::planner::execute_best`] spins up a throwaway
-//! cluster per call and dispatches purely by Table-1 class, the engine is
-//! built for sustained traffic:
+//! Every request takes one path: an optional counting pass, optional skew
+//! detection, one priced [`candidates`] list, one [`pick`] and one
+//! [`execute`] (see [`crate::planner`]). Around it, the engine is built for
+//! sustained traffic:
 //!
 //! * **Plan cache** — structural planning artifacts (classification, join
-//!   tree, attribute forest) are computed once per *query shape* and cached
-//!   under the canonical [`QuerySignature`]. Repeated shapes skip
-//!   re-planning: dispatch reads the cached class and the Corollary-4
-//!   counting pass folds along the cached join tree. (The solvers
-//!   themselves stay self-contained and derive their own structure —
-//!   queries are constant-size, so that is local and free.)
+//!   tree) are computed once per *query shape* and cached under the
+//!   canonical [`QuerySignature`]. Repeated shapes skip re-planning:
+//!   dispatch reads the cached class and the Corollary-4 counting pass
+//!   folds along the cached join tree. (The solvers themselves stay
+//!   self-contained and derive their own structure — queries are
+//!   constant-size, so that is local and free.)
 //! * **Cost-based planning** — for acyclic queries the engine runs the
 //!   Corollary-4 counting pass first, obtaining the exact `OUT` at load
 //!   `O(IN/p)`, then compares the paper's closed-form bounds (Corollary 1,
 //!   Theorem 7, the Yannakakis baseline) and picks the cheapest applicable
 //!   algorithm; ties fall back to the class answer. Yannakakis wins when
-//!   `OUT < IN` — a regime class-only dispatch cannot see.
+//!   `OUT < IN` — a regime class-only dispatch cannot see. Cyclic queries
+//!   are priced from their relation sizes alone (HyperCube vs the GHD).
 //! * **Per-query load attribution** — every phase runs inside its own stats
 //!   **epoch** ([`Cluster::epoch`]), so each [`QueryOutcome`] carries the
 //!   true interval loads (planning and execution separately) and the epochs
@@ -44,7 +46,7 @@ use aj_primitives::FxHashMap;
 
 use aj_mpc::{Cluster, EpochStats, Stats};
 use aj_obs::{Event, ObsConfig, Trace};
-use aj_relation::classify::{classify, AttributeForest, JoinClass};
+use aj_relation::classify::{classify, JoinClass};
 use aj_relation::signature::QuerySignature;
 use aj_relation::skew::JoinSkew;
 use aj_relation::{Database, JoinTree, Query};
@@ -53,7 +55,7 @@ use crate::aggregate::output_size_with_tree;
 use crate::binary::detect_join_skew;
 use crate::delta::{self, MaterializedView, UpdateOutcome, ViewCheckpoint, ViewId};
 use crate::dist::{distribute_db, mix};
-use crate::planner::{candidate_costs, cyclic_candidate_costs, execute_plan_skew, pick_plan, Plan};
+use crate::planner::{candidates, execute, hybrid_applicable, pick, Plan, DEFAULT_SKEW_TOP_K};
 use crate::DistRelation;
 use aj_relation::delta::UpdateBatch;
 
@@ -62,7 +64,7 @@ use aj_relation::delta::UpdateBatch;
 pub struct EngineConfig {
     /// Run the Corollary-4 counting pass and pick the cheapest applicable
     /// algorithm by bound comparison. When `false`, dispatch by join class
-    /// only (the [`crate::planner::plan_for`] behaviour).
+    /// only ([`Plan::for_class`]).
     pub cost_based: bool,
     /// On binary joins, additionally run the one-pass heavy-hitter
     /// detection ([`crate::binary::detect_join_skew`]) during planning and
@@ -71,8 +73,6 @@ pub struct EngineConfig {
     /// default engine's measurements stay bit-identical to earlier
     /// versions. Requires [`EngineConfig::cost_based`].
     pub skew_aware: bool,
-    /// Per-server nomination budget of the heavy-hitter detection.
-    pub skew_top_k: usize,
     /// Base seed of the per-query seed streams.
     pub seed: u64,
 }
@@ -82,7 +82,6 @@ impl Default for EngineConfig {
         EngineConfig {
             cost_based: true,
             skew_aware: false,
-            skew_top_k: crate::planner::DEFAULT_SKEW_TOP_K,
             seed: 0x5eed_ba5e,
         }
     }
@@ -96,8 +95,6 @@ pub struct PlanArtifacts {
     pub class: JoinClass,
     /// Join tree (acyclic shapes only).
     pub join_tree: Option<JoinTree>,
-    /// Attribute forest (hierarchical shapes only).
-    pub forest: Option<AttributeForest>,
     /// Seed-stream fingerprint of the shape.
     pub fingerprint: u64,
 }
@@ -107,7 +104,6 @@ impl PlanArtifacts {
         PlanArtifacts {
             class: classify(q),
             join_tree: q.join_tree(),
-            forest: AttributeForest::build(q),
             fingerprint: sig.fingerprint(),
         }
     }
@@ -310,60 +306,41 @@ impl QueryEngine {
         self.served += 1;
 
         let p = self.cluster.p();
-        let in_size = db.input_size() as u64;
+        let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
+        let in_size = sizes.iter().sum();
         // The initial MPC placement is free and deterministic; distribute
         // once and share it between the counting pass and the execution.
         let dist = distribute_db(db, p);
 
-        // Planning phase, in its own epoch. Cyclic queries have exactly one
-        // applicable algorithm, so the counting pass (which also requires a
-        // join tree) is skipped for them. A skew-aware engine additionally
-        // profiles binary joins here — detection is planning work, so its
-        // gather/broadcast rounds are charged to the planning epoch.
+        // Planning phase, in its own epoch. Only acyclic queries (the ones
+        // with a join tree) run the counting pass; cyclic candidates are
+        // priced from the relation sizes alone, so their planning epoch
+        // stays empty. A skew-aware engine additionally profiles binary
+        // joins here — detection is planning work, so its gather/broadcast
+        // rounds are charged to the planning epoch.
         self.cluster.begin_epoch();
-        let (plan, out_size, est, skew, alternatives) =
-            if self.config.cost_based && class != JoinClass::Cyclic {
-                let tree = artifacts
-                    .join_tree
-                    .as_ref()
-                    .expect("acyclic shapes have a cached join tree");
+        let cost_based = self.config.cost_based;
+        let out_size = match &artifacts.join_tree {
+            Some(tree) if cost_based => {
                 let mut plan_seed = mix(self.config.seed ^ PLANNING_SALT, fingerprint);
-                let out = {
-                    let mut net = self.cluster.net();
-                    output_size_with_tree(&mut net, tree, &dist, &mut plan_seed)
-                };
-                let skew = if self.config.skew_aware && hybrid_applicable(q) {
-                    let mut net = self.cluster.net();
-                    Some(
-                        detect_join_skew(&mut net, &dist[0], &dist[1], self.config.skew_top_k)
-                            .significant(p),
-                    )
-                } else {
-                    None
-                };
-                // Price every candidate once; the pick and the reported
-                // alternatives read the same list.
-                let mut alternatives = candidate_costs(class, in_size, out, p);
-                if let Some(profile) = &skew {
-                    alternatives.push((
-                        Plan::SkewHybrid,
-                        crate::binary::hybrid_load_estimate(profile, in_size, p),
-                    ));
-                }
-                let (plan, est) = pick_plan(class, &alternatives);
-                (plan, Some(out), Some(est), skew, alternatives)
-            } else if self.config.cost_based && class == JoinClass::Cyclic {
-                // Cyclic cost-based planning is communication-free: per-relation
-                // sizes are driver-visible metadata, and both candidate prices
-                // (whole-query HyperCube vs the GHD bag route) are closed forms
-                // over them — the planning epoch stays empty.
-                let sizes: Vec<u64> = dist.iter().map(|r| r.total_len() as u64).collect();
-                let alternatives = cyclic_candidate_costs(q, &sizes, p);
-                let (plan, est) = pick_plan(class, &alternatives);
-                (plan, None, Some(est), None, alternatives)
-            } else {
-                (Plan::for_class(class), None, None, None, Vec::new())
-            };
+                let mut net = self.cluster.net();
+                Some(output_size_with_tree(&mut net, tree, &dist, &mut plan_seed))
+            }
+            _ => None,
+        };
+        let skew =
+            (out_size.is_some() && self.config.skew_aware && hybrid_applicable(q)).then(|| {
+                let mut net = self.cluster.net();
+                detect_join_skew(&mut net, &dist[0], &dist[1], DEFAULT_SKEW_TOP_K).significant(p)
+            });
+        // Price every candidate once; the pick and the reported alternatives
+        // read the same list.
+        let alternatives = if cost_based {
+            candidates(class, q, &sizes, out_size, skew.as_ref(), p)
+        } else {
+            Vec::new()
+        };
+        let (plan, est) = pick(class, &alternatives);
         // The decision event precedes the planning-epoch boundary: a trace
         // reads "counting rounds, decision, epoch close" in program order.
         if self.cluster.tracing_enabled() {
@@ -388,7 +365,7 @@ impl QueryEngine {
         let mut exec_seed = mix(self.config.seed, fingerprint);
         let output = {
             let mut net = self.cluster.net();
-            execute_plan_skew(&mut net, plan, q, dist, skew.as_ref(), &mut exec_seed)
+            execute(&mut net, plan, q, dist, skew.as_ref(), &mut exec_seed)
         };
         let execution = self.cluster.epoch();
         // Per-query attribution runs on epochs, not the round log; trimming
@@ -658,18 +635,16 @@ impl QueryEngine {
                 );
             }
         }
-        let _ = writeln!(
-            out,
-            "planning : rounds={} max_load={} messages={}",
-            outcome.planning.exchanges, outcome.planning.max_load, outcome.planning.total_messages,
-        );
-        let _ = writeln!(
-            out,
-            "execution: rounds={} max_load={} messages={}",
-            outcome.execution.exchanges,
-            outcome.execution.max_load,
-            outcome.execution.total_messages,
-        );
+        for (phase, e) in [
+            ("planning ", &outcome.planning),
+            ("execution", &outcome.execution),
+        ] {
+            let (rounds, max, msgs) = (e.exchanges, e.max_load, e.total_messages);
+            let _ = writeln!(
+                out,
+                "{phase}: rounds={rounds} max_load={max} messages={msgs}"
+            );
+        }
         if let Some(est) = outcome.estimated_load {
             let _ = writeln!(
                 out,
@@ -743,17 +718,6 @@ pub fn epochs_reconcile(outcomes: &[QueryOutcome], stats: &Stats) -> bool {
         max = max.max(o.planning.max_load).max(o.execution.max_load);
     }
     msgs == stats.total_messages && rounds == stats.exchanges && max == stats.max_load
-}
-
-/// Can [`Plan::SkewHybrid`] serve this query? A binary join of two
-/// relations sharing at least one attribute (Cartesian pairs have no key to
-/// hash on).
-fn hybrid_applicable(q: &Query) -> bool {
-    q.n_edges() == 2
-        && q.edges()[0]
-            .attrs
-            .iter()
-            .any(|a| q.edges()[1].attrs.contains(a))
 }
 
 const PLANNING_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -844,7 +808,14 @@ mod tests {
             // Warm the cluster outside the engine.
             let mut net = cluster.net();
             let mut seed = 1;
-            crate::planner::execute_best(&mut net, &q, &db, &mut seed);
+            execute(
+                &mut net,
+                Plan::OutputOptimal,
+                &q,
+                distribute_db(&db, 4),
+                None,
+                &mut seed,
+            );
         }
         let mut engine = QueryEngine::with_cluster(cluster, EngineConfig::default());
         let outcomes = vec![engine.run(&q, &db)];
@@ -887,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn class_only_engine_follows_plan_for() {
+    fn class_only_engine_follows_the_class_plan() {
         let q = line_query(3);
         let db = line3_db(&q);
         let cfg = EngineConfig {
@@ -896,23 +867,11 @@ mod tests {
         };
         let mut engine = QueryEngine::with_cluster(Cluster::new(4), cfg);
         let outcome = engine.run(&q, &db);
-        assert_eq!(outcome.plan, crate::planner::plan_for(&q));
+        assert_eq!(outcome.plan, Plan::OutputOptimal);
+        assert_eq!(outcome.estimated_load, None);
+        assert!(outcome.alternatives.is_empty());
         assert_eq!(outcome.out_size, None);
         assert_eq!(outcome.planning.exchanges, 0);
-    }
-
-    #[test]
-    fn executors_agree_per_query() {
-        let q = line_query(3);
-        let db = line3_db(&q);
-        let mut seq = QueryEngine::new(4);
-        let mut par = QueryEngine::new_parallel(4);
-        let a = seq.run(&q, &db);
-        let b = par.run(&q, &db);
-        assert_eq!(a.plan, b.plan);
-        assert_eq!(a.planning, b.planning);
-        assert_eq!(a.execution, b.execution);
-        assert_eq!(sorted(&a.output), sorted(&b.output));
     }
 
     /// A skew-aware engine profiles binary joins during planning (charged
@@ -980,9 +939,5 @@ mod tests {
         // Star joins are in the r-hierarchical family (Theorem-3 territory).
         assert_eq!(Plan::for_class(art.class), Plan::InstanceOptimal);
         assert!(art.join_tree.is_some());
-        assert!(
-            art.forest.is_some(),
-            "stars are hierarchical: forest exists"
-        );
     }
 }

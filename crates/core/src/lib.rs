@@ -17,7 +17,7 @@
 //! | [`wcoj`] | cardinality-guided WCOJ (generic join at worst-case shares) | `Σ_e N_e/Π s + AGM/p` |
 //! | [`general`] | general cyclic queries: GHD bag materialization + acyclic finish | bag WCOJ + Yannakakis over bags |
 //! | [`bounds`] | Eq. (1), Eq. (2), Theorem 4, lower-bound formulas | — |
-//! | [`planner`] | class dispatch + cost-based plan choice + maintain-vs-recompute pricing | — |
+//! | [`planner`] | one priced candidate list, one pick, one execute; maintain-vs-recompute pricing | — |
 //! | [`engine`] | long-lived serving layer: plan cache, cost-based planning, per-query stats epochs | — |
 //! | [`delta`] | incremental view maintenance: counted materializations under signed update batches | `O(\|Δ\| + \|Δ-output\|)` per batch |
 //!
@@ -55,6 +55,6 @@ pub use delta::{MaterializedView, UpdateOutcome, ViewCheckpoint, ViewId};
 pub use dist::{DistDatabase, DistRelation};
 pub use engine::{EngineConfig, QueryEngine, QueryOutcome, RecoveryReport, SupervisedRun};
 pub use planner::{
-    choose_maintenance, choose_plan, choose_plan_cyclic, choose_plan_skew, execute_best,
-    execute_plan, execute_plan_dist, execute_plan_skew, plan_for, MaintenanceChoice, Plan,
+    candidates, choose_maintenance, choose_plan, choose_plan_cyclic, execute, execute_plan_dist,
+    pick, MaintenanceChoice, Plan,
 };

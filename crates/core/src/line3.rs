@@ -128,27 +128,6 @@ pub fn solve_worst_case(
     crate::hypercube::hypercube_join(net, q, db, &crate::hypercube::Shares(shares), seed)
 }
 
-/// Pick the better of [`solve`] and [`solve_worst_case`] by regime:
-/// output-sensitive below `OUT = p·IN`, worst-case optimal above.
-pub fn solve_adaptive(
-    net: &mut Net,
-    q: &Query,
-    db: &aj_relation::Database,
-    seed: &mut u64,
-) -> DistRelation {
-    let p = net.p();
-    let dist = crate::dist::distribute_db(db, p);
-    // One linear-load counting pass decides the regime (Corollary 4).
-    let reduced = dist_full_reduce(net, q, dist, next_seed(seed));
-    let in_size: u64 = reduced.iter().map(|r| r.total_len() as u64).sum();
-    let out_size = output_size(net, q, &reduced, seed);
-    if out_size > (p as u64).saturating_mul(in_size) {
-        solve_worst_case(net, q, db, next_seed(seed))
-    } else {
-        solve(net, q, reduced, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,43 +205,27 @@ mod tests {
 
     #[test]
     fn worst_case_variant_matches_oracle() {
+        // The Figure-3 instance (OUT ≤ p·IN) and a full bipartite middle
+        // (OUT = n² ≫ p·IN, the regime where this variant is output-optimal).
         let inst = fig3::two_sided(48, 384);
-        let mut cluster = Cluster::new(9);
-        let out = {
-            let mut net = cluster.net();
-            solve_worst_case(&mut net, &inst.query, &inst.db, 5)
-        };
-        let mut got = out.gather_free().tuples;
-        got.sort_unstable();
-        assert_eq!(got, oracle(&inst.query, &inst.db));
-    }
-
-    #[test]
-    fn adaptive_picks_correct_regime_and_matches_oracle() {
-        // Small OUT → output-sensitive path; huge OUT (Cartesian-ish middle)
-        // → worst-case path. Both must agree with the oracle.
-        let small = fig3::one_sided(64, 256);
-        let q = small.query.clone();
-        // Huge-OUT instance: full bipartite middle gives OUT = n² ≫ p·IN.
         let n = 48u64;
         let huge = database_from_rows(
-            &q,
+            &inst.query,
             &[
                 (0..n).map(|i| vec![i, 0]).collect(),
                 vec![vec![0, 0]],
                 (0..n).map(|i| vec![0, i]).collect(),
             ],
         );
-        for db in [&small.db, &huge] {
-            let mut cluster = Cluster::new(4);
+        for db in [&inst.db, &huge] {
+            let mut cluster = Cluster::new(9);
             let out = {
                 let mut net = cluster.net();
-                let mut seed = 3;
-                solve_adaptive(&mut net, &q, db, &mut seed)
+                solve_worst_case(&mut net, &inst.query, db, 5)
             };
             let mut got = out.gather_free().tuples;
             got.sort_unstable();
-            assert_eq!(got, oracle(&q, db));
+            assert_eq!(got, oracle(&inst.query, db));
         }
     }
 

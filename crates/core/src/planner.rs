@@ -1,14 +1,18 @@
-//! Plan selection: class-driven dispatch (Table 1's "which row are you in")
-//! and the cost-based refinement used by [`crate::engine::QueryEngine`],
-//! which compares the paper's closed-form load bounds at a known `OUT`.
+//! Plan selection: one priced candidate list ([`candidates`]), one pick
+//! ([`pick`]) and one dispatch ([`execute`]). The candidates are the
+//! algorithms that apply to the query's Table-1 class, each priced by the
+//! paper's closed-form load bound; [`crate::engine::QueryEngine`] reads the
+//! list, the pick and the execution in that order, and
+//! [`choose_maintenance`] prices the view-maintenance decision from the
+//! same closed forms.
 
 use aj_mpc::Net;
-use aj_relation::classify::{classify, JoinClass};
+use aj_relation::classify::JoinClass;
 use aj_relation::skew::JoinSkew;
-use aj_relation::{Database, Query};
+use aj_relation::Query;
 
 use crate::bounds;
-use crate::dist::{distribute_db, next_seed, DistRelation};
+use crate::dist::{next_seed, DistDatabase, DistRelation};
 
 /// Default per-server nomination budget of the heavy-hitter detection when a
 /// skew-aware plan has to derive its own profile.
@@ -69,196 +73,135 @@ impl std::fmt::Display for Plan {
     }
 }
 
-/// Which plan the classification selects.
+/// A closed-form load bound `(IN, OUT, p) ↦ L`.
+type Bound = fn(u64, u64, usize) -> f64;
+
+/// The closed-form plans that apply to a class, class answer first, each
+/// with its bound: Corollary 1 for Theorem 3, Theorem 7's
+/// `IN/p + √(IN·OUT)/p`, and the Yannakakis baseline `IN/p + OUT/p`.
+/// Cyclic plans have no `(IN, OUT)` closed form and are priced per relation.
+fn closed_forms(class: JoinClass) -> &'static [(Plan, Bound)] {
+    match class {
+        JoinClass::TallFlat | JoinClass::Hierarchical | JoinClass::RHierarchical => &[
+            (Plan::InstanceOptimal, bounds::r_hierarchical_bound as Bound),
+            (Plan::OutputOptimal, bounds::acyclic_bound),
+            (Plan::Yannakakis, bounds::yannakakis_bound),
+        ],
+        JoinClass::Acyclic => &[
+            (Plan::OutputOptimal, bounds::acyclic_bound as Bound),
+            (Plan::Yannakakis, bounds::yannakakis_bound),
+        ],
+        JoinClass::Cyclic => &[],
+    }
+}
+
+/// Every closed-form plan of `class` priced at `(IN, OUT)`.
+fn closed_form_costs(class: JoinClass, in_size: u64, out_size: u64, p: usize) -> Vec<(Plan, f64)> {
+    closed_forms(class)
+        .iter()
+        .map(|&(plan, bound)| (plan, bound(in_size, out_size, p)))
+        .collect()
+}
+
+/// Every applicable plan for `q` paired with its estimated load, the class
+/// answer first — the list [`pick`] chooses from and a trace's
+/// `PlanDecision` event records as the alternatives.
+///
+/// * Acyclic classes are priced by the closed forms at `(Σ sizes, out)`,
+///   where `out` is the exact `OUT` of the Corollary-4 counting pass. With
+///   a [`JoinSkew`] profile the one-round [`Plan::SkewHybrid`] is appended
+///   at its profile-derived estimate, which (unlike the closed forms)
+///   carries no output-redistribution term: a binary join's output never
+///   moves. Without `out` nothing can be priced and the list is empty,
+///   which [`pick`] reads as class dispatch.
+/// * Cyclic queries are priced from the per-relation `sizes` alone
+///   (driver-visible metadata, so cyclic planning is communication-free):
+///   whole-query HyperCube at worst-case-optimal shares
+///   ([`bounds::wc_share_cost`]), then the GHD bag route
+///   ([`bounds::ghd_cost`]) when the query has a non-trivial decomposition.
 ///
 /// ```
-/// use aj_core::planner::{plan_for, Plan};
-/// use aj_relation::QueryBuilder;
+/// use aj_core::planner::{candidates, pick, Plan};
+/// use aj_relation::{JoinClass, QueryBuilder};
 ///
-/// // A star join is r-hierarchical → the Theorem-3 algorithm.
-/// let mut b = QueryBuilder::new();
-/// b.relation("R1", &["X", "A"]);
-/// b.relation("R2", &["X", "B"]);
-/// assert_eq!(plan_for(&b.build()), Plan::InstanceOptimal);
-///
-/// // A line-3 join is acyclic but not r-hierarchical → Theorem 7.
+/// // A line-3 join with OUT < IN: Yannakakis undercuts Theorem 7.
 /// let mut b = QueryBuilder::new();
 /// b.relation("R1", &["A", "B"]);
 /// b.relation("R2", &["B", "C"]);
 /// b.relation("R3", &["C", "D"]);
-/// assert_eq!(plan_for(&b.build()), Plan::OutputOptimal);
-/// ```
-pub fn plan_for(q: &Query) -> Plan {
-    Plan::for_class(classify(q))
-}
-
-/// The closed-form load bound a plan promises on an instance with the given
-/// statistics (the cost model of the cost-based planner): Corollary 1 for
-/// Theorem 3, Theorem 7's `IN/p + √(IN·OUT)/p`, and the Yannakakis baseline
-/// `IN/p + OUT/p`.
-///
-/// # Panics
-/// Panics on [`Plan::WorstCase`]: cyclic queries have exactly one applicable
-/// algorithm, so [`choose_plan`] never costs HyperCube, and its load depends
-/// on the chosen shares rather than a closed form in `(IN, OUT)`.
-pub fn estimated_load(plan: Plan, in_size: u64, out_size: u64, p: usize) -> f64 {
-    match plan {
-        Plan::InstanceOptimal => bounds::r_hierarchical_bound(in_size, out_size, p),
-        Plan::OutputOptimal => bounds::acyclic_bound(in_size, out_size, p),
-        Plan::Yannakakis => bounds::yannakakis_bound(in_size, out_size, p),
-        Plan::WorstCase => {
-            panic!("HyperCube has no (IN, OUT) closed form; cyclic plans are priced per-relation (choose_plan_cyclic)")
-        }
-        Plan::Ghd => {
-            panic!("the GHD plan is priced from per-relation sizes (choose_plan_cyclic)")
-        }
-        Plan::SkewHybrid => {
-            panic!("the hybrid plan is priced from a JoinSkew profile (choose_plan_skew)")
-        }
-    }
-}
-
-/// [`choose_plan`] extended with the skew-aware candidate: when a
-/// [`JoinSkew`] profile is available (the query is a binary join and the
-/// engine ran detection), [`Plan::SkewHybrid`] competes with its
-/// profile-derived estimate ([`crate::binary::hybrid_load_estimate`]) —
-/// which, unlike the closed-form bounds, carries no output-redistribution
-/// term: a binary join's output never moves, so on a profiled instance the
-/// one-round hybrid typically wins unless the closed forms are genuinely
-/// cheaper. Without a profile this is exactly [`choose_plan`].
-pub fn choose_plan_skew(
-    class: JoinClass,
-    in_size: u64,
-    out_size: u64,
-    p: usize,
-    skew: Option<&JoinSkew>,
-) -> (Plan, f64) {
-    let mut priced = candidate_costs(class, in_size, out_size, p);
-    if let (Some(profile), true) = (skew, class != JoinClass::Cyclic) {
-        let hybrid_est = crate::binary::hybrid_load_estimate(profile, in_size, p);
-        priced.push((Plan::SkewHybrid, hybrid_est));
-    }
-    pick_plan(class, &priced)
-}
-
-/// The priced candidate set [`choose_plan`] compares for a class: every
-/// applicable closed-form plan paired with its estimated load, in the fixed
-/// dispatch order. Cyclic classes have no `(IN, OUT)` closed form (see
-/// [`cyclic_candidate_costs`]) and return an empty set. This is the list a
-/// trace's `PlanDecision` event records as the rejected alternatives.
-pub fn candidate_costs(
-    class: JoinClass,
-    in_size: u64,
-    out_size: u64,
-    p: usize,
-) -> Vec<(Plan, f64)> {
-    let candidates: &[Plan] = match class {
-        JoinClass::Cyclic => return Vec::new(),
-        JoinClass::TallFlat | JoinClass::Hierarchical | JoinClass::RHierarchical => {
-            &[Plan::InstanceOptimal, Plan::OutputOptimal, Plan::Yannakakis]
-        }
-        JoinClass::Acyclic => &[Plan::OutputOptimal, Plan::Yannakakis],
-    };
-    candidates
-        .iter()
-        .map(|&plan| (plan, estimated_load(plan, in_size, out_size, p)))
-        .collect()
-}
-
-/// Cost-based plan choice: given the query's class and the exact `OUT`
-/// (from the Corollary-4 counting pass, load `O(IN/p)`), compare the
-/// closed-form bounds of every *applicable* algorithm and pick the
-/// cheapest. Ties fall back to [`plan_for`]'s class answer — the cost model
-/// refines class dispatch, it never contradicts it without evidence.
-pub fn choose_plan(class: JoinClass, in_size: u64, out_size: u64, p: usize) -> Plan {
-    pick_plan(class, &candidate_costs(class, in_size, out_size, p)).0
-}
-
-/// Pick the plan and its estimate from an already-priced candidate list —
-/// the one place the tie rules live, so a caller that also reports the list
-/// (the engine's `alternatives`) prices every candidate exactly once.
-///
-/// * Acyclic classes take [`candidate_costs`]' list, optionally extended by
-///   a profile-priced [`Plan::SkewHybrid`]: the cheapest closed form wins,
-///   hair-width gaps are ties, and ties fall back to the class answer; the
-///   hybrid must then be *strictly* cheaper than that pick.
-/// * [`JoinClass::Cyclic`] takes [`cyclic_candidate_costs`]' list (the class
-///   answer first): a later candidate must win strictly, beyond the same
-///   tolerance. An empty list (nothing priced) is the class answer at an
-///   infinite estimate.
-pub(crate) fn pick_plan(class: JoinClass, priced: &[(Plan, f64)]) -> (Plan, f64) {
-    let class_plan = Plan::for_class(class);
-    if class == JoinClass::Cyclic {
-        let Some(&(_, wc)) = priced.first() else {
-            return (class_plan, f64::INFINITY);
-        };
-        return priced[1..]
-            .iter()
-            .copied()
-            .find(|&(_, c)| c < wc * (1.0 - 1e-9) - 1e-9)
-            .unwrap_or((class_plan, wc));
-    }
-    let closed = || {
-        priced
-            .iter()
-            .copied()
-            .filter(|&(plan, _)| plan != Plan::SkewHybrid)
-    };
-    let best = closed().map(|(_, c)| c).fold(f64::INFINITY, f64::min);
-    // Relative tolerance: bounds computed from the same IN/OUT/p differ only
-    // meaningfully; hair-width gaps are ties.
-    let tied = |c: f64| c <= best * (1.0 + 1e-9) + 1e-9;
-    let base = closed()
-        .find(|&(plan, c)| plan == class_plan && tied(c))
-        .or_else(|| closed().find(|&(_, c)| tied(c)))
-        .expect("nonempty candidate set");
-    match priced.iter().find(|&&(plan, _)| plan == Plan::SkewHybrid) {
-        Some(&hybrid) if hybrid.1 < base.1 => hybrid,
-        _ => base,
-    }
-}
-
-/// Cost-based plan choice for **cyclic** queries, from per-relation sizes
-/// alone (driver-visible metadata, so planning stays communication-free —
-/// cyclic queries never run the counting pass).
-///
-/// Candidates: whole-query HyperCube at worst-case-optimal shares
-/// (priced by [`bounds::wc_share_cost`], the exact objective the share
-/// search minimizes) versus the GHD bag route (priced by
-/// [`bounds::ghd_cost`]) when the query admits a non-trivial decomposition.
-/// The GHD must win *strictly*; ties keep the class answer
-/// ([`Plan::WorstCase`]), mirroring [`choose_plan`]'s tie rule. Returns the
-/// plan and its estimate.
-///
-/// ```
-/// use aj_core::planner::{choose_plan_cyclic, Plan};
-/// use aj_relation::QueryBuilder;
+/// let line3 = b.build();
+/// let priced = candidates(JoinClass::Acyclic, &line3, &[4000; 3], Some(64), None, 16);
+/// assert_eq!(pick(JoinClass::Acyclic, &priced).0, Plan::Yannakakis);
 ///
 /// // A bare triangle: one covering bag, HyperCube stays the answer.
 /// let mut b = QueryBuilder::new();
 /// b.relation("R1", &["B", "C"]);
 /// b.relation("R2", &["A", "C"]);
 /// b.relation("R3", &["A", "B"]);
-/// let (plan, _) = choose_plan_cyclic(&b.build(), &[256, 256, 256], 16);
-/// assert_eq!(plan, Plan::WorstCase);
+/// let tri = b.build();
+/// let priced = candidates(JoinClass::Cyclic, &tri, &[256; 3], None, None, 16);
+/// assert_eq!(pick(JoinClass::Cyclic, &priced).0, Plan::WorstCase);
 /// ```
-pub fn choose_plan_cyclic(q: &Query, sizes: &[u64], p: usize) -> (Plan, f64) {
-    pick_plan(JoinClass::Cyclic, &cyclic_candidate_costs(q, sizes, p))
-}
-
-/// The priced candidate set [`choose_plan_cyclic`] compares: whole-query
-/// HyperCube first (always present — it is the class answer), then the GHD
-/// bag route when the query admits a non-trivial decomposition. The cyclic
-/// counterpart of [`candidate_costs`], recorded by `PlanDecision` trace
-/// events.
-pub fn cyclic_candidate_costs(q: &Query, sizes: &[u64], p: usize) -> Vec<(Plan, f64)> {
-    let mut priced = vec![(Plan::WorstCase, bounds::wc_share_cost(q, sizes, p))];
-    if let Some(ghd) = aj_relation::Ghd::build(q) {
-        if !ghd.is_trivial() {
+pub fn candidates(
+    class: JoinClass,
+    q: &Query,
+    sizes: &[u64],
+    out: Option<u64>,
+    skew: Option<&JoinSkew>,
+    p: usize,
+) -> Vec<(Plan, f64)> {
+    if class == JoinClass::Cyclic {
+        let mut priced = vec![(Plan::WorstCase, bounds::wc_share_cost(q, sizes, p))];
+        if let Some(ghd) = aj_relation::Ghd::build(q).filter(|g| !g.is_trivial()) {
             priced.push((Plan::Ghd, bounds::ghd_cost(q, &ghd, sizes, p)));
         }
+        return priced;
+    }
+    let Some(out) = out else {
+        return Vec::new();
+    };
+    let in_size = sizes.iter().sum();
+    let mut priced = closed_form_costs(class, in_size, out, p);
+    if let Some(profile) = skew {
+        let hybrid = crate::binary::hybrid_load_estimate(profile, in_size, p);
+        priced.push((Plan::SkewHybrid, hybrid));
     }
     priced
+}
+
+/// Pick the plan and its estimate from a [`candidates`] list. Starting from
+/// the class answer (listed first), a later candidate replaces the current
+/// pick only when it is cheaper beyond a 1e-9 relative tolerance — the cost
+/// model refines class dispatch, it never contradicts it without evidence,
+/// and bounds computed from the same statistics that differ by a hair are
+/// ties. An empty list is class dispatch: the class answer, unpriced.
+pub fn pick(class: JoinClass, priced: &[(Plan, f64)]) -> (Plan, Option<f64>) {
+    let Some((&first, rest)) = priced.split_first() else {
+        return (Plan::for_class(class), None);
+    };
+    let (plan, cost) = rest.iter().fold(first, |cur, &cand| {
+        if cand.1 < cur.1 * (1.0 - 1e-9) - 1e-9 {
+            cand
+        } else {
+            cur
+        }
+    });
+    (plan, Some(cost))
+}
+
+/// Class-only plan choice priced at `(IN, OUT)`: [`pick`] over the closed
+/// forms. Kept for `mpcbench`'s adapter, which replays the engine's phases.
+pub fn choose_plan(class: JoinClass, in_size: u64, out_size: u64, p: usize) -> Plan {
+    pick(class, &closed_form_costs(class, in_size, out_size, p)).0
+}
+
+/// Cyclic plan choice from per-relation sizes: [`pick`] over the cyclic
+/// [`candidates`]. Kept for `mpcbench`'s adapter, which replays the
+/// engine's phases.
+pub fn choose_plan_cyclic(q: &Query, sizes: &[u64], p: usize) -> (Plan, f64) {
+    let priced = candidates(JoinClass::Cyclic, q, sizes, None, None, p);
+    let (plan, est) = pick(JoinClass::Cyclic, &priced);
+    (plan, est.unwrap_or(f64::INFINITY))
 }
 
 /// How a registered view should absorb one update batch — the output of the
@@ -333,15 +276,21 @@ pub fn choose_maintenance(
     // Proportional delta output: the expected share of OUT a |Δ|-sized slice
     // of the input derives.
     let dout = out_size as f64 * delta_in as f64 / in_f;
+    // The closed-form load of the plan picked at `(max(IN, 1), OUT)` — an
+    // empty input still has a plan — priced at the true `IN`.
+    let closed_form = |n: u64, out: u64| {
+        let (plan, _) = pick(class, &closed_form_costs(class, n.max(1), out, p));
+        closed_form_costs(class, n, out, p)
+            .into_iter()
+            .find(|&(cand, _)| cand == plan)
+            .map_or(0.0, |(_, cost)| cost)
+    };
     // One propagation chain, priced by the closed forms at IN = |Δ| (cyclic
     // views have no closed form; the grid chain ships |Δ|·repl rows and the
     // delta output).
     let chain = match class {
         JoinClass::Cyclic => delta_in as f64 * repl / pf + dout / pf,
-        _ => {
-            let plan = choose_plan(class, delta_in.max(1), dout.ceil() as u64, p);
-            estimated_load(plan, delta_in, dout.ceil() as u64, p)
-        }
+        _ => closed_form(delta_in, dout.ceil() as u64),
     };
     // Every signed tuple also lands in the caches that shard its relation.
     let upkeep = 2.0 * delta_in as f64 * repl / pf;
@@ -352,8 +301,7 @@ pub fn choose_maintenance(
     let recompute = match class {
         JoinClass::Cyclic => in_size as f64 * repl / pf + out_size as f64 / pf,
         _ => {
-            let plan = choose_plan(class, in_size.max(1), out_size, p);
-            estimated_load(plan, in_size, out_size, p)
+            closed_form(in_size, out_size)
                 + 2.0 * (m.saturating_sub(1)) as f64 * in_size as f64 / pf
                 + out_size as f64 / pf
         }
@@ -366,52 +314,56 @@ pub fn choose_maintenance(
     (choice, maintain, recompute)
 }
 
-/// Distribute `db` and run the given plan for `q`.
+/// Can [`Plan::SkewHybrid`] serve this query? A binary join of two
+/// relations sharing at least one attribute (Cartesian pairs have no key to
+/// hash on).
+pub(crate) fn hybrid_applicable(q: &Query) -> bool {
+    matches!(q.edges(), [l, r] if l.attrs.iter().any(|a| r.attrs.contains(a)))
+}
+
+/// Run `plan` for `q` on an already-distributed database. The optional
+/// [`JoinSkew`] profile feeds the [`Plan::SkewHybrid`] arm (the engine
+/// detects during planning and passes the profile through so execution does
+/// not re-detect); without one that arm detects inline with
+/// [`DEFAULT_SKEW_TOP_K`] nominations per server.
 ///
 /// Seed discipline: every arm draws **exactly one** value from the caller's
 /// seed stream and runs on its own derived stream, so replaying a seed
 /// yields the identical run and the caller's stream advances the same way
 /// regardless of which plan was chosen.
-pub fn execute_plan(
-    net: &mut Net,
-    plan: Plan,
-    q: &Query,
-    db: &Database,
-    seed: &mut u64,
-) -> DistRelation {
-    let dist = distribute_db(db, net.p());
-    execute_plan_dist(net, plan, q, dist, seed)
-}
-
-/// [`execute_plan`] on an already-distributed database (e.g. the engine's,
-/// which distributes once and shares the placement between the counting
-/// pass and the execution). Same seed discipline; distribution is free and
-/// deterministic, so this produces rounds identical to [`execute_plan`].
-pub fn execute_plan_dist(
-    net: &mut Net,
-    plan: Plan,
-    q: &Query,
-    dist: crate::dist::DistDatabase,
-    seed: &mut u64,
-) -> DistRelation {
-    execute_plan_skew(net, plan, q, dist, None, seed)
-}
-
-/// [`execute_plan_dist`] with an optional pre-computed [`JoinSkew`] profile
-/// for the [`Plan::SkewHybrid`] arm (the engine detects during planning and
-/// passes the profile through so execution does not re-detect). When the
-/// plan is `SkewHybrid` and no profile is given, detection runs inline with
-/// [`DEFAULT_SKEW_TOP_K`] nominations per server. Same seed discipline as
-/// every other arm: exactly one draw from the caller's stream.
+///
+/// ```
+/// use aj_core::dist::distribute_db;
+/// use aj_core::planner::{execute, Plan};
+/// use aj_mpc::Cluster;
+/// use aj_relation::{database_from_rows, QueryBuilder};
+///
+/// let mut b = QueryBuilder::new();
+/// b.relation("R1", &["A", "B"]);
+/// b.relation("R2", &["B", "C"]);
+/// let q = b.build();
+/// let db = database_from_rows(&q, &[vec![vec![1, 10], vec![2, 10]], vec![vec![10, 7]]]);
+///
+/// // Simulate 4 servers; use `Cluster::new_parallel` for a thread pool —
+/// // the result and the measured load are identical either way.
+/// let mut cluster = Cluster::new(4);
+/// let out = {
+///     let mut net = cluster.net();
+///     let mut seed = 42;
+///     execute(&mut net, Plan::InstanceOptimal, &q, distribute_db(&db, 4), None, &mut seed)
+/// };
+/// assert_eq!(out.total_len(), 2);
+/// assert!(cluster.stats().max_load > 0);
+/// ```
 ///
 /// # Panics
 /// Panics if `plan` is [`Plan::SkewHybrid`] and `q` is not a binary join of
 /// two relations sharing at least one attribute.
-pub fn execute_plan_skew(
+pub fn execute(
     net: &mut Net,
     plan: Plan,
     q: &Query,
-    dist: crate::dist::DistDatabase,
+    dist: DistDatabase,
     skew: Option<&JoinSkew>,
     seed: &mut u64,
 ) -> DistRelation {
@@ -427,10 +379,8 @@ pub fn execute_plan_skew(
         }
         Plan::Ghd => crate::general::solve(net, q, dist, &mut local),
         Plan::SkewHybrid => {
-            assert_eq!(q.n_edges(), 2, "the hybrid plan serves binary joins");
-            let mut it = dist.into_iter();
-            let left = it.next().expect("two relations");
-            let right = it.next().expect("two relations");
+            assert!(hybrid_applicable(q), "the hybrid plan serves binary joins");
+            let [left, right]: [DistRelation; 2] = dist.try_into().expect("two relations");
             let detected;
             let profile = match skew {
                 Some(s) => s,
@@ -446,144 +396,104 @@ pub fn execute_plan_skew(
     }
 }
 
-/// Distribute `db` and run the best algorithm for `q` by class. Returns the
-/// chosen plan and the distributed result.
-///
-/// ```
-/// use aj_core::planner::{execute_best, Plan};
-/// use aj_mpc::Cluster;
-/// use aj_relation::{database_from_rows, QueryBuilder};
-///
-/// let mut b = QueryBuilder::new();
-/// b.relation("R1", &["A", "B"]);
-/// b.relation("R2", &["B", "C"]);
-/// let q = b.build();
-/// let db = database_from_rows(
-///     &q,
-///     &[vec![vec![1, 10], vec![2, 10]], vec![vec![10, 7]]],
-/// );
-///
-/// // Simulate 4 servers; use `Cluster::new_parallel` for a thread pool —
-/// // the result and the measured load are identical either way.
-/// let mut cluster = Cluster::new(4);
-/// let (plan, out) = {
-///     let mut net = cluster.net();
-///     let mut seed = 42;
-///     execute_best(&mut net, &q, &db, &mut seed)
-/// };
-/// assert_eq!(plan, Plan::InstanceOptimal); // binary joins are tall-flat
-/// assert_eq!(out.total_len(), 2);
-/// assert!(cluster.stats().max_load > 0);
-/// ```
-pub fn execute_best(
+/// [`execute`] without a skew profile. Kept for `mpcbench`'s adapter, which
+/// replays the engine's phases.
+pub fn execute_plan_dist(
     net: &mut Net,
+    plan: Plan,
     q: &Query,
-    db: &Database,
+    dist: DistDatabase,
     seed: &mut u64,
-) -> (Plan, DistRelation) {
-    let plan = plan_for(q);
-    let out = execute_plan(net, plan, q, db, seed);
-    (plan, out)
+) -> DistRelation {
+    execute(net, plan, q, dist, None, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::distribute_db;
     use aj_instancegen::{line_query, shapes};
-    use aj_mpc::Cluster;
-    use aj_relation::{ram, Tuple};
+    use aj_mpc::{Cluster, Stats};
+    use aj_relation::classify::classify;
+    use aj_relation::{ram, Database, Tuple};
+
+    /// Run `plan` on a fresh `p`-server cluster from `seed`: the sorted
+    /// output, the caller's seed afterwards, and the cluster's stats.
+    fn run(plan: Plan, q: &Query, db: &Database, p: usize, seed: u64) -> (Vec<Tuple>, u64, Stats) {
+        let mut cluster = Cluster::new(p);
+        let mut seed = seed;
+        let out = {
+            let mut net = cluster.net();
+            execute(&mut net, plan, q, distribute_db(db, p), None, &mut seed)
+        };
+        let mut got = out.gather_free().tuples;
+        got.sort_unstable();
+        (got, seed, cluster.stats().clone())
+    }
+
+    fn line3_db(q: &Query) -> Database {
+        aj_relation::query::database_from_rows(
+            q,
+            &[
+                (0..24).map(|i| vec![i, i % 4]).collect(),
+                (0..16).map(|i| vec![i % 4, i % 5]).collect(),
+                (0..15).map(|i| vec![i % 5, i]).collect(),
+            ],
+        )
+    }
+
+    /// Acyclic candidates at a known `OUT`, no profile.
+    fn pick_at(class: JoinClass, in_size: u64, out: u64, p: usize) -> (Plan, Option<f64>) {
+        pick(
+            class,
+            &candidates(class, &line_query(3), &[in_size], Some(out), None, p),
+        )
+    }
 
     #[test]
     fn plans_follow_classification() {
-        assert_eq!(plan_for(&shapes::tall_flat_q1()), Plan::InstanceOptimal);
-        assert_eq!(plan_for(&shapes::rh_example_query()), Plan::InstanceOptimal);
-        assert_eq!(plan_for(&line_query(3)), Plan::OutputOptimal);
-        assert_eq!(plan_for(&shapes::triangle_query()), Plan::WorstCase);
+        let class_plan = |q: &Query| Plan::for_class(classify(q));
+        assert_eq!(class_plan(&shapes::tall_flat_q1()), Plan::InstanceOptimal);
+        assert_eq!(
+            class_plan(&shapes::rh_example_query()),
+            Plan::InstanceOptimal
+        );
+        assert_eq!(class_plan(&line_query(3)), Plan::OutputOptimal);
+        assert_eq!(class_plan(&shapes::triangle_query()), Plan::WorstCase);
     }
 
     #[test]
-    fn execute_best_on_each_class() {
-        let cases: Vec<(Query, Database)> = vec![
-            {
-                let q = shapes::rh_example_query();
-                let db = aj_relation::query::database_from_rows(
-                    &q,
-                    &[
-                        (0..8).map(|i| vec![i]).collect(),
-                        (0..30).map(|i| vec![i % 10, i % 6]).collect(),
-                        (0..5).map(|i| vec![i]).collect(),
-                    ],
-                );
-                (q, db)
-            },
-            {
-                let q = line_query(3);
-                let db = aj_relation::query::database_from_rows(
-                    &q,
-                    &[
-                        (0..24).map(|i| vec![i, i % 4]).collect(),
-                        (0..16).map(|i| vec![i % 4, i % 5]).collect(),
-                        (0..15).map(|i| vec![i % 5, i]).collect(),
-                    ],
-                );
-                (q, db)
-            },
-        ];
-        for (q, db) in cases {
+    fn class_plans_match_the_oracle() {
+        let rh = shapes::rh_example_query();
+        let rh_db = aj_relation::query::database_from_rows(
+            &rh,
+            &[
+                (0..8).map(|i| vec![i]).collect(),
+                (0..30).map(|i| vec![i % 10, i % 6]).collect(),
+                (0..5).map(|i| vec![i]).collect(),
+            ],
+        );
+        let line = line_query(3);
+        for (q, db) in [(rh, rh_db), (line.clone(), line3_db(&line))] {
             let (_, mut want) = ram::join(&q, &db);
             want.sort_unstable();
-            let mut cluster = Cluster::new(4);
-            let got = {
-                let mut net = cluster.net();
-                let mut seed = 3;
-                let (_, out) = execute_best(&mut net, &q, &db, &mut seed);
-                out
-            };
-            let mut got: Vec<Tuple> = got.gather_free().tuples;
-            got.sort_unstable();
+            let (got, _, _) = run(Plan::for_class(classify(&q)), &q, &db, 4, 3);
             assert_eq!(got, want, "query {q}");
         }
-    }
-
-    #[test]
-    fn execute_best_on_triangle() {
-        let inst = aj_instancegen::fig6::generate(60, 120, 3);
-        let want = ram::naive_join(&inst.query, &inst.db);
-        let mut cluster = Cluster::new(8);
-        let (plan, out) = {
-            let mut net = cluster.net();
-            let mut seed = 3;
-            execute_best(&mut net, &inst.query, &inst.db, &mut seed)
-        };
-        assert_eq!(plan, Plan::WorstCase);
-        let mut got = out.gather_free().tuples;
-        got.sort_unstable();
-        assert_eq!(got, want);
+        let tri = aj_instancegen::fig6::generate(60, 120, 3);
+        let (got, _, _) = run(Plan::WorstCase, &tri.query, &tri.db, 8, 3);
+        assert_eq!(got, ram::naive_join(&tri.query, &tri.db));
     }
 
     /// Every plan arm advances the caller's seed stream by exactly one draw.
     #[test]
     fn seed_stream_advances_uniformly() {
         let q_line = line_query(3);
-        let db_line = aj_relation::query::database_from_rows(
-            &q_line,
-            &[
-                (0..12).map(|i| vec![i, i % 3]).collect(),
-                (0..9).map(|i| vec![i % 3, i % 4]).collect(),
-                (0..8).map(|i| vec![i % 4, i]).collect(),
-            ],
-        );
+        let db_line = line3_db(&q_line);
         let tri = aj_instancegen::fig6::generate(40, 60, 5);
-        let run = |plan: Plan, q: &Query, db: &Database| -> u64 {
-            let mut cluster = Cluster::new(4);
-            let mut net = cluster.net();
-            let mut seed = 1234;
-            execute_plan(&mut net, plan, q, db, &mut seed);
-            seed
-        };
-        let after_thm7 = run(Plan::OutputOptimal, &q_line, &db_line);
-        let after_yann = run(Plan::Yannakakis, &q_line, &db_line);
-        let after_hcube = run(Plan::WorstCase, &tri.query, &tri.db);
+        let after_thm7 = run(Plan::OutputOptimal, &q_line, &db_line, 4, 1234).1;
+        let after_yann = run(Plan::Yannakakis, &q_line, &db_line, 4, 1234).1;
+        let after_hcube = run(Plan::WorstCase, &tri.query, &tri.db, 4, 1234).1;
         assert_eq!(after_thm7, after_yann);
         assert_eq!(after_yann, after_hcube);
     }
@@ -592,25 +502,9 @@ mod tests {
     #[test]
     fn replayed_seed_is_identical() {
         let q = line_query(3);
-        let db = aj_relation::query::database_from_rows(
-            &q,
-            &[
-                (0..24).map(|i| vec![i, i % 4]).collect(),
-                (0..16).map(|i| vec![i % 4, i % 5]).collect(),
-                (0..15).map(|i| vec![i % 5, i]).collect(),
-            ],
-        );
-        let run = || {
-            let mut cluster = Cluster::new(4);
-            let out = {
-                let mut net = cluster.net();
-                let mut seed = 77;
-                execute_plan(&mut net, Plan::OutputOptimal, &q, &db, &mut seed)
-            };
-            (out.gather_free().tuples, cluster.stats().clone())
-        };
-        let (t1, s1) = run();
-        let (t2, s2) = run();
+        let db = line3_db(&q);
+        let (t1, _, s1) = run(Plan::OutputOptimal, &q, &db, 4, 77);
+        let (t2, _, s2) = run(Plan::OutputOptimal, &q, &db, 4, 77);
         assert_eq!(t1, t2);
         assert_eq!(s1, s2);
     }
@@ -618,11 +512,20 @@ mod tests {
     #[test]
     fn cost_model_prefers_yannakakis_for_small_out() {
         // OUT < IN: the O(IN/p + OUT/p) baseline wins over √(IN·OUT)/p.
-        let plan = choose_plan(JoinClass::Acyclic, 10_000, 64, 16);
-        assert_eq!(plan, Plan::Yannakakis);
+        assert_eq!(
+            pick_at(JoinClass::Acyclic, 10_000, 64, 16).0,
+            Plan::Yannakakis
+        );
         // OUT ≥ IN: Theorem 7 wins.
-        let plan = choose_plan(JoinClass::Acyclic, 10_000, 1_000_000, 16);
-        assert_eq!(plan, Plan::OutputOptimal);
+        assert_eq!(
+            pick_at(JoinClass::Acyclic, 10_000, 1_000_000, 16).0,
+            Plan::OutputOptimal
+        );
+        // The mpcbench shim agrees.
+        assert_eq!(
+            choose_plan(JoinClass::Acyclic, 10_000, 64, 16),
+            Plan::Yannakakis
+        );
     }
 
     /// The hybrid plan competes only when a profile exists, wins when its
@@ -630,15 +533,22 @@ mod tests {
     #[test]
     fn skew_hybrid_plan_selection_and_execution() {
         use aj_relation::skew::{JoinSkew, SkewProfile};
-        use aj_relation::Tuple;
-        // No profile: selection is untouched.
-        let (plan, _) = choose_plan_skew(JoinClass::TallFlat, 4096, 1 << 20, 16, None);
-        assert_eq!(plan, choose_plan(JoinClass::TallFlat, 4096, 1 << 20, 16));
+        let mut b = aj_relation::QueryBuilder::new();
+        b.relation("R1", &["A", "B"]);
+        b.relation("R2", &["B", "C"]);
+        let q = b.build();
+        let class = JoinClass::TallFlat;
+        let price = |out: u64, skew: Option<&JoinSkew>| {
+            pick(class, &candidates(class, &q, &[4096], Some(out), skew, 16))
+        };
+        // No profile: the hybrid is not a candidate.
+        assert_ne!(price(1 << 20, None).0, Plan::SkewHybrid);
         // A clean profile on a high-OUT instance: one round, no output
         // movement — the hybrid wins.
         let clean = JoinSkew::empty(1);
-        let (plan, est) = choose_plan_skew(JoinClass::TallFlat, 4096, 1 << 20, 16, Some(&clean));
+        let (plan, est) = price(1 << 20, Some(&clean));
         assert_eq!(plan, Plan::SkewHybrid);
+        let est = est.unwrap();
         assert!(est >= 4096.0 / 16.0);
         // A heavily skewed profile still wins over the hash-hostile closed
         // forms, with a larger estimate than the clean one.
@@ -646,13 +556,8 @@ mod tests {
             left: SkewProfile::from_counts(1, 2048, vec![(Tuple::from([7u64]), 1500)]),
             right: SkewProfile::from_counts(1, 2048, vec![(Tuple::from([7u64]), 1500)]),
         };
-        let (_, skew_est) = choose_plan_skew(JoinClass::TallFlat, 4096, 1 << 21, 16, Some(&skewed));
-        assert!(skew_est > est);
+        assert!(price(1 << 21, Some(&skewed)).1.unwrap() > est);
         // Execution: the hybrid arm (self-detecting) matches the oracle.
-        let mut b = aj_relation::QueryBuilder::new();
-        b.relation("R1", &["A", "B"]);
-        b.relation("R2", &["B", "C"]);
-        let q = b.build();
         let db = aj_relation::database_from_rows(
             &q,
             &[
@@ -662,25 +567,11 @@ mod tests {
         );
         let (_, mut want) = ram::join(&q, &db);
         want.sort_unstable();
-        let mut cluster = Cluster::new(4);
-        let out = {
-            let mut net = cluster.net();
-            let mut seed = 5;
-            execute_plan(&mut net, Plan::SkewHybrid, &q, &db, &mut seed)
-        };
-        let mut got = out.gather_free().tuples;
-        got.sort_unstable();
+        let (got, after_hybrid, _) = run(Plan::SkewHybrid, &q, &db, 4, 99);
         assert_eq!(got, want);
         // Seed discipline: the hybrid arm advances the stream exactly like
         // every other arm.
-        let advance = |plan: Plan| -> u64 {
-            let mut cluster = Cluster::new(4);
-            let mut net = cluster.net();
-            let mut seed = 99;
-            execute_plan(&mut net, plan, &q, &db, &mut seed);
-            seed
-        };
-        assert_eq!(advance(Plan::SkewHybrid), advance(Plan::Yannakakis));
+        assert_eq!(after_hybrid, run(Plan::Yannakakis, &q, &db, 4, 99).1);
     }
 
     /// Tie-breaking and repeated attribute sets: the cyclic plan choice is
@@ -713,8 +604,8 @@ mod tests {
         b.relation("R2", &["B", "C"]);
         b.relation("R3", &["C", "A"]);
         let tri = b.build();
-        let (plan, _) = choose_plan_cyclic(&tri, &[32, 32, 32], 8);
-        assert_eq!(plan, Plan::WorstCase);
+        let priced = candidates(JoinClass::Cyclic, &tri, &[32, 32, 32], None, None, 8);
+        assert_eq!(pick(JoinClass::Cyclic, &priced).0, Plan::WorstCase);
     }
 
     /// The GHD plan wins exactly on cyclic cores with acyclic appendages —
@@ -730,42 +621,34 @@ mod tests {
         assert!(est < crate::bounds::wc_share_cost(&q, &sizes, 16));
 
         // Execution matches the oracle and advances the seed like any arm.
-        let want = ram::naive_join(&q, &db);
-        let mut cluster = Cluster::new(8);
-        let out = {
-            let mut net = cluster.net();
-            let mut seed = 5;
-            execute_plan(&mut net, Plan::Ghd, &q, &db, &mut seed)
-        };
-        let mut got = out.gather_free().tuples;
-        got.sort_unstable();
-        assert_eq!(got, want);
-        let advance = |plan: Plan| -> u64 {
-            let mut cluster = Cluster::new(4);
-            let mut net = cluster.net();
-            let mut seed = 4321;
-            execute_plan(&mut net, plan, &q, &db, &mut seed);
-            seed
-        };
-        assert_eq!(advance(Plan::Ghd), advance(Plan::WorstCase));
-    }
-
-    /// Plain cyclic benchmark shapes keep their HyperCube plan: the GHD
-    /// route must never displace the pinned triangle behavior.
-    #[test]
-    fn cyclic_cost_model_keeps_hypercube_for_tight_cycles() {
-        let tri = shapes::triangle_query();
-        let (plan, _) = choose_plan_cyclic(&tri, &[64, 64, 64], 8);
-        assert_eq!(plan, Plan::WorstCase);
+        let (got, _, _) = run(Plan::Ghd, &q, &db, 8, 5);
+        assert_eq!(got, ram::naive_join(&q, &db));
+        assert_eq!(
+            run(Plan::Ghd, &q, &db, 4, 4321).1,
+            run(Plan::WorstCase, &q, &db, 4, 4321).1
+        );
     }
 
     #[test]
     fn cost_model_ties_fall_back_to_class() {
         // OUT == IN on an r-hierarchical query: Thm-3's IN/p + √(OUT/p)
         // strictly beats the others, and is also the class answer.
-        let plan = choose_plan(JoinClass::RHierarchical, 4096, 4096, 16);
+        let (plan, est) = pick_at(JoinClass::RHierarchical, 4096, 4096, 16);
         assert_eq!(plan, Plan::InstanceOptimal);
-        // Cyclic queries only have one candidate.
+        assert_eq!(
+            est,
+            Some(crate::bounds::r_hierarchical_bound(4096, 4096, 16))
+        );
+        // A hair-width gap is a tie: the class answer holds.
+        let tied = [
+            (Plan::OutputOptimal, 100.0),
+            (Plan::Yannakakis, 100.0 - 1e-12),
+        ];
+        assert_eq!(pick(JoinClass::Acyclic, &tied).0, Plan::OutputOptimal);
+        // Nothing priced (no OUT, or class-only dispatch): the class answer.
+        assert!(candidates(JoinClass::Acyclic, &line_query(3), &[10], None, None, 8).is_empty());
+        assert_eq!(pick(JoinClass::Acyclic, &[]), (Plan::OutputOptimal, None));
+        // Cyclic classes have no closed form to price at (IN, OUT).
         assert_eq!(
             choose_plan(JoinClass::Cyclic, 1000, 1000, 8),
             Plan::WorstCase

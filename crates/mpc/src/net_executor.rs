@@ -1,7 +1,7 @@
 //! The network backend: one independent worker thread per server,
 //! message-passing only.
 //!
-//! [`NetExecutor`] is the third [`Execute`] backend. Where [`SeqExecutor`]
+//! [`NetExecutor`] is the third [`Execute`] backend. Where [`SeqExecutor`][crate::SeqExecutor]
 //! and [`ParExecutor`][crate::ParExecutor] simulate servers by slicing
 //! shared buffers, a `NetExecutor` cluster is a real (single-machine)
 //! distributed system:

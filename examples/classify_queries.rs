@@ -6,7 +6,6 @@
 //! cargo run --release --example classify_queries
 //! ```
 
-use acyclic_joins::core::planner::plan_for;
 use acyclic_joins::instancegen::shapes;
 use acyclic_joins::prelude::*;
 use acyclic_joins::relation::classify::AttributeForest;
@@ -16,7 +15,7 @@ use acyclic_joins::relation::minpath::find_minimal_path3;
 fn inspect(q: &Query) {
     println!("query: {q}");
     println!("  class: {}", classify(q));
-    println!("  plan:  {:?}", plan_for(q));
+    println!("  plan:  {:?}", Plan::for_class(classify(q)));
     if q.is_acyclic() {
         let cover = min_edge_cover(q);
         let names: Vec<&str> = cover.iter().map(|&e| q.edge(e).name.as_str()).collect();

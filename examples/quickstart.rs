@@ -1,5 +1,5 @@
-//! Quickstart: classify a query, run the optimal algorithm for its class on
-//! the MPC simulator, and inspect the measured load.
+//! Quickstart: classify a query, serve it on the MPC simulator with the
+//! cheapest applicable algorithm, and inspect the measured load.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -30,16 +30,14 @@ fn main() {
     );
     println!("IN:     {}", db.input_size());
 
-    // Simulate p = 16 servers; the planner picks Theorem 7 for this class.
+    // Simulate p = 16 servers: the engine counts OUT, prices the applicable
+    // algorithms and runs the cheapest (Theorem 7 here, as OUT > IN).
     let p = 16;
-    let mut cluster = Cluster::new(p);
-    let (plan, out) = {
-        let mut net = cluster.net();
-        let mut seed = 42;
-        execute_best(&mut net, &q, &db, &mut seed)
-    };
-    let stats = cluster.stats();
-    println!("plan:   {plan:?}");
+    let mut engine = QueryEngine::new(p);
+    let outcome = engine.run(&q, &db);
+    let out = &outcome.output;
+    let stats = engine.stats();
+    println!("plan:   {:?}", outcome.plan);
     println!("OUT:    {}", out.total_len());
     println!(
         "load L: {} (IN/p = {}, exchanges = {})",

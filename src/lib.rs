@@ -22,16 +22,14 @@
 //!         vec![vec![20, 30]],
 //!     ],
 //! );
-//! // Run the best algorithm for the query's class on 4 simulated servers.
-//! let mut cluster = Cluster::new(4);
-//! let (plan, out) = {
-//!     let mut net = cluster.net();
-//!     let mut seed = 42;
-//!     execute_best(&mut net, &q, &db, &mut seed)
-//! };
-//! assert_eq!(plan, Plan::OutputOptimal); // line-3 is acyclic, not r-hierarchical
-//! assert_eq!(out.total_len(), 2);
-//! println!("load L = {}", cluster.stats().max_load);
+//! // Count OUT, price the applicable algorithms and run the cheapest on 4
+//! // simulated servers.
+//! let mut engine = QueryEngine::new(4);
+//! let outcome = engine.run(&q, &db);
+//! // OUT = 2 < IN = 4: the Yannakakis baseline undercuts Theorem 7.
+//! assert_eq!(outcome.plan, Plan::Yannakakis);
+//! assert_eq!(outcome.output.total_len(), 2);
+//! println!("load L = {}", engine.stats().max_load);
 //! ```
 //!
 //! ## Crate map
@@ -57,8 +55,8 @@ pub use aj_relation as relation;
 /// Everything a typical user needs in scope.
 pub mod prelude {
     pub use aj_core::{
-        execute_best, execute_plan, DistDatabase, DistRelation, EngineConfig, MaintenanceChoice,
-        MaterializedView, Plan, QueryEngine, QueryOutcome, UpdateOutcome, ViewId,
+        DistDatabase, DistRelation, EngineConfig, MaintenanceChoice, MaterializedView, Plan,
+        QueryEngine, QueryOutcome, UpdateOutcome, ViewId,
     };
     pub use aj_mpc::{Cluster, DeltaBlock, DeltaOutbox, EpochStats, Net, Partitioned, RowOutbox};
     pub use aj_obs::{ObsConfig, Trace};

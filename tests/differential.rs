@@ -78,15 +78,10 @@ proptest! {
         let q = random::random_acyclic_query(m, seed);
         let db = random::random_instance(&q, 20, 4, seed ^ 0xabcd);
         let want = oracle_sorted(&q, &db);
-        let mut cluster = Cluster::new(4);
-        let out = {
-            let mut net = cluster.net();
+        let got = run_sorted(4, &q, &db, |net, q, dist| {
             let mut s = seed | 1;
-            let (_, out) = planner::execute_best(&mut net, &q, &db, &mut s);
-            out
-        };
-        let mut got = out.gather_free().tuples;
-        got.sort_unstable();
+            planner::execute(net, Plan::for_class(classify(q)), q, dist, None, &mut s)
+        });
         prop_assert_eq!(got, want);
     }
 

@@ -78,22 +78,11 @@ proptest! {
     fn planner_equivalent_and_correct(seed in 0u64..4000, m in 1usize..5) {
         let q = random::random_acyclic_query(m, seed);
         let db = random::random_instance(&q, 20, 4, seed ^ 0x00e3);
-        let run = |mut cluster: Cluster| {
-            let out = {
-                let mut net = cluster.net();
+        let ((seq_out, seq_stats), (par_out, par_stats)) =
+            both_executors(4, &q, &db, |net, q, dist| {
                 let mut s = seed | 1;
-                let (_, out) = planner::execute_best(&mut net, &q, &db, &mut s);
-                out
-            };
-            let mut tuples = out.gather_free().tuples;
-            tuples.sort_unstable();
-            (tuples, cluster.stats().clone())
-        };
-        let (seq_out, seq_stats) = run(Cluster::new(4));
-        let (par_out, par_stats) = run(Cluster::with_executor(
-            4,
-            Box::new(ParExecutor::with_threads(4)),
-        ));
+                planner::execute(net, Plan::for_class(classify(q)), q, dist, None, &mut s)
+            });
         let (_, mut want) = acyclic_joins::relation::ram::join(&q, &db);
         want.sort_unstable();
         prop_assert_eq!(&seq_out, &want);
