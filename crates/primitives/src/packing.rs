@@ -311,6 +311,90 @@ mod tests {
         assert!(packing.items.is_empty());
     }
 
+    /// The exact bin of every item and the bin count on fixed inputs: 96
+    /// items of weight in `[0.01, 0.61]`, some heavy, spread in contiguous
+    /// chunks, so the local, group-level and root-level greedy passes all
+    /// take part at the larger `p`. Any change to how bins are numbered
+    /// fails here, even one that keeps the packing invariants.
+    #[test]
+    fn bin_ids_are_pinned() {
+        const PINNED: [(usize, u64, [u64; 96]); 5] = [
+            (
+                1,
+                41,
+                [
+                    0, 0, 0, 0, 1, 1, 21, 1, 1, 2, 2, 22, 2, 2, 3, 3, 23, 3, 3, 4, 4, 24, 4, 5, 5,
+                    5, 25, 6, 6, 6, 7, 26, 7, 7, 27, 7, 8, 8, 8, 28, 8, 8, 9, 9, 29, 9, 9, 10, 10,
+                    30, 10, 11, 11, 11, 31, 12, 12, 12, 13, 32, 13, 13, 14, 14, 14, 15, 15, 33, 15,
+                    15, 16, 16, 34, 16, 16, 17, 17, 35, 17, 17, 18, 18, 36, 18, 19, 19, 19, 37, 20,
+                    20, 20, 40, 38, 40, 40, 39,
+                ],
+            ),
+            (
+                3,
+                42,
+                [
+                    0, 0, 0, 0, 1, 1, 7, 1, 1, 2, 2, 8, 2, 2, 3, 3, 9, 3, 3, 4, 4, 10, 4, 5, 5, 5,
+                    11, 6, 6, 6, 41, 12, 13, 13, 20, 13, 13, 14, 14, 21, 14, 14, 15, 15, 22, 15,
+                    15, 16, 16, 23, 16, 17, 17, 17, 24, 18, 18, 18, 19, 25, 19, 19, 26, 26, 27, 27,
+                    27, 33, 27, 27, 28, 28, 34, 28, 28, 29, 29, 35, 29, 29, 30, 30, 36, 30, 31, 31,
+                    31, 37, 32, 32, 32, 40, 38, 40, 40, 39,
+                ],
+            ),
+            (
+                8,
+                43,
+                [
+                    0, 0, 0, 0, 1, 1, 2, 1, 1, 4, 4, 3, 5, 5, 5, 5, 7, 6, 6, 6, 9, 8, 9, 9, 10, 10,
+                    12, 11, 11, 11, 15, 13, 15, 15, 14, 15, 16, 16, 16, 18, 16, 16, 17, 17, 19, 17,
+                    17, 42, 20, 22, 20, 20, 21, 21, 23, 21, 25, 25, 25, 24, 26, 26, 26, 27, 27, 27,
+                    27, 28, 29, 29, 29, 29, 32, 30, 30, 30, 30, 33, 31, 31, 31, 35, 34, 35, 36, 36,
+                    36, 38, 37, 37, 37, 41, 39, 41, 41, 40,
+                ],
+            ),
+            (
+                16,
+                44,
+                [
+                    0, 0, 0, 0, 1, 1, 2, 4, 4, 4, 4, 3, 5, 5, 5, 5, 6, 41, 7, 7, 7, 8, 41, 41, 9,
+                    9, 10, 11, 11, 11, 14, 12, 14, 14, 13, 14, 16, 16, 16, 15, 16, 16, 17, 17, 18,
+                    17, 17, 42, 19, 20, 19, 19, 21, 21, 23, 22, 22, 22, 42, 24, 25, 25, 25, 26, 26,
+                    26, 28, 27, 28, 28, 28, 28, 29, 31, 31, 31, 31, 30, 32, 32, 32, 34, 33, 34, 35,
+                    35, 35, 36, 43, 43, 37, 37, 38, 40, 40, 39,
+                ],
+            ),
+            (
+                64,
+                47,
+                [
+                    0, 0, 34, 34, 1, 1, 2, 34, 34, 34, 35, 3, 35, 35, 4, 4, 5, 36, 6, 6, 36, 7, 36,
+                    36, 8, 8, 9, 37, 10, 10, 37, 11, 12, 12, 13, 38, 38, 38, 38, 14, 39, 39, 15,
+                    15, 16, 39, 46, 46, 40, 17, 40, 40, 18, 18, 19, 40, 20, 20, 41, 21, 41, 41, 22,
+                    22, 42, 42, 42, 23, 42, 42, 24, 24, 25, 43, 43, 43, 43, 26, 46, 46, 27, 27, 28,
+                    44, 29, 29, 44, 30, 45, 45, 31, 31, 32, 45, 45, 33,
+                ],
+            ),
+        ];
+        let weights: Vec<(u64, f64)> = (0..96u64)
+            .map(|i| (i, ((i * 37 + 11) % 61 + 1) as f64 / 100.0))
+            .collect();
+        let got: Vec<(usize, u64, [u64; 96])> = PINNED
+            .iter()
+            .map(|&(p, _, _)| {
+                let mut cluster = Cluster::new(p);
+                let mut net = cluster.net();
+                let packing =
+                    parallel_packing(&mut net, Partitioned::distribute(weights.clone(), p));
+                let mut bins = [0u64; 96];
+                for (item, bin) in packing.items.gather_free() {
+                    bins[item as usize] = bin;
+                }
+                (p, packing.n_groups, bins)
+            })
+            .collect();
+        assert_eq!(got, PINNED);
+    }
+
     #[test]
     fn control_load_is_sublinear() {
         let p = 64;

@@ -317,6 +317,41 @@ fn plan_decisions_are_pinned() {
     assert_eq!(got.len(), want.len(), "number of decisions changed");
 }
 
+/// Rounds and units of the mixed batch on a cost-based p = 8 engine are
+/// pinned per shape: `[Σ planning exchanges, Σ planning total_messages,
+/// Σ execution exchanges, Σ execution total_messages, max execution
+/// max_load]` over the shape's 21 queries. `L` cannot see extra rounds (it
+/// is a max over rounds); these sums can, so a control-plane change that
+/// adds rounds or units fails here even at equal load.
+#[test]
+fn mixed_batch_rounds_are_pinned() {
+    const PINNED: [(&str, [u64; 5]); 5] = [
+        ("star3", [210, 2267, 2250, 24057, 26]),
+        ("rh", [210, 2108, 252, 3626, 16]),
+        ("tall_flat", [399, 4979, 3396, 15941, 10]),
+        ("line3", [210, 3690, 2176, 29821, 24]),
+        ("triangle", [0, 0, 21, 2976, 45]),
+    ];
+    let mut engine = QueryEngine::new(8);
+    let outcomes = engine.run_batch(&mixed_batch());
+    let got: Vec<(&str, [u64; 5])> = PINNED
+        .iter()
+        .enumerate()
+        .map(|(shape, &(label, _))| {
+            let mut row = [0u64; 5];
+            for o in outcomes.iter().skip(shape).step_by(PINNED.len()) {
+                row[0] += o.planning.exchanges;
+                row[1] += o.planning.total_messages;
+                row[2] += o.execution.exchanges;
+                row[3] += o.execution.total_messages;
+                row[4] = row[4].max(o.execution.max_load);
+            }
+            (label, row)
+        })
+        .collect();
+    assert_eq!(got, PINNED);
+}
+
 /// Per-query loads are bit-identical across SeqExecutor and ParExecutor.
 #[test]
 fn executors_report_identical_per_query_epochs() {
