@@ -5,7 +5,8 @@
 //!
 //! * per-key degrees `d1(k), d2(k)` via sum-by-key (co-located at the key
 //!   owner);
-//! * `OUT = Σ_k d1·d2` via a √p-tree; `L = max(IN/p, √(OUT/p))`;
+//! * `OUT = Σ_k d1·d2` via one coordinator gather and scatter;
+//!   `L = max(IN/p, √(OUT/p))`;
 //! * **light keys** (`d1, d2 ≤ L`) are parallel-packed into groups of `O(L)`
 //!   input and `O(L²)` output each, one (virtual) server per group;
 //! * **heavy keys** get a `⌈d1/L⌉ × ⌈d2/L⌉` grid of virtual servers; the

@@ -3,18 +3,29 @@
 //! `O(IN/p + L_instance(p, R))`.
 //!
 //! After removing dangling tuples and reducing the hypergraph, the attribute
-//! forest drives a two-case recursion:
+//! forest drives a two-case recursion. Each level first needs the subset
+//! join sizes `|Q(R,S)|` for its load `L = IN/p + L_instance`, and each
+//! case counts them once:
 //!
-//! * **Case 1** (one tree): group the instance by the root attribute(s).
-//!   Sub-instances lighter than `L` are parallel-packed onto single servers;
-//!   heavy sub-instances get `p_a = max_S ⌈|Q_x(R_a,S)|/L^{|S|}⌉` servers
-//!   and recurse on the residual query.
-//! * **Case 2** (`k` trees = a Cartesian product of `k` joins): arrange the
-//!   servers into a `p_1 × … × p_k` grid; each dimension-`i` group computes
-//!   `Q_i(R_i)` (redundantly across groups), and every server emits the
-//!   Cartesian product of its `k` output slices — no intermediate result is
-//!   ever materialized, which is precisely how the algorithm beats the
-//!   two-step approach (see the `|Q_1|=1, |Q_2|=p·IN` example in the paper).
+//! * **Case 1** (one tree): group the instance by the root attribute(s),
+//!   which lie in every edge. One grouped count per edge subset gives the
+//!   per-value sizes `|Q_x(R_a,S)|`, and one coordinator call sums them into
+//!   `|Q(R,S)|`. Sub-instances lighter than `L` are parallel-packed onto
+//!   single servers; heavy sub-instances get
+//!   `p_a = max_S ⌈|Q_x(R_a,S)|/L^{|S|}⌉` servers and recurse on the
+//!   residual query.
+//! * **Case 2** (`k` trees = a Cartesian product of `k` joins): subsets
+//!   inside one tree are counted (Corollary 4); a subset spanning trees is
+//!   the product of its per-tree counts. Arrange the servers into a
+//!   `p_1 × … × p_k` grid; each dimension-`i` group computes `Q_i(R_i)`
+//!   (redundantly across groups), and every server emits the Cartesian
+//!   product of its `k` output slices — no intermediate result is ever
+//!   materialized, which is precisely how the algorithm beats the two-step
+//!   approach (see the `|Q_1|=1, |Q_2|=p·IN` example in the paper).
+//!
+//! A count obtained without its own counting pass burns that pass's seed
+//! draws, so the routing seeds — and every load — match a run that made one
+//! counting pass per subset.
 //!
 //! Simulation notes (see ARCHITECTURE.md): parallel sub-problems execute
 //! sequentially, so overlapping server ranges after demand-scaling are
@@ -26,7 +37,9 @@
 use aj_primitives::FxHashMap;
 
 use aj_mpc::{Net, Partitioned, ServerId, Wire, WireReader};
-use aj_primitives::{lookup, parallel_packing, prefix_sum, sum_by_key, Key, OwnedTable};
+use aj_primitives::{
+    coordinate, lookup, parallel_packing, prefix_sum, sum_by_key, Key, OwnedTable,
+};
 use aj_relation::classify::AttributeForest;
 use aj_relation::{Attr, EdgeSet, Query, Tuple};
 
@@ -83,36 +96,35 @@ fn rec(net: &mut Net, q: &Query, db: DistDatabase, seed: &mut u64) -> DistRelati
         return empty_output(q, p);
     }
     let forest = AttributeForest::build(q).expect("recursion keeps the query hierarchical");
-    // Per-subset join sizes |Q(R,S)| (no dangling tuples ⇒ = |⋈_S R(e)|),
-    // computed with the linear-load counting primitive (Corollary 4).
-    let m = q.n_edges();
-    let mut cnt: FxHashMap<u64, u64> = FxHashMap::default();
-    for s in EdgeSet::all(m).subsets() {
-        if s.is_empty() {
-            continue;
-        }
-        let (sub_q, kept) = q.restrict(s);
-        let sub_db: DistDatabase = kept.iter().map(|&e| db[e].clone()).collect();
-        cnt.insert(s.0, output_size(net, &sub_q, &sub_db, seed));
-    }
-    let l_inst = l_instance_from_counts(&cnt, p);
-    let load = (in_size as u64).div_ceil(p as u64) + l_inst.ceil() as u64;
-    let load = load.max(1);
     if forest.n_trees() == 1 {
-        case1(net, q, db, &forest, load, &cnt, seed)
+        case1(net, q, db, &forest, in_size, seed)
     } else {
-        case2(net, q, db, &forest, load, &cnt, seed)
+        case2(net, q, db, &forest, in_size, seed)
     }
 }
 
-/// `L_instance` from the subset counts: `max_S (|Q(R,S)|/p)^{1/|S|}`.
-fn l_instance_from_counts(cnt: &FxHashMap<u64, u64>, p: usize) -> f64 {
-    let mut best = 0f64;
-    for (&mask, &c) in cnt {
-        let k = mask.count_ones() as f64;
-        best = best.max((c as f64 / p as f64).powf(1.0 / k));
+/// The load `L = ⌈IN/p⌉ + ⌈L_instance⌉` (at least 1) from the per-subset
+/// join sizes `(S, |Q(R,S)|)`, where
+/// `L_instance = max_S (|Q(R,S)|/p)^{1/|S|}`.
+fn load_from_counts(
+    in_size: usize,
+    counts: impl IntoIterator<Item = (EdgeSet, u64)>,
+    p: usize,
+) -> u64 {
+    let mut l_inst = 0f64;
+    for (s, c) in counts {
+        l_inst = l_inst.max((c as f64 / p as f64).powf(1.0 / s.len() as f64));
     }
-    best
+    ((in_size as u64).div_ceil(p as u64) + l_inst.ceil() as u64).max(1)
+}
+
+/// Burn the seed draws an [`output_size`] pass over the edge subset `s`
+/// would make (one per non-root edge of its join tree), so that a count
+/// obtained another way leaves every later seed unchanged.
+fn burn_count_draws(s: EdgeSet, seed: &mut u64) {
+    for _ in 1..s.len() {
+        next_seed(seed);
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -147,8 +159,7 @@ fn case1(
     q: &Query,
     db: DistDatabase,
     forest: &AttributeForest,
-    load: u64,
-    cnt: &FxHashMap<u64, u64>,
+    in_size: usize,
     seed: &mut u64,
 ) -> DistRelation {
     let p = net.p();
@@ -157,8 +168,55 @@ fn case1(
     let mut root_attrs: Vec<Attr> = forest.nodes[root].attrs.clone();
     root_attrs.sort_unstable();
 
-    // IN_a per root value, across all relations.
+    // The root attributes lie in every edge, so each |Q(R,S)| is the sum of
+    // the per-root-value counts |Q_x(R_a,S)| below and needs no pass of its
+    // own; that pass's seed draws are still burnt (see the module docs).
+    for s in EdgeSet::all(m).subsets() {
+        burn_count_draws(s, seed);
+    }
     let kd = next_seed(seed);
+    // Per-value subset counts |Q_x(R_a, S)| co-located at the degree owner
+    // (final_seed = kd), in subset order.
+    let mut per_subset: Vec<(EdgeSet, Vec<FxHashMap<Tuple, u64>>)> = Vec::new();
+    for s in EdgeSet::all(m).subsets() {
+        if s.is_empty() {
+            continue;
+        }
+        let (sub_q, kept) = q.restrict(s);
+        let sub_db: DistDatabase = kept.iter().map(|&e| db[e].clone()).collect();
+        let table = count_by_group(net, &sub_q, &sub_db, &root_attrs, kd, seed);
+        per_subset.push((
+            s,
+            table
+                .parts
+                .iter()
+                .map(|part| part.iter().cloned().collect())
+                .collect(),
+        ));
+    }
+    // The global |Q(R,S)|: every server's partial sums, added up by one
+    // coordinator call.
+    let partials: Vec<Vec<u64>> = (0..p)
+        .map(|srv| {
+            per_subset
+                .iter()
+                .map(|(_, tables)| tables[srv].values().fold(0u64, |a, &c| a.saturating_add(c)))
+                .collect()
+        })
+        .collect();
+    let totals = coordinate(net, partials, |parts| {
+        let mut sums = vec![0u64; parts[0].len()];
+        for part in &parts {
+            for (sum, c) in sums.iter_mut().zip(part) {
+                *sum = sum.saturating_add(*c);
+            }
+        }
+        vec![sums; parts.len()]
+    })
+    .swap_remove(0);
+    let load = load_from_counts(in_size, per_subset.iter().map(|t| t.0).zip(totals), p);
+
+    // IN_a per root value, across all relations.
     let pairs = Partitioned::from_parts(
         (0..p)
             .map(|s| {
@@ -192,28 +250,8 @@ fn case1(
             .collect(),
     );
     let packing = parallel_packing(net, light_items);
-    let _n_groups = packing.n_groups;
 
-    // Heavy keys: per-value subset counts |Q_x(R_a, S)| co-located at the
-    // degree owner (final_seed = kd).
-    let mut per_subset: FxHashMap<u64, Vec<FxHashMap<Tuple, u64>>> = FxHashMap::default();
-    for s in EdgeSet::all(m).subsets() {
-        if s.is_empty() {
-            continue;
-        }
-        let (sub_q, kept) = q.restrict(s);
-        let sub_db: DistDatabase = kept.iter().map(|&e| db[e].clone()).collect();
-        let table = count_by_group(net, &sub_q, &sub_db, &root_attrs, kd, seed);
-        per_subset.insert(
-            s.0,
-            table
-                .parts
-                .iter()
-                .map(|part| part.iter().cloned().collect())
-                .collect(),
-        );
-    }
-    // Demands at the owners.
+    // Heavy keys: demands at the owners.
     let mut heavy_demand: Vec<Vec<(Tuple, u64)>> = Vec::with_capacity(p);
     for (s, part) in degrees.parts.iter().enumerate() {
         let mut v = Vec::new();
@@ -222,10 +260,9 @@ fn case1(
                 continue;
             }
             let mut pa = 1u64;
-            for (mask, tables) in &per_subset {
+            for (subset, tables) in &per_subset {
                 let ca = tables[s].get(k).copied().unwrap_or(0);
-                let ssize = mask.count_ones();
-                let denom = (load as f64).powi(ssize as i32);
+                let denom = (load as f64).powi(subset.len() as i32);
                 pa = pa.max((ca as f64 / denom).ceil() as u64);
             }
             v.push((k.clone(), pa.clamp(1, p as u64)));
@@ -437,7 +474,6 @@ fn case1(
             }
         }
     }
-    let _ = cnt; // subset counts were consumed via per-value tables
     DistRelation {
         attrs: out_attrs,
         parts: Partitioned::from_parts(out_parts),
@@ -451,13 +487,42 @@ fn case2(
     q: &Query,
     db: DistDatabase,
     forest: &AttributeForest,
-    load: u64,
-    cnt: &FxHashMap<u64, u64>,
+    in_size: usize,
     seed: &mut u64,
 ) -> DistRelation {
     let p = net.p();
     let comps: Vec<EdgeSet> = forest.roots.iter().map(|&r| forest.tree_edges(r)).collect();
     let k = comps.len();
+    // Per-subset join sizes |Q(R,S)| (no dangling tuples ⇒ = |⋈_S R(e)|).
+    // A subset inside one component is counted with the linear-load
+    // counting primitive (Corollary 4). Components share no attributes, so
+    // a subset spanning several is the product of its per-component counts;
+    // its pass is skipped and its seed draws burnt in place.
+    let mut cnt: FxHashMap<EdgeSet, u64> = FxHashMap::default();
+    for s in EdgeSet::all(q.n_edges()).subsets() {
+        if s.is_empty() {
+            continue;
+        }
+        if comps.iter().any(|&c| s.is_subset(c)) {
+            let (sub_q, kept) = q.restrict(s);
+            let sub_db: DistDatabase = kept.iter().map(|&e| db[e].clone()).collect();
+            cnt.insert(s, output_size(net, &sub_q, &sub_db, seed));
+        } else {
+            burn_count_draws(s, seed);
+        }
+    }
+    for s in EdgeSet::all(q.n_edges()).subsets() {
+        if s.is_empty() || cnt.contains_key(&s) {
+            continue;
+        }
+        let product = comps
+            .iter()
+            .map(|&c| s.intersect(c))
+            .filter(|part| !part.is_empty())
+            .fold(1u64, |a, part| a.saturating_mul(cnt[&part]));
+        cnt.insert(s, product);
+    }
+    let load = load_from_counts(in_size, cnt.iter().map(|(&s, &c)| (s, c)), p);
     // Per-component share p_i.
     let mut dims: Vec<usize> = comps
         .iter()
@@ -471,7 +536,7 @@ fn case2(
                     if s.is_empty() {
                         continue;
                     }
-                    let ca = cnt[&s.0];
+                    let ca = cnt[&s];
                     let denom = (load as f64).powi(s.len() as i32);
                     pi = pi.max((ca as f64 / denom).ceil() as u64);
                 }

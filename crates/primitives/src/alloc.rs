@@ -1,7 +1,8 @@
 //! The **server-allocation** primitive (Section 2): subproblems with demands
 //! `p(j)` get disjoint server ranges `[p1(j), p2(j))` with
 //! `max_j p2(j) ≤ Σ_j p(j)`; tuples learn their subproblem's range via
-//! [`crate::lookup`].
+//! [`crate::lookup`]. The range bases come from one [`crate::prefix_sum`]:
+//! `O(p)` control units at one coordinator, within `O(IN/p)` when `IN ≥ p²`.
 
 use aj_mpc::{Net, Partitioned, Wire, WireReader};
 
@@ -44,7 +45,7 @@ impl Wire for Allocation {
 /// (typically produced by [`crate::sum_by_key`]). Returns an [`OwnedTable`]
 /// mapping each id to its [`Allocation`], plus the total number of servers
 /// demanded. Rounds: O(1); load: linear in the number of subproblems per
-/// server plus `O(√p)` control units.
+/// server plus `O(p)` control units at the coordinator.
 pub fn allocate_servers<K: Key + Wire>(
     net: &mut Net,
     demands: Partitioned<(K, u64)>,

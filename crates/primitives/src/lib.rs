@@ -6,10 +6,11 @@
 //! Hu–Tao–Yi and Goodrich et al.; this crate uses hash-routing equivalents
 //! (a distributed hash-table "lookup" pattern) which achieve the same load
 //! bounds in expectation and are considerably simpler. Control values that
-//! must be globally aggregated (prefix sums, packing of leftover groups) use
-//! a two-level √p-fanout tree so no server ever receives more than `O(√p)`
-//! control units — below `IN/p` in every experiment regime (see
-//! ARCHITECTURE.md).
+//! must be globally aggregated (prefix sums, packing of leftover groups) go
+//! through one [`coordinate`] call: one gather to server 0 and one scatter
+//! back, 2 rounds and `O(p)` control units at that one coordinator. That is
+//! within the `O(IN/p)` load whenever `IN ≥ p²` — true in every experiment
+//! regime (see ARCHITECTURE.md).
 //!
 //! Provided primitives:
 //!
@@ -18,10 +19,10 @@
 //!   (the workhorse behind multi-search and semi-join);
 //! * [`multi_numbering`] — consecutive numbering `1,2,3,…` within each key;
 //! * [`semi_join`] — `R1 ⋉ R2` on a key extractor;
+//! * [`coordinate`] — one control item per server gathered, answered, scattered;
 //! * [`prefix_sum`] — exclusive per-server prefix sums;
 //! * [`parallel_packing`] — group weighted items into `O(total weight)` bins;
-//! * [`allocate_servers`] — the server-allocation primitive;
-//! * [`broadcast_value`] — one small value to every server.
+//! * [`allocate_servers`] — the server-allocation primitive.
 //!
 //! All per-server work inside the data-heavy primitives (pre-aggregation,
 //! owner-side merging, answer assembly) goes through the round API of
@@ -59,7 +60,7 @@ pub use alloc::{allocate_servers, Allocation};
 pub use key::Key;
 pub use numbering::multi_numbering;
 pub use packing::{parallel_packing, Packing};
-pub use prefix::{broadcast_value, prefix_sum};
+pub use prefix::{coordinate, prefix_sum};
 pub use table::{lookup, own_by_key, semi_join, sum_by_key, OwnedTable};
 
 /// Routing seed namespace for this crate's primitives; callers that need

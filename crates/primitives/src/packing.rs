@@ -4,14 +4,15 @@
 //! at most `1 + 2·Σ weights`.
 //!
 //! Implementation: greedy local packing, then the per-server leftover groups
-//! (each of weight < 1/2) are packed along a two-level √p tree, matching the
-//! paper's recursive scheme with `O(√p)` control load.
+//! (each of weight < 1/2) are numbered by one [`coordinate`] call. The
+//! coordinator packs them with the paper's two-level scheme — within sets
+//! of `⌈√p⌉` servers, then the sets' own leftovers — as a pure local
+//! function: 2 rounds and `O(p)` control units at one server, within
+//! `O(IN/p)` whenever `IN ≥ p²`.
 
-use crate::fxhash::FxHashMap;
+use aj_mpc::{Net, Partitioned};
 
-use aj_mpc::{Net, Partitioned, ServerId};
-
-use crate::prefix::prefix_sum;
+use crate::prefix::coordinate;
 
 /// Result of [`parallel_packing`].
 #[derive(Debug, Clone)]
@@ -39,8 +40,7 @@ pub fn parallel_packing<T>(net: &mut Net, items: Partitioned<(T, f64)>) -> Packi
         // item, local bin id; bin ids: 0..full_bins are full, full_bins = partial.
         tagged: Vec<(T, usize)>,
         full_bins: usize,
-        partial_weight: f64,
-        has_partial: bool,
+        partial_weight: Option<f64>,
     }
     let mut locals: Vec<Local<T>> = Vec::with_capacity(p);
     for part in items.into_parts() {
@@ -76,8 +76,7 @@ pub fn parallel_packing<T>(net: &mut Net, items: Partitioned<(T, f64)>) -> Packi
             }
         }
         // Leftover open bin: partial iff weight < 1/2, else it's full.
-        let mut has_partial = false;
-        let mut partial_weight = 0.0;
+        let mut partial_weight = None;
         if !open_items.is_empty() {
             if open_weight >= 0.5 {
                 for it in open_items.drain(..) {
@@ -85,8 +84,7 @@ pub fn parallel_packing<T>(net: &mut Net, items: Partitioned<(T, f64)>) -> Packi
                 }
                 next_bin += 1;
             } else {
-                has_partial = true;
-                partial_weight = open_weight;
+                partial_weight = Some(open_weight);
                 for it in open_items.drain(..) {
                     fixed.push((it, next_bin)); // bin id == full_bins marker
                 }
@@ -99,139 +97,123 @@ pub fn parallel_packing<T>(net: &mut Net, items: Partitioned<(T, f64)>) -> Packi
             // 0..next_bin are full. Either way the count is next_bin.
             full_bins: next_bin,
             partial_weight,
-            has_partial,
         });
     }
-    // Note: for servers with a partial, items in it carry bin id == full_bins.
-    let full_counts: Vec<u64> = locals.iter().map(|l| l.full_bins as u64).collect();
-    let (full_prefix, total_full) = prefix_sum(net, &full_counts);
 
-    // ---- Pack the ≤ p partials (each < 1/2) along a √p tree -------------
-    let g = (p as f64).sqrt().ceil() as usize;
-    let leader = |s: usize| (s / g) * g;
-    // Up: member partial → leader.
-    let mut up: Vec<Vec<(ServerId, (usize, f64))>> = (0..p).map(|_| Vec::new()).collect();
-    for (s, l) in locals.iter().enumerate() {
-        if l.has_partial {
-            up[s].push((leader(s), (s, l.partial_weight)));
-        }
-    }
-    let at_leaders = net.exchange(up);
-    // Leaders greedily pack member partials into leader bins.
-    struct LeaderState {
-        // member server -> local leader bin
-        member_bin: Vec<(usize, usize)>,
-        full_bins: usize,
-        partial_weight: f64,
-        has_partial: bool,
-    }
-    let mut leader_states: FxHashMap<usize, LeaderState> = FxHashMap::default();
-    let mut leader_full_counts = vec![0u64; p];
-    for (s, mut entries) in at_leaders.into_iter().enumerate() {
-        if entries.is_empty() {
-            continue;
-        }
-        entries.sort_unstable_by_key(|e| e.0);
-        let mut member_bin = Vec::with_capacity(entries.len());
-        let mut bin = 0usize;
-        let mut w_open = 0.0f64;
-        for (member, w) in entries {
-            if w_open + w > 1.0 {
-                bin += 1;
-                w_open = 0.0;
-            }
-            w_open += w;
-            member_bin.push((member, bin));
-        }
-        let has_partial = w_open > 0.0 && w_open < 0.5;
-        let full_bins = if has_partial { bin } else { bin + 1 };
-        leader_full_counts[s] = full_bins as u64;
-        leader_states.insert(
-            s,
-            LeaderState {
-                member_bin,
-                full_bins,
-                partial_weight: if has_partial { w_open } else { 0.0 },
-                has_partial,
-            },
-        );
-    }
-    let (leader_prefix, total_leader_full) = prefix_sum(net, &leader_full_counts);
-    // Up: leader partial → root (server 0).
-    let mut up2: Vec<Vec<(ServerId, (usize, f64))>> = (0..p).map(|_| Vec::new()).collect();
-    for (&s, st) in &leader_states {
-        if st.has_partial {
-            up2[s].push((0, (s, st.partial_weight)));
-        }
-    }
-    let at_root = net.exchange(up2);
-    // Root packs leader partials into root bins.
-    let mut root_assign: FxHashMap<usize, usize> = FxHashMap::default();
-    let mut root_bins = 0usize;
-    {
-        let mut entries = at_root.into_iter().next().unwrap_or_default();
-        entries.sort_unstable_by_key(|e| e.0);
-        let mut w_open = 0.0f64;
-        for (leader_id, w) in entries {
-            if w_open + w > 1.0 {
-                root_bins += 1;
-                w_open = 0.0;
-            }
-            w_open += w;
-            root_assign.insert(leader_id, root_bins);
-        }
-        if w_open > 0.0 {
-            root_bins += 1;
-        }
-    }
-    // Down: root → leaders (their partial's root bin id, absolute).
-    let mut down1: Vec<Vec<(ServerId, u64)>> = (0..p).map(|_| Vec::new()).collect();
-    for (&leader_id, &bin) in &root_assign {
-        let abs = total_full + total_leader_full + bin as u64;
-        down1[0].push((leader_id, abs));
-    }
-    let leader_partial_ids = net.exchange(down1);
-    // Down: leaders → members with each member partial's absolute bin id.
-    let mut down2: Vec<Vec<(ServerId, u64)>> = (0..p).map(|_| Vec::new()).collect();
-    for (s, st) in &leader_states {
-        let own_partial_abs = leader_partial_ids[*s].first().copied();
-        for &(member, bin) in &st.member_bin {
-            let abs = if bin < st.full_bins {
-                total_full + leader_prefix[*s] + bin as u64
-            } else {
-                own_partial_abs.expect("leader with partial got a root id")
-            };
-            down2[*s].push((member, abs));
-        }
-    }
-    let member_partial_ids = net.exchange(down2);
+    // ---- Number every bin at the coordinator ----------------------------
+    let reports: Vec<(u64, Option<f64>)> = locals
+        .iter()
+        .map(|l| (l.full_bins as u64, l.partial_weight))
+        .collect();
+    let ids = coordinate(net, reports, number_bins);
+    let n_groups = ids[0].2;
 
     // ---- Final local tagging --------------------------------------------
-    let mut out_parts: Vec<Vec<(T, u64)>> = Vec::with_capacity(p);
-    for (s, l) in locals.into_iter().enumerate() {
-        let partial_abs = member_partial_ids[s].first().copied();
-        let base = full_prefix[s];
-        let mut part = Vec::with_capacity(l.tagged.len());
-        for (item, bin) in l.tagged {
-            let abs = if l.has_partial && bin == l.full_bins {
-                partial_abs.expect("member partial got an id")
-            } else {
-                base + bin as u64
-            };
-            part.push((item, abs));
-        }
-        out_parts.push(part);
-    }
-    let n_groups = total_full + total_leader_full + root_bins as u64;
+    let out_parts: Vec<Vec<(T, u64)>> = locals
+        .into_iter()
+        .zip(ids)
+        .map(|(l, (base, partial_id, _))| {
+            l.tagged
+                .into_iter()
+                .map(|(item, bin)| match partial_id {
+                    Some(id) if bin == l.full_bins => (item, id),
+                    _ => (item, base + bin as u64),
+                })
+                .collect()
+        })
+        .collect();
     Packing {
         items: Partitioned::from_parts(out_parts),
         n_groups,
     }
 }
 
+/// The coordinator's half of [`parallel_packing`]. From each server's
+/// `(full bins, partial weight)` report, in server order, computes that
+/// server's first full-bin id, its partial's bin id and the bin count.
+///
+/// Bins are numbered in three blocks: the servers' full bins (in server
+/// order), then the full bins of the sets of `⌈√p⌉` consecutive servers
+/// that greedily pack their members' partials, then the bins into which the
+/// sets' own partials (each < 1/2) are greedily packed.
+fn number_bins(reports: Vec<(u64, Option<f64>)>) -> Vec<(u64, Option<u64>, u64)> {
+    let p = reports.len();
+    let g = (p as f64).sqrt().ceil() as usize;
+    let n_sets = p.div_ceil(g);
+    // Level 1: each set packs its members' partials in server order; its
+    // last bin is the set's own partial when below 1/2.
+    let mut member_bin = vec![0u64; p];
+    let mut set_full = vec![0u64; n_sets];
+    let mut set_partial: Vec<Option<f64>> = vec![None; n_sets];
+    for set in 0..n_sets {
+        let mut bin = 0u64;
+        let mut w_open = 0.0f64;
+        for s in set * g..((set + 1) * g).min(p) {
+            let Some(w) = reports[s].1 else { continue };
+            if w_open + w > 1.0 {
+                bin += 1;
+                w_open = 0.0;
+            }
+            w_open += w;
+            member_bin[s] = bin;
+        }
+        // Weights are positive, so w_open > 0 iff the set saw a partial.
+        if w_open > 0.0 && w_open < 0.5 {
+            set_full[set] = bin;
+            set_partial[set] = Some(w_open);
+        } else if w_open > 0.0 {
+            set_full[set] = bin + 1;
+        }
+    }
+    // Level 2: the sets' partials, in set order.
+    let mut root_bin = vec![0u64; n_sets];
+    let mut root_bins = 0u64;
+    let mut w_open = 0.0f64;
+    for (set, partial) in set_partial.iter().enumerate() {
+        let Some(w) = *partial else { continue };
+        if w_open + w > 1.0 {
+            root_bins += 1;
+            w_open = 0.0;
+        }
+        w_open += w;
+        root_bin[set] = root_bins;
+    }
+    if w_open > 0.0 {
+        root_bins += 1;
+    }
+
+    let total_full: u64 = reports.iter().map(|r| r.0).sum();
+    let total_set_full: u64 = set_full.iter().sum();
+    let n_bins = total_full + total_set_full + root_bins;
+    let mut set_base = Vec::with_capacity(n_sets);
+    let mut run = total_full;
+    for &full in &set_full {
+        set_base.push(run);
+        run += full;
+    }
+    let mut base = 0u64;
+    reports
+        .into_iter()
+        .enumerate()
+        .map(|(s, (full, partial))| {
+            let set = s / g;
+            let partial_id = partial.map(|_| {
+                if member_bin[s] < set_full[set] {
+                    set_base[set] + member_bin[s]
+                } else {
+                    total_full + total_set_full + root_bin[set]
+                }
+            });
+            base += full;
+            (base - full, partial_id, n_bins)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fxhash::FxHashMap;
     use aj_mpc::Cluster;
 
     fn check_invariants(weights: &[(u64, f64)], packing: &Packing<u64>) {
@@ -393,23 +375,5 @@ mod tests {
             })
             .collect();
         assert_eq!(got, PINNED);
-    }
-
-    #[test]
-    fn control_load_is_sublinear() {
-        let p = 64;
-        let mut cluster = Cluster::new(p);
-        {
-            let mut net = cluster.net();
-            let tagged: Vec<(u64, f64)> = (0..p as u64).map(|i| (i, 0.05)).collect();
-            let parts = Partitioned::distribute(tagged, p);
-            parallel_packing(&mut net, parts);
-        }
-        // Tree fanout √64 = 8 → loads stay O(√p).
-        assert!(
-            cluster.stats().max_load <= 16,
-            "load {}",
-            cluster.stats().max_load
-        );
     }
 }

@@ -1,91 +1,68 @@
-//! Prefix sums and broadcast over per-server control values.
+//! Control-plane aggregation: one gather to a coordinator, one scatter back.
 //!
-//! Implemented with a two-level √p-fanout tree so no server receives more
-//! than `O(√p)` control units in a round (the BSP prefix-sums of Goodrich et
-//! al. cited by the paper achieve `O(1)` rounds similarly).
+//! Every server sends one control item to server 0, which computes the
+//! answers locally and sends one item back to each server: 2 rounds, `2p`
+//! units, load `p` at the coordinator and 1 elsewhere. `O(p)` control units
+//! at one server stay within the `O(IN/p)` load whenever `IN ≥ p²` (the
+//! paper assumes `IN ≥ p^{1+ε}`), which holds in every experiment regime
+//! (see ARCHITECTURE.md).
 
 use aj_mpc::{Net, ServerId, Wire};
+
+/// One control-plane aggregation: server `s` sends `items[s]` to the
+/// coordinator (server 0), which applies `f` to all `p` items in server
+/// order and sends `f(..)[s]` back to server `s`. Returns the replies,
+/// indexed by server.
+///
+/// Rounds: 2; units: `2p`; load: `p` at the coordinator, 1 elsewhere.
+///
+/// # Panics
+/// Panics if `items` or the replies of `f` do not hold one entry per server.
+pub fn coordinate<T: Send + Wire, U: Send + Wire>(
+    net: &mut Net,
+    items: Vec<T>,
+    f: impl FnOnce(Vec<T>) -> Vec<U>,
+) -> Vec<U> {
+    let p = net.p();
+    assert_eq!(items.len(), p, "one control item per server");
+    let up: Vec<Vec<(ServerId, T)>> = items.into_iter().map(|item| vec![(0, item)]).collect();
+    let replies = f(net.exchange(up).swap_remove(0));
+    assert_eq!(replies.len(), p, "one reply per server");
+    let mut down: Vec<Vec<(ServerId, U)>> = (0..p).map(|_| Vec::new()).collect();
+    down[0] = replies.into_iter().enumerate().collect();
+    net.exchange(down)
+        .into_iter()
+        .map(|mut got| got.pop().expect("the coordinator replies to every server"))
+        .collect()
+}
 
 /// Exclusive prefix sums: server `s` contributed `values[s]`; the result at
 /// index `s` is `values\[0\] + … + values[s-1]`, available to server `s`.
 /// Also returns the grand total (available to every server).
 ///
-/// Rounds: 4; load `O(√p)` control units.
+/// One [`coordinate`] call: 2 rounds, `2p` units, load `p`.
 pub fn prefix_sum(net: &mut Net, values: &[u64]) -> (Vec<u64>, u64) {
-    let p = net.p();
-    assert_eq!(values.len(), p);
-    let g = (p as f64).sqrt().ceil() as usize; // group size
-    let leader = |s: usize| (s / g) * g;
-    // Up 1: members → group leader.
-    let mut up1: Vec<Vec<(ServerId, (usize, u64))>> = (0..p).map(|_| Vec::new()).collect();
-    for s in 0..p {
-        up1[s].push((leader(s), (s, values[s])));
-    }
-    let at_leaders = net.exchange(up1);
-    // Leaders compute group totals; up 2: leaders → root (server 0).
-    let mut group_members: Vec<Vec<(usize, u64)>> = (0..p).map(|_| Vec::new()).collect();
-    let mut up2: Vec<Vec<(ServerId, (usize, u64))>> = (0..p).map(|_| Vec::new()).collect();
-    for (s, mut entries) in at_leaders.into_iter().enumerate() {
-        if entries.is_empty() {
-            continue;
-        }
-        entries.sort_unstable_by_key(|e| e.0);
-        let total: u64 = entries.iter().map(|e| e.1).sum();
-        group_members[s] = entries;
-        up2[s].push((0, (s, total)));
-    }
-    let at_root = net.exchange(up2);
-    // Root computes exclusive prefixes of group totals; down 1: root → leaders.
-    let mut down1: Vec<Vec<(ServerId, (u64, u64))>> = (0..p).map(|_| Vec::new()).collect();
-    {
-        let mut groups = at_root.into_iter().next().unwrap_or_default();
-        groups.sort_unstable_by_key(|e| e.0);
-        let grand_total: u64 = groups.iter().map(|e| e.1).sum();
+    let replies = coordinate(net, values.to_vec(), |values| {
+        let total: u64 = values.iter().sum();
         let mut running = 0u64;
-        for (leader_id, total) in groups {
-            down1[0].push((leader_id, (running, grand_total)));
-            running += total;
-        }
-    }
-    let at_leaders2 = net.exchange(down1);
-    // Down 2: leaders → members with each member's exclusive prefix.
-    let mut down2: Vec<Vec<(ServerId, (u64, u64))>> = (0..p).map(|_| Vec::new()).collect();
-    for (s, base) in at_leaders2.into_iter().enumerate() {
-        let Some(&(group_base, grand_total)) = base.first() else {
-            continue;
-        };
-        let mut running = group_base;
-        for &(member, v) in &group_members[s] {
-            down2[s].push((member, (running, grand_total)));
-            running += v;
-        }
-    }
-    let finals = net.exchange(down2);
-    let mut prefixes = vec![0u64; p];
-    let mut grand = 0u64;
-    for (s, msgs) in finals.into_iter().enumerate() {
-        if let Some(&(pre, total)) = msgs.first() {
-            prefixes[s] = pre;
-            grand = total;
-        }
-    }
-    (prefixes, grand)
-}
-
-/// Broadcast one value from server `src` to all servers (1 unit received
-/// each). Returns the value for convenience.
-pub fn broadcast_value<T: Clone + Send + Wire>(net: &mut Net, src: ServerId, value: T) -> T {
-    let got = net.broadcast(src, vec![value]);
-    got.into_iter()
-        .next()
-        .and_then(|mut v| v.pop())
-        .expect("broadcast delivers to server 0")
+        values
+            .into_iter()
+            .map(|v| {
+                let pre = running;
+                running += v;
+                (pre, total)
+            })
+            .collect()
+    });
+    let total = replies[0].1;
+    (replies.into_iter().map(|r| r.0).collect(), total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aj_mpc::Cluster;
+    use crate::parallel_packing;
+    use aj_mpc::{Cluster, Partitioned, Stats};
 
     #[test]
     fn prefix_matches_sequential() {
@@ -105,29 +82,44 @@ mod tests {
         }
     }
 
+    /// The control-plane contract: `coordinate`, `prefix_sum` and
+    /// `parallel_packing` each cost exactly one gather and one scatter —
+    /// 2 exchanges, `2p` units, load at most `p`.
     #[test]
-    fn prefix_load_is_sqrt_p() {
-        let p = 64;
-        let mut cluster = Cluster::new(p);
-        {
-            let mut net = cluster.net();
-            let values = vec![1u64; p];
-            prefix_sum(&mut net, &values);
+    fn control_plane_is_one_gather_and_one_scatter() {
+        fn measure(p: usize, run: impl FnOnce(&mut Net)) -> Stats {
+            let mut cluster = Cluster::new(p);
+            run(&mut cluster.net());
+            cluster.stats().clone()
         }
-        // √64 = 8 members per leader, 8 leaders at root.
-        assert!(
-            cluster.stats().max_load <= 2 * 8,
-            "load {} too high",
-            cluster.stats().max_load
-        );
-    }
-
-    #[test]
-    fn broadcast_reaches_all() {
-        let mut cluster = Cluster::new(5);
-        let mut net = cluster.net();
-        let v = broadcast_value(&mut net, 2, 99u64);
-        assert_eq!(v, 99);
-        assert_eq!(net.stats().max_load, 1);
+        for p in [1usize, 7, 8, 64] {
+            let runs = [
+                (
+                    "coordinate",
+                    measure(p, |net| {
+                        let echoed = coordinate(net, (0..p as u64).collect(), |v| v);
+                        assert_eq!(echoed, (0..p as u64).collect::<Vec<_>>());
+                    }),
+                ),
+                (
+                    "prefix_sum",
+                    measure(p, |net| {
+                        prefix_sum(net, &vec![3; p]);
+                    }),
+                ),
+                (
+                    "parallel_packing",
+                    measure(p, |net| {
+                        let items: Vec<(u64, f64)> = (0..4 * p as u64).map(|i| (i, 0.3)).collect();
+                        parallel_packing(net, Partitioned::distribute(items, p));
+                    }),
+                ),
+            ];
+            for (name, stats) in runs {
+                assert_eq!(stats.exchanges, 2, "{name} at p={p}: rounds");
+                assert_eq!(stats.total_messages, 2 * p as u64, "{name} at p={p}: units");
+                assert!(stats.max_load <= p as u64, "{name} at p={p}: load");
+            }
+        }
     }
 }

@@ -323,13 +323,19 @@ fn plan_decisions_are_pinned() {
 /// max_load]` over the shape's 21 queries. `L` cannot see extra rounds (it
 /// is a max over rounds); these sums can, so a control-plane change that
 /// adds rounds or units fails here even at equal load.
+///
+/// Before control-plane aggregation became one gather plus one scatter and
+/// Theorem 3 counted its subsets once, the rows were: star3
+/// `[210, 2267, 2250, 24057, 26]`, rh `[210, 2108, 252, 3626, 16]`,
+/// tall_flat `[399, 4979, 3396, 15941, 10]`, line3
+/// `[210, 3690, 2176, 29821, 24]`, triangle `[0, 0, 21, 2976, 45]`.
 #[test]
 fn mixed_batch_rounds_are_pinned() {
     const PINNED: [(&str, [u64; 5]); 5] = [
-        ("star3", [210, 2267, 2250, 24057, 26]),
-        ("rh", [210, 2108, 252, 3626, 16]),
-        ("tall_flat", [399, 4979, 3396, 15941, 10]),
-        ("line3", [210, 3690, 2176, 29821, 24]),
+        ("star3", [168, 2141, 1058, 15718, 26]),
+        ("rh", [168, 1982, 252, 3626, 16]),
+        ("tall_flat", [357, 4853, 2088, 12329, 10]),
+        ("line3", [168, 3564, 1568, 27541, 24]),
         ("triangle", [0, 0, 21, 2976, 45]),
     ];
     let mut engine = QueryEngine::new(8);
