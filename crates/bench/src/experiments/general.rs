@@ -48,7 +48,7 @@ const BATCH: &[(QueryShape, usize, u64)] = &[
 fn run_arm(net: &mut aj_mpc::Net, plan: Plan, q: &Query, db: &aj_relation::Database) -> Vec<Tuple> {
     let dist = distribute_db(db, net.p());
     let mut seed = 17;
-    let out = execute(net, plan, q, dist, None, &mut seed).normalized();
+    let out = execute(net, plan, q, dist, &mut seed).normalized();
     let mut tuples = out.gather_free().tuples;
     tuples.sort_unstable();
     tuples.dedup();
@@ -73,7 +73,7 @@ fn general_table() -> ExpTable {
         let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
         let ghd = Ghd::build(&q).expect("connected query");
         let cyclic = JoinClass::Cyclic;
-        let (plan, _est) = pick(cyclic, &candidates(cyclic, &q, &sizes, None, None, P));
+        let (plan, _est) = pick(cyclic, &candidates(cyclic, &q, &sizes, None, P));
         let (out_hcube, l_hcube, _) = measure(P, |net| run_arm(net, Plan::WorstCase, &q, &db));
         let (out_ghd, l_ghd, wall) = measure(P, |net| run_arm(net, Plan::Ghd, &q, &db));
         assert_eq!(

@@ -135,7 +135,26 @@ pub fn output_size_with_tree(
     db: &DistDatabase,
     seed: &mut u64,
 ) -> u64 {
-    let p = net.p();
+    let partials: Vec<u64> = count_sweep(net, tree, db, seed)
+        .iter()
+        .map(|part| part.iter().fold(0u64, |a, (_, w)| a.saturating_add(*w)))
+        .collect();
+    debug_assert_eq!(partials.len(), net.p());
+    let (_, total) = prefix_sum(net, &partials);
+    total
+}
+
+/// The bottom-up counting sweep along `tree`: every tuple starts at weight
+/// 1; each child's weights are summed per join key (one draw of `seed`
+/// each) and multiplied into the parent's matching tuples, and parent
+/// tuples without a match drop. Returns the root's surviving
+/// `(tuple, subtree count)` rows per server.
+fn count_sweep(
+    net: &mut Net,
+    tree: &aj_relation::JoinTree,
+    db: &DistDatabase,
+    seed: &mut u64,
+) -> Vec<Vec<(Tuple, u64)>> {
     // weights[e]: (tuple, weight) per server.
     let mut weights: Vec<Vec<Vec<(Tuple, u64)>>> = db
         .iter()
@@ -193,13 +212,7 @@ pub fn output_size_with_tree(
             },
         );
     }
-    let partials: Vec<u64> = weights[tree.root()]
-        .iter()
-        .map(|part| part.iter().fold(0u64, |a, (_, w)| a.saturating_add(*w)))
-        .collect();
-    debug_assert_eq!(partials.len(), p);
-    let (_, total) = prefix_sum(net, &partials);
-    total
+    std::mem::take(&mut weights[tree.root()])
 }
 
 /// Per-group output counts `|σ_{g=v} Q(R)|` for all values `v` of
@@ -217,7 +230,6 @@ pub fn count_by_group(
     let tree = q
         .join_tree()
         .expect("count_by_group requires an acyclic query");
-    let root = tree.root();
     for (i, rel) in db.iter().enumerate() {
         for a in group_attrs {
             assert!(
@@ -226,71 +238,13 @@ pub fn count_by_group(
             );
         }
     }
-    let mut weights: Vec<Vec<Vec<(Tuple, u64)>>> = db
-        .iter()
-        .map(|rel| {
-            net.run_each(|s| {
-                rel.parts[s]
-                    .iter()
-                    .map(|t| (t.clone(), 1u64))
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect();
-    for &e in &tree.order {
-        let Some(pr) = tree.parent[e] else { continue };
-        let shared: Vec<Attr> = db[e].shared_attrs(&db[pr]);
-        let epos = db[e].positions_of(&shared);
-        let ppos = db[pr].positions_of(&shared);
-        let msg_pairs = Partitioned::from_parts(net.run_local(
-            std::mem::take(&mut weights[e]),
-            |_, part: Vec<(Tuple, u64)>| {
-                part.into_iter()
-                    .map(|(t, w)| (t.project(&epos), w))
-                    .collect::<Vec<_>>()
-            },
-        ));
-        let table = sum_by_key(net, msg_pairs, next_seed(seed), |a: u64, b| {
-            a.saturating_add(b)
-        });
-        let requests = Partitioned::from_parts(net.run_each(|s| {
-            weights[pr][s]
-                .iter()
-                .map(|(t, _)| t.project(&ppos))
-                .collect::<Vec<_>>()
-        }));
-        let answers = lookup(net, &table, &requests);
-        weights[pr] = net.run_local(
-            std::mem::take(&mut weights[pr])
-                .into_iter()
-                .zip(answers)
-                .collect(),
-            |_, (mut part, ans): (Vec<(Tuple, u64)>, FxHashMap<Tuple, u64>)| {
-                // Probe by bare value slice — no per-tuple key allocation.
-                let mut key = Vec::with_capacity(ppos.len());
-                part.retain_mut(|(t, w)| {
-                    t.project_into(&ppos, &mut key);
-                    match ans.get(key.as_slice()) {
-                        Some(&m) => {
-                            *w = w.saturating_mul(m);
-                            true
-                        }
-                        None => false,
-                    }
-                });
-                part
-            },
-        );
-    }
-    let gpos = db[root].positions_of(group_attrs);
-    let grouped = Partitioned::from_parts(net.run_local(
-        std::mem::take(&mut weights[root]),
-        |_, part: Vec<(Tuple, u64)>| {
-            part.into_iter()
-                .map(|(t, w)| (t.project(&gpos), w))
-                .collect::<Vec<_>>()
-        },
-    ));
+    let roots = count_sweep(net, &tree, db, seed);
+    let gpos = db[tree.root()].positions_of(group_attrs);
+    let grouped = Partitioned::from_parts(net.run_local(roots, |_, part: Vec<(Tuple, u64)>| {
+        part.into_iter()
+            .map(|(t, w)| (t.project(&gpos), w))
+            .collect::<Vec<_>>()
+    }));
     sum_by_key(net, grouped, final_seed, |a: u64, b| a.saturating_add(b))
 }
 
@@ -368,19 +322,7 @@ pub fn join_aggregate<S: Semiring<T: Wire>>(
             .copied()
             .filter(|a| yset.contains(*a) || top.get(a) != Some(&u))
             .collect();
-        let rpos = rel.positions_of(&remaining);
-        let ann_pos = rel.attrs.len();
-        let pairs = Partitioned::from_parts(
-            rel.parts
-                .iter()
-                .map(|part| {
-                    part.iter()
-                        .map(|t| (t.project(&rpos), S::from_u64(t.get(ann_pos))))
-                        .collect()
-                })
-                .collect(),
-        );
-        let table = sum_by_key(net, pairs, next_seed(seed), S::add);
+        let table = sum_annotations::<S>(net, &rel, &remaining, next_seed(seed));
         let folded = DistRelation {
             attrs: remaining.clone(),
             parts: Partitioned::from_parts(
@@ -402,30 +344,7 @@ pub fn join_aggregate<S: Semiring<T: Wire>>(
         }
         // Fold into the parent: multiply annotations, drop misses.
         let parent = rels[pr].as_mut().expect("parent still pending");
-        let prpos = parent.positions_of(&remaining);
-        let requests = Partitioned::from_parts(
-            parent
-                .parts
-                .iter()
-                .map(|part| part.iter().map(|t| t.project(&prpos)).collect())
-                .collect(),
-        );
-        let answers = lookup(net, &table, &requests);
-        let pann = parent.attrs.len();
-        let mut key = Vec::with_capacity(prpos.len());
-        for (part, ans) in parent.parts.parts_mut().iter_mut().zip(answers) {
-            let mut next = Vec::with_capacity(part.len());
-            for t in part.drain(..) {
-                t.project_into(&prpos, &mut key);
-                if let Some(&m) = ans.get(key.as_slice()) {
-                    let w = S::mul(S::from_u64(t.get(pann)), m);
-                    let mut vals = t.values().to_vec();
-                    vals[pann] = S::to_u64(w);
-                    next.push(Tuple::new(vals));
-                }
-            }
-            *part = next;
-        }
+        multiply_or_drop::<S>(net, parent, &remaining, &table);
     }
 
     // Residual evaluation.
@@ -527,44 +446,9 @@ fn ann_reduce<S: Semiring<T: Wire>>(
         }
         let Some((e, o)) = victim else { break };
         let small = rels[e].take().expect("alive edge has a relation");
-        let ann_pos = small.attrs.len();
-        let key_pos: Vec<usize> = (0..ann_pos).collect();
-        let pairs = Partitioned::from_parts(
-            small
-                .parts
-                .iter()
-                .map(|part| {
-                    part.iter()
-                        .map(|t| (t.project(&key_pos), S::from_u64(t.get(ann_pos))))
-                        .collect()
-                })
-                .collect(),
-        );
-        let table = sum_by_key(net, pairs, next_seed(seed), S::add);
+        let table = sum_annotations::<S>(net, &small, &small.attrs, next_seed(seed));
         let big = rels[o].as_mut().expect("container edge alive");
-        let bpos = big.positions_of(&small.attrs);
-        let requests = Partitioned::from_parts(
-            big.parts
-                .iter()
-                .map(|part| part.iter().map(|t| t.project(&bpos)).collect())
-                .collect(),
-        );
-        let answers = lookup(net, &table, &requests);
-        let bann = big.attrs.len();
-        let mut key = Vec::with_capacity(bpos.len());
-        for (part, ans) in big.parts.parts_mut().iter_mut().zip(answers) {
-            let mut next = Vec::with_capacity(part.len());
-            for t in part.drain(..) {
-                t.project_into(&bpos, &mut key);
-                if let Some(&m) = ans.get(key.as_slice()) {
-                    let w = S::mul(S::from_u64(t.get(bann)), m);
-                    let mut vals = t.values().to_vec();
-                    vals[bann] = S::to_u64(w);
-                    next.push(Tuple::new(vals));
-                }
-            }
-            *part = next;
-        }
+        multiply_or_drop::<S>(net, big, &small.attrs, &table);
         alive[e] = false;
     }
     let kept: Vec<usize> = (0..q.n_edges()).filter(|&e| alive[e]).collect();
@@ -573,6 +457,57 @@ fn ann_reduce<S: Semiring<T: Wire>>(
         Query::from_parts(q.attr_names().to_vec(), edges),
         kept.into_iter().map(|e| rels[e].take().unwrap()).collect(),
     )
+}
+
+/// ⊕-sum the trailing annotation column of `rel` per projection onto `key`
+/// (one sum-by-key round).
+fn sum_annotations<S: Semiring<T: Wire>>(
+    net: &mut Net,
+    rel: &DistRelation,
+    key: &[Attr],
+    seed: u64,
+) -> OwnedTable<Tuple, S::T> {
+    let pos = rel.positions_of(key);
+    let ann = rel.attrs.len();
+    let pairs = rel.parts.iter().map(|part| {
+        part.iter()
+            .map(|t| (t.project(&pos), S::from_u64(t.get(ann))))
+            .collect()
+    });
+    sum_by_key(net, Partitioned::from_parts(pairs.collect()), seed, S::add)
+}
+
+/// Look up each tuple of `rel` in `table` by its projection onto `key`
+/// (one lookup): a hit ⊗-multiplies the entry into the tuple's trailing
+/// annotation column, a miss drops the tuple.
+fn multiply_or_drop<S: Semiring<T: Wire>>(
+    net: &mut Net,
+    rel: &mut DistRelation,
+    key: &[Attr],
+    table: &OwnedTable<Tuple, S::T>,
+) {
+    let pos = rel.positions_of(key);
+    let ann = rel.attrs.len();
+    let requests = Partitioned::from_parts(
+        rel.parts
+            .iter()
+            .map(|part| part.iter().map(|t| t.project(&pos)).collect())
+            .collect(),
+    );
+    let answers = lookup(net, table, &requests);
+    let mut probe = Vec::with_capacity(pos.len());
+    for (part, ans) in rel.parts.parts_mut().iter_mut().zip(answers) {
+        let mut next = Vec::with_capacity(part.len());
+        for t in part.drain(..) {
+            t.project_into(&pos, &mut probe);
+            if let Some(&m) = ans.get(probe.as_slice()) {
+                let mut vals = t.values().to_vec();
+                vals[ann] = S::to_u64(S::mul(S::from_u64(t.get(ann)), m));
+                next.push(Tuple::new(vals));
+            }
+        }
+        *part = next;
+    }
 }
 
 /// Re-root a join tree at `new_root`: returns the new parent array and a

@@ -30,7 +30,8 @@
 //! # Routing modes
 //!
 //! Besides the paper's exact-degree algorithm ([`binary_join`]), this module
-//! provides the one-round hash family used by the skew-aware serving path:
+//! provides the one-round hash family behind
+//! [`crate::planner::Plan::SkewHybrid`] and the `skew` experiment:
 //!
 //! * [`hash_join`] — the hash-only baseline (`h(key) mod p`), worst-case
 //!   optimal only on skew-free instances;
@@ -500,24 +501,6 @@ pub fn hybrid_hash_join(
         attrs: out_attrs,
         parts: Partitioned::from_parts(out_parts),
     }
-}
-
-/// The planner's load estimate for [`hybrid_hash_join`] on a profiled
-/// instance: `IN/p + √(OUT_heavy/p)`, where `OUT_heavy = Σ_k a_k·b_k` is
-/// the output the profiled heavy keys produce. This is the same
-/// constant-free form as the closed-form bounds in [`crate::bounds`] (the
-/// hybrid grid achieves it with the same grid constants as the paper's
-/// algorithm), so the cost model compares like with like; since
-/// `OUT_heavy ≤ OUT`, the one-round hybrid never prices above Theorem 3 on
-/// a binary join — it loses only to bounds without an output term (e.g.
-/// Yannakakis when `OUT < IN` is still priced fairly against it).
-pub fn hybrid_load_estimate(skew: &JoinSkew, in_size: u64, p: usize) -> f64 {
-    let out_heavy: u64 = skew
-        .merged_keys()
-        .iter()
-        .map(|&(_, a, b)| a.saturating_mul(b))
-        .sum();
-    in_size as f64 / p as f64 + (out_heavy as f64 / p as f64).sqrt()
 }
 
 /// Grid directive for one heavy key: cells `cell0 .. cell0 + rows·cols` in
@@ -1082,24 +1065,6 @@ mod tests {
             out.gather_free().tuples,
             vec![Tuple::from([1, 5, 9, 77, 88])]
         );
-    }
-
-    /// The load estimate adds exactly the heavy output term, so a profiled
-    /// heavy key raises the estimate above the skew-free one, and an empty
-    /// profile estimates the pure `IN/p` of hash routing.
-    #[test]
-    fn hybrid_load_estimate_tracks_profile() {
-        use aj_relation::skew::SkewProfile;
-        let flat = hybrid_load_estimate(&JoinSkew::empty(1), 1600, 8);
-        assert_eq!(flat, 200.0);
-        let skewed = JoinSkew {
-            left: SkewProfile::from_counts(1, 800, vec![(Tuple::from([7u64]), 600)]),
-            right: SkewProfile::from_counts(1, 800, vec![(Tuple::from([7u64]), 600)]),
-        };
-        let est = hybrid_load_estimate(&skewed, 1600, 8);
-        // IN/p + √(600·600/8)
-        assert!((est - (200.0 + (360_000.0f64 / 8.0).sqrt())).abs() < 1e-9);
-        assert!(est > flat);
     }
 
     #[test]

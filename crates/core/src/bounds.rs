@@ -1,8 +1,8 @@
 //! Bound formulas from the paper, as computable functions: the per-instance
-//! lower bound `L_instance` (Eq. (2)), the Cartesian bound (Eq. (1)), the
-//! output-optimal closed forms of Theorem 4 / Corollary 1, the line-3 lower
-//! bound (Theorem 6), and the baseline bounds the experiments compare
-//! against.
+//! lower bound `L_instance` (Eq. (2); the tests check it against the
+//! Cartesian bound, Eq. (1)), the output-optimal closed forms of Theorem 4 /
+//! Corollary 1, the line-3 lower bound (Theorem 6), and the baseline bounds
+//! the experiments compare against.
 
 use aj_relation::{ram, Database, EdgeSet, Query};
 
@@ -23,26 +23,6 @@ pub fn l_instance(q: &Query, db: &Database, p: usize) -> f64 {
         .zip(sizes)
         .map(|(s, c)| (c as f64 / p as f64).powf(1.0 / s.len() as f64))
         .fold(0f64, f64::max)
-}
-
-/// Eq. (1): the Cartesian-product instance bound
-/// `max_S (Π_{i∈S} N_i/p)^{1/|S|}`.
-pub fn l_cartesian(sizes: &[u64], p: usize) -> f64 {
-    let m = sizes.len();
-    assert!(m <= 63);
-    let mut best = 0f64;
-    for mask in 1u64..(1 << m) {
-        let mut prod = 1f64;
-        let mut k = 0u32;
-        for (i, &n) in sizes.iter().enumerate() {
-            if (mask >> i) & 1 == 1 {
-                prod *= n as f64;
-                k += 1;
-            }
-        }
-        best = best.max((prod / p as f64).powf(1.0 / k as f64));
-    }
-    best
 }
 
 /// The MPC Yannakakis baseline bound `IN/p + OUT/p` \[2, 25\].
@@ -247,7 +227,7 @@ pub fn wc_share_cost(q: &Query, sizes: &[u64], p: usize) -> f64 {
 /// AGM-style integral bound on a join's output size: the minimum over edge
 /// covers of the product of the covering relations' sizes (the integral
 /// relaxation of the AGM bound; exact enough for constant-size bags).
-pub fn min_cover_product(q: &Query, sizes: &[u64]) -> f64 {
+pub(crate) fn min_cover_product(q: &Query, sizes: &[u64]) -> f64 {
     let m = q.n_edges();
     let target = q.all_attrs();
     let mut best = f64::INFINITY;
@@ -265,8 +245,9 @@ pub fn min_cover_product(q: &Query, sizes: &[u64]) -> f64 {
 /// ([`crate::general`]): one WCOJ round per multi-edge bag (priced like
 /// [`wc_share_cost`] on the bag's sub-query) plus the acyclic finish over
 /// the materialized bags, whose shipped volume is bounded per bag by the
-/// AGM-style cover product ([`min_cover_product`]; a single-edge bag is
-/// just its relation). Compared against [`wc_share_cost`] of the whole
+/// AGM-style cover product (the smallest product of covering relation
+/// sizes over the bag's edge covers; a single-edge bag is just its
+/// relation). Compared against [`wc_share_cost`] of the whole
 /// query by [`crate::planner::choose_plan_cyclic`]: whole-query HyperCube
 /// replicates every relation across the grid dimensions it does not fix, so
 /// the GHD route wins exactly on cyclic cores with large acyclic
@@ -304,6 +285,24 @@ mod tests {
         let in_size = inst.db.input_size() as f64;
         assert!(li >= in_size / p as f64 * 0.5);
         assert!(li <= acyclic_bound(in_size as u64, inst.out, p));
+    }
+
+    /// Eq. (1): the Cartesian-product instance bound
+    /// `max_S (Π_{i∈S} N_i/p)^{1/|S|}`.
+    fn l_cartesian(sizes: &[u64], p: usize) -> f64 {
+        let mut best = 0f64;
+        for mask in 1u64..(1 << sizes.len()) {
+            let mut prod = 1f64;
+            let mut k = 0u32;
+            for (i, &n) in sizes.iter().enumerate() {
+                if (mask >> i) & 1 == 1 {
+                    prod *= n as f64;
+                    k += 1;
+                }
+            }
+            best = best.max((prod / p as f64).powf(1.0 / k as f64));
+        }
+        best
     }
 
     #[test]

@@ -55,11 +55,6 @@
 //! * **Per-view epochs** — registration and every update batch run inside
 //!   their own stats epoch ([`aj_mpc::Cluster::epoch`]), so maintenance
 //!   load is attributed exactly like per-query load on the serving path.
-//! * Binary-join views keep their [`JoinSkew`] profile **maintained**: each
-//!   batch folds its signed key counts into the profile
-//!   ([`aj_relation::SkewProfile::apply_delta`]), and a rebuild re-detects
-//!   from scratch — the profile invalidation — so heavy hitters that emerge
-//!   mid-stream are visible without extra detection rounds.
 
 use aj_primitives::FxHashMap;
 
@@ -68,17 +63,12 @@ use aj_relation::classify::{classify, JoinClass};
 use aj_relation::delta::{decode_snapshot, encode_snapshot, CountedSnapshot, UpdateBatch};
 use aj_relation::semiring::{Semiring, ZRing};
 use aj_relation::signature::QuerySignature;
-use aj_relation::skew::{JoinSkew, SkewProfile};
 use aj_relation::{Attr, Database, Edge, Query, Relation, Tuple, Value};
 
-use crate::binary::detect_join_skew;
-use crate::dist::{distribute_db, mix, DistDatabase, DistRelation};
+use crate::dist::{mix, DistDatabase, DistRelation};
 use crate::hypercube::{worst_case_shares, Shares};
 use crate::local::LocalRel;
-use crate::planner::{
-    candidates, choose_maintenance, execute, hybrid_applicable, pick, MaintenanceChoice, Plan,
-    DEFAULT_SKEW_TOP_K,
-};
+use crate::planner::{candidates, choose_maintenance, execute, pick, MaintenanceChoice, Plan};
 use crate::yannakakis::yannakakis;
 
 /// Handle of a registered view within one engine.
@@ -213,8 +203,6 @@ pub struct MaterializedView {
     /// Churn absorbed since the last full build.
     cum_delta: u64,
     rebuilds: u64,
-    /// Maintained heavy-hitter profile (binary-join views only).
-    skew: Option<JoinSkew>,
 }
 
 impl MaterializedView {
@@ -256,13 +244,6 @@ impl MaterializedView {
     /// How many times the view fell back to a full rebuild.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
-    }
-
-    /// The maintained heavy-hitter profile over the join key (binary-join
-    /// views only): updated in place by every maintained batch, re-detected
-    /// from scratch — i.e. invalidated — by every rebuild.
-    pub fn skew(&self) -> Option<&JoinSkew> {
-        self.skew.as_ref()
     }
 
     /// One-line rendering of the maintained bag tree for EXPLAIN: each
@@ -357,7 +338,6 @@ pub(crate) fn register(
         out_size: 0,
         cum_delta: 0,
         rebuilds: 0,
-        skew: None,
     };
     cluster.begin_epoch();
     build(cluster, &mut view);
@@ -366,10 +346,9 @@ pub(crate) fn register(
     view
 }
 
-/// Full build from `view.base`: bag grids, join, counted materialization,
-/// bag-tree shards, and (for binary views) skew detection. Used by
-/// registration and by the recompute fall-back; the caller wraps it in an
-/// epoch.
+/// Full build from `view.base`: bag grids, join, counted materialization
+/// and bag-tree shards. Used by registration and by the recompute
+/// fall-back; the caller wraps it in an epoch.
 fn build(cluster: &mut Cluster, view: &mut MaterializedView) {
     let p = cluster.p();
     let mut exec_seed = mix(view.seed_base, view.rebuilds);
@@ -387,21 +366,12 @@ fn build(cluster: &mut Cluster, view: &mut MaterializedView) {
             let mut join_seed = mix(exec_seed, 0x0ba6);
             yannakakis(&mut net, &bags.bag_query, bag_dist, None, &mut join_seed)
         } else {
-            execute(
-                &mut net,
-                view.plan,
-                &view.query,
-                bag_dist,
-                None,
-                &mut exec_seed,
-            )
-            .normalized()
+            execute(&mut net, view.plan, &view.query, bag_dist, &mut exec_seed).normalized()
         }
     };
     debug_assert_eq!(out.attrs, view.out_attrs);
     install_counts(cluster, view, &out.parts.into_parts(), |t| (t, 1));
     view.cache.tree = build_tree(cluster, &view.cache, &view.base, mix(exec_seed, 0x7ee5));
-    view.skew = detect_view_skew(cluster, view);
     view.cum_delta = 0;
 }
 
@@ -419,21 +389,6 @@ fn install_counts<R: Sync>(
     let received = route_to_counts(cluster, arity, view.mat_seed, rows, signed, &identity);
     merge_outputs(cluster, view, received);
     view.out_size = view.mat.iter().map(|m| m.len() as u64).sum();
-}
-
-/// Binary-join views get a heavy-hitter profile at build time.
-fn detect_view_skew(cluster: &mut Cluster, view: &MaterializedView) -> Option<JoinSkew> {
-    if !hybrid_applicable(&view.query) {
-        return None;
-    }
-    let dist = distribute_db(&view.base, cluster.p());
-    let mut net = cluster.net();
-    Some(detect_join_skew(
-        &mut net,
-        &dist[0],
-        &dist[1],
-        DEFAULT_SKEW_TOP_K,
-    ))
 }
 
 /// Decompose the view into its bag tree and place every multi-edge bag on
@@ -454,7 +409,7 @@ fn place_bags(cluster: &mut Cluster, view: &mut MaterializedView, exec_seed: u64
     let edges_of: Vec<Vec<usize>> = if view.class != JoinClass::Cyclic {
         (0..m).map(|e| vec![e]).collect()
     } else {
-        let priced = candidates(view.class, q, &sizes, None, None, p);
+        let priced = candidates(view.class, q, &sizes, None, p);
         view.plan = pick(view.class, &priced).0;
         if view.plan == Plan::Ghd {
             let ghd = aj_relation::Ghd::build(q).expect("GHD-planned view query is connected");
@@ -887,7 +842,6 @@ fn maintain(cluster: &mut Cluster, view: &mut MaterializedView, batch: &UpdateBa
         );
         merge_outputs(cluster, view, outputs);
         update_caches(cluster, &mut view.cache, e, &signed, dbag);
-        update_view_skew(view, e, batch.deltas[e].signed());
     }
 }
 
@@ -951,34 +905,6 @@ fn bag_grid_delta(
             })
             .collect()
     })
-}
-
-/// Fold a relation's signed key counts into the maintained profile.
-fn update_view_skew<'a>(
-    view: &mut MaterializedView,
-    e: usize,
-    signed: impl Iterator<Item = (&'a Tuple, i64)>,
-) {
-    let Some(skew) = view.skew.as_mut() else {
-        return;
-    };
-    let q = &view.query;
-    let mut key: Vec<Attr> = q
-        .edge(0)
-        .attrs
-        .iter()
-        .copied()
-        .filter(|a| q.edge(1).attrs.contains(a))
-        .collect();
-    key.sort_unstable();
-    let pos = q.edge(e).positions_of(&key);
-    let changes: Vec<(Tuple, i64)> = signed.map(|(t, w)| (t.project(&pos), w)).collect();
-    let side = if e == 0 {
-        &mut skew.left
-    } else {
-        &mut skew.right
-    };
-    side.apply_delta(&changes);
 }
 
 /// Spread a batch's signed rows over the servers (the free initial
@@ -1297,11 +1223,11 @@ fn update_grid_frags(
 
 /// A crash-consistent snapshot of one registered view's recoverable state:
 /// the counted materialization ([`CountedSnapshot`] — already a flat,
-/// canonically sorted buffer), the base mirror, the staleness counters the
-/// planner prices with, and the maintained skew profile. Everything a
-/// supervisor needs to rebuild the view on a respawned cluster without
-/// re-running the original join: the caches (bag grids / tree shards)
-/// are *derived* state and are reconstructed from the base during
+/// canonically sorted buffer), the base mirror, and the staleness counters
+/// the planner prices with. Everything a supervisor needs to rebuild the
+/// view on a respawned cluster without re-running the original join: the
+/// caches (bag grids / tree shards) are *derived* state and are
+/// reconstructed from the base during
 /// [`crate::engine::QueryEngine::restore`].
 ///
 /// A checkpoint is [`Wire`]-serializable (canonical flat `u64` stream), so
@@ -1313,7 +1239,6 @@ pub struct ViewCheckpoint {
     base: Database,
     cum_delta: u64,
     rebuilds: u64,
-    skew: Option<JoinSkew>,
 }
 
 impl ViewCheckpoint {
@@ -1336,24 +1261,6 @@ impl ViewCheckpoint {
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
-
-    /// The maintained skew profile, if the view keeps one.
-    pub fn skew(&self) -> Option<&JoinSkew> {
-        self.skew.as_ref()
-    }
-}
-
-fn encode_profile(p: &SkewProfile, out: &mut Vec<u64>) {
-    (p.key_arity() as u64).encode(out);
-    p.total().encode(out);
-    p.entries().to_vec().encode(out);
-}
-
-fn decode_profile(r: &mut aj_mpc::WireReader<'_>) -> SkewProfile {
-    let key_arity = u64::decode(r) as usize;
-    let total = u64::decode(r);
-    let entries: Vec<(Tuple, u64)> = Vec::decode(r);
-    SkewProfile::from_counts(key_arity, total, entries)
 }
 
 impl Wire for ViewCheckpoint {
@@ -1367,14 +1274,6 @@ impl Wire for ViewCheckpoint {
         }
         self.cum_delta.encode(out);
         self.rebuilds.encode(out);
-        match &self.skew {
-            None => 0u64.encode(out),
-            Some(s) => {
-                1u64.encode(out);
-                encode_profile(&s.left, out);
-                encode_profile(&s.right, out);
-            }
-        }
     }
 
     fn decode(r: &mut aj_mpc::WireReader<'_>) -> Self {
@@ -1387,23 +1286,11 @@ impl Wire for ViewCheckpoint {
                 Relation::new(attrs, tuples)
             })
             .collect();
-        let base = Database::new(relations);
-        let cum_delta = u64::decode(r);
-        let rebuilds = u64::decode(r);
-        let skew = match u64::decode(r) {
-            0 => None,
-            1 => Some(JoinSkew {
-                left: decode_profile(r),
-                right: decode_profile(r),
-            }),
-            tag => panic!("checkpoint: bad skew tag {tag}"),
-        };
         ViewCheckpoint {
             snapshot,
-            base,
-            cum_delta,
-            rebuilds,
-            skew,
+            base: Database::new(relations),
+            cum_delta: u64::decode(r),
+            rebuilds: u64::decode(r),
         }
     }
 }
@@ -1417,14 +1304,13 @@ pub(crate) fn checkpoint(view: &MaterializedView) -> ViewCheckpoint {
         base: view.base.clone(),
         cum_delta: view.cum_delta,
         rebuilds: view.rebuilds,
-        skew: view.skew.clone(),
     }
 }
 
 /// Restore a view from a checkpoint on a (possibly respawned) cluster: the
-/// base mirror, counters, and skew profile come straight from the
-/// checkpoint; the caches are rebuilt from the restored base with the same
-/// seed stream a fresh build at this rebuild count would use; and the
+/// base mirror and counters come straight from the checkpoint; the caches
+/// are rebuilt from the restored base with the same seed stream a fresh
+/// build at this rebuild count would use; and the
 /// counted materialization is **installed from the snapshot** — routed to
 /// its hash owners in one delta round — instead of re-running the join.
 /// Because the materialization sharding is a pure function of
@@ -1445,7 +1331,6 @@ pub(crate) fn restore(
     view.base = ckpt.base.clone();
     view.cum_delta = ckpt.cum_delta;
     view.rebuilds = ckpt.rebuilds;
-    view.skew = ckpt.skew.clone();
     cluster.begin_epoch();
     let p = cluster.p();
     let exec_seed = mix(view.seed_base, view.rebuilds);

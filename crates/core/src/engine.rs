@@ -1,10 +1,10 @@
 //! The **query engine**: a long-lived serving layer that owns one
 //! [`Cluster`] and answers a stream of `(Query, Database)` requests.
 //!
-//! Every request takes one path: an optional counting pass, optional skew
-//! detection, one priced [`candidates`] list, one [`pick`] and one
-//! [`execute`] (see [`crate::planner`]). Around it, the engine is built for
-//! sustained traffic:
+//! Every request takes one path: an optional counting pass, one priced
+//! [`candidates`] list, one [`pick`] and one [`execute`] (see
+//! [`crate::planner`]). Around it, the engine is built for sustained
+//! traffic:
 //!
 //! * **Plan cache** — structural planning artifacts (classification, join
 //!   tree) are computed once per *query shape* and cached under the
@@ -24,12 +24,6 @@
 //!   **epoch** ([`Cluster::epoch`]), so each [`QueryOutcome`] carries the
 //!   true interval loads (planning and execution separately) and the epochs
 //!   sum back to the cluster's cumulative [`aj_mpc::Stats`].
-//! * **Skew-aware serving** (opt-in, [`EngineConfig::skew_aware`]) — binary
-//!   joins are profiled by the one-pass heavy-hitter detection during
-//!   planning (charged to the planning epoch) and the profile-priced
-//!   [`Plan::SkewHybrid`] competes in plan selection; heavy keys then route
-//!   through [`crate::binary::hybrid_hash_join`]'s per-key grids instead of
-//!   a single hash bucket.
 //! * **Materialized views** ([`QueryEngine::register_view`] /
 //!   [`QueryEngine::apply_update`]) — registered queries stay exactly
 //!   materialized under signed insert/delete batches via the delta
@@ -48,14 +42,12 @@ use aj_mpc::{Cluster, EpochStats, Stats};
 use aj_obs::{Event, ObsConfig, Trace};
 use aj_relation::classify::{classify, JoinClass};
 use aj_relation::signature::QuerySignature;
-use aj_relation::skew::JoinSkew;
 use aj_relation::{Database, JoinTree, Query};
 
 use crate::aggregate::output_size_with_tree;
-use crate::binary::detect_join_skew;
 use crate::delta::{self, MaterializedView, UpdateOutcome, ViewCheckpoint, ViewId};
 use crate::dist::{distribute_db, mix};
-use crate::planner::{candidates, execute, hybrid_applicable, pick, Plan, DEFAULT_SKEW_TOP_K};
+use crate::planner::{candidates, execute, pick, Plan};
 use crate::DistRelation;
 use aj_relation::delta::UpdateBatch;
 
@@ -66,13 +58,6 @@ pub struct EngineConfig {
     /// algorithm by bound comparison. When `false`, dispatch by join class
     /// only ([`Plan::for_class`]).
     pub cost_based: bool,
-    /// On binary joins, additionally run the one-pass heavy-hitter
-    /// detection ([`crate::binary::detect_join_skew`]) during planning and
-    /// let the profile-priced [`Plan::SkewHybrid`] compete in plan
-    /// selection. Off by default: detection adds control rounds, so the
-    /// default engine's measurements stay bit-identical to earlier
-    /// versions. Requires [`EngineConfig::cost_based`].
-    pub skew_aware: bool,
     /// Base seed of the per-query seed streams.
     pub seed: u64,
 }
@@ -81,7 +66,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cost_based: true,
-            skew_aware: false,
             seed: 0x5eed_ba5e,
         }
     }
@@ -132,9 +116,6 @@ pub struct QueryOutcome {
     /// event and [`QueryEngine::explain`] render as the rejected
     /// alternatives.
     pub alternatives: Vec<(Plan, f64)>,
-    /// The heavy-hitter profile detected during planning (skew-aware
-    /// engines on binary joins only). Charged to the planning epoch.
-    pub skew: Option<JoinSkew>,
     /// The distributed join result.
     pub output: DistRelation,
     /// Loads of the planning phase (counting pass; empty epoch when
@@ -315,9 +296,7 @@ impl QueryEngine {
         // Planning phase, in its own epoch. Only acyclic queries (the ones
         // with a join tree) run the counting pass; cyclic candidates are
         // priced from the relation sizes alone, so their planning epoch
-        // stays empty. A skew-aware engine additionally profiles binary
-        // joins here — detection is planning work, so its gather/broadcast
-        // rounds are charged to the planning epoch.
+        // stays empty.
         self.cluster.begin_epoch();
         let cost_based = self.config.cost_based;
         let out_size = match &artifacts.join_tree {
@@ -328,15 +307,10 @@ impl QueryEngine {
             }
             _ => None,
         };
-        let skew =
-            (out_size.is_some() && self.config.skew_aware && hybrid_applicable(q)).then(|| {
-                let mut net = self.cluster.net();
-                detect_join_skew(&mut net, &dist[0], &dist[1], DEFAULT_SKEW_TOP_K).significant(p)
-            });
         // Price every candidate once; the pick and the reported alternatives
         // read the same list.
         let alternatives = if cost_based {
-            candidates(class, q, &sizes, out_size, skew.as_ref(), p)
+            candidates(class, q, &sizes, out_size, p)
         } else {
             Vec::new()
         };
@@ -365,7 +339,7 @@ impl QueryEngine {
         let mut exec_seed = mix(self.config.seed, fingerprint);
         let output = {
             let mut net = self.cluster.net();
-            execute(&mut net, plan, q, dist, skew.as_ref(), &mut exec_seed)
+            execute(&mut net, plan, q, dist, &mut exec_seed)
         };
         let execution = self.cluster.epoch();
         // Per-query attribution runs on epochs, not the round log; trimming
@@ -380,7 +354,6 @@ impl QueryEngine {
             out_size,
             estimated_load: est,
             alternatives,
-            skew,
             output,
             planning,
             execution,
@@ -477,11 +450,10 @@ impl QueryEngine {
         ckpt
     }
 
-    /// Restore a registered view from a checkpoint: base mirror, counters,
-    /// and skew profile from the checkpoint, caches rebuilt from the
-    /// restored base, materialization installed from the snapshot in one
-    /// delta round (no join re-run). Returns the restore pass's own stats
-    /// epoch.
+    /// Restore a registered view from a checkpoint: base mirror and
+    /// counters from the checkpoint, caches rebuilt from the restored base,
+    /// materialization installed from the snapshot in one delta round (no
+    /// join re-run). Returns the restore pass's own stats epoch.
     ///
     /// # Panics
     /// Panics on an unknown [`ViewId`] or a checkpoint whose layout does not
@@ -813,7 +785,6 @@ mod tests {
                 Plan::OutputOptimal,
                 &q,
                 distribute_db(&db, 4),
-                None,
                 &mut seed,
             );
         }
@@ -872,54 +843,6 @@ mod tests {
         assert!(outcome.alternatives.is_empty());
         assert_eq!(outcome.out_size, None);
         assert_eq!(outcome.planning.exchanges, 0);
-    }
-
-    /// A skew-aware engine profiles binary joins during planning (charged
-    /// to the planning epoch), picks the hybrid plan, stays correct, and
-    /// its epochs still reconcile with the cumulative stats.
-    #[test]
-    fn skew_aware_engine_serves_binary_joins_with_the_hybrid() {
-        let mut b = aj_relation::QueryBuilder::new();
-        b.relation("R1", &["A", "B"]);
-        b.relation("R2", &["B", "C"]);
-        let q = b.build();
-        // One heavy key (60% of each side) plus a light tail.
-        let mut rows1: Vec<Vec<u64>> = (0..120).map(|i| vec![i, 0]).collect();
-        rows1.extend((0..80).map(|i| vec![200 + i, 1 + i % 40]));
-        let mut rows2: Vec<Vec<u64>> = (0..120).map(|i| vec![0, 1000 + i]).collect();
-        rows2.extend((0..80).map(|i| vec![1 + i % 40, 2000 + i]));
-        let db = database_from_rows(&q, &[rows1, rows2]);
-        let cfg = EngineConfig {
-            skew_aware: true,
-            ..EngineConfig::default()
-        };
-        let mut engine = QueryEngine::with_cluster(Cluster::new(8), cfg);
-        let outcome = engine.run(&q, &db);
-        assert_eq!(outcome.plan, Plan::SkewHybrid);
-        let skew = outcome.skew.as_ref().expect("detection ran");
-        assert!(skew.left.is_heavy(&[0]) && skew.right.is_heavy(&[0]));
-        // Detection rounds live in the planning epoch: counting pass plus
-        // two gather/broadcast pairs.
-        assert!(outcome.planning.exchanges >= 4);
-        let (_, mut want) = ram::join(&q, &db);
-        want.sort_unstable();
-        assert_eq!(sorted(&outcome.output), want);
-        let outcomes = vec![outcome, engine.run(&q, &db)];
-        assert!(outcomes[1].cache_hit);
-        assert_eq!(outcomes[0].execution, outcomes[1].execution);
-        assert!(epochs_reconcile(&outcomes, engine.stats()));
-    }
-
-    /// The default engine never detects: no profile, no hybrid plan, so its
-    /// measurements are unchanged by the skew-aware machinery.
-    #[test]
-    fn default_engine_does_not_detect_skew() {
-        let q = line_query(3);
-        let db = line3_db(&q);
-        let mut engine = QueryEngine::new(4);
-        let outcome = engine.run(&q, &db);
-        assert!(outcome.skew.is_none());
-        assert_ne!(outcome.plan, Plan::SkewHybrid);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub(crate) fn attr_coordinate(value: u64, attr: Attr, seed: u64, share: usize) -
 
 impl Shares {
     /// Grid size = product of shares.
-    pub fn grid_size(&self) -> usize {
+    pub(crate) fn grid_size(&self) -> usize {
         self.0.iter().product()
     }
 }
@@ -66,7 +66,7 @@ impl HypercubeSkew {
     ///
     /// # Panics
     /// Panics if an `(attribute, value)` pair repeats.
-    pub fn from_entries(mut entries: Vec<(Attr, u64, usize)>) -> Self {
+    pub(crate) fn from_entries(mut entries: Vec<(Attr, u64, usize)>) -> Self {
         entries.sort_unstable();
         for w in entries.windows(2) {
             assert!(
@@ -93,7 +93,7 @@ impl HypercubeSkew {
     }
 
     /// The edge designated to partition `value` on `attr`, if heavy.
-    pub fn designee(&self, attr: Attr, value: u64) -> Option<usize> {
+    pub(crate) fn designee(&self, attr: Attr, value: u64) -> Option<usize> {
         self.heavy
             .binary_search_by(|&(a, v, _)| (a, v).cmp(&(attr, value)))
             .ok()

@@ -8,14 +8,13 @@
 
 use aj_mpc::Net;
 use aj_relation::classify::JoinClass;
-use aj_relation::skew::JoinSkew;
 use aj_relation::Query;
 
 use crate::bounds;
 use crate::dist::{next_seed, DistDatabase, DistRelation};
 
-/// Default per-server nomination budget of the heavy-hitter detection when a
-/// skew-aware plan has to derive its own profile.
+/// Per-server nomination budget of the heavy-hitter detection the
+/// [`Plan::SkewHybrid`] arm runs before it routes.
 pub const DEFAULT_SKEW_TOP_K: usize = 16;
 
 /// The chosen execution strategy.
@@ -38,11 +37,11 @@ pub enum Plan {
     /// [`crate::bounds::ghd_cost`] against whole-query HyperCube; wins on
     /// cyclic cores with acyclic appendages.
     Ghd,
-    /// Binary joins on a skew-aware engine: the one-round
+    /// Binary joins: heavy-hitter detection
+    /// ([`crate::binary::detect_join_skew`]) then the one-round
     /// [`crate::binary::hybrid_hash_join`] — light keys hash-routed, heavy
-    /// keys (from a [`JoinSkew`] profile) grid-partitioned. Load
-    /// `IN/p + O(√(OUT_heavy/p))`, estimated from the profile by
-    /// [`crate::binary::hybrid_load_estimate`].
+    /// keys grid-partitioned. Never picked by the engine; runs when a caller
+    /// names it.
     SkewHybrid,
 }
 
@@ -108,12 +107,9 @@ fn closed_form_costs(class: JoinClass, in_size: u64, out_size: u64, p: usize) ->
 /// `PlanDecision` event records as the alternatives.
 ///
 /// * Acyclic classes are priced by the closed forms at `(Σ sizes, out)`,
-///   where `out` is the exact `OUT` of the Corollary-4 counting pass. With
-///   a [`JoinSkew`] profile the one-round [`Plan::SkewHybrid`] is appended
-///   at its profile-derived estimate, which (unlike the closed forms)
-///   carries no output-redistribution term: a binary join's output never
-///   moves. Without `out` nothing can be priced and the list is empty,
-///   which [`pick`] reads as class dispatch.
+///   where `out` is the exact `OUT` of the Corollary-4 counting pass.
+///   Without `out` nothing can be priced and the list is empty, which
+///   [`pick`] reads as class dispatch.
 /// * Cyclic queries are priced from the per-relation `sizes` alone
 ///   (driver-visible metadata, so cyclic planning is communication-free):
 ///   whole-query HyperCube at worst-case-optimal shares
@@ -130,7 +126,7 @@ fn closed_form_costs(class: JoinClass, in_size: u64, out_size: u64, p: usize) ->
 /// b.relation("R2", &["B", "C"]);
 /// b.relation("R3", &["C", "D"]);
 /// let line3 = b.build();
-/// let priced = candidates(JoinClass::Acyclic, &line3, &[4000; 3], Some(64), None, 16);
+/// let priced = candidates(JoinClass::Acyclic, &line3, &[4000; 3], Some(64), 16);
 /// assert_eq!(pick(JoinClass::Acyclic, &priced).0, Plan::Yannakakis);
 ///
 /// // A bare triangle: one covering bag, HyperCube stays the answer.
@@ -139,7 +135,7 @@ fn closed_form_costs(class: JoinClass, in_size: u64, out_size: u64, p: usize) ->
 /// b.relation("R2", &["A", "C"]);
 /// b.relation("R3", &["A", "B"]);
 /// let tri = b.build();
-/// let priced = candidates(JoinClass::Cyclic, &tri, &[256; 3], None, None, 16);
+/// let priced = candidates(JoinClass::Cyclic, &tri, &[256; 3], None, 16);
 /// assert_eq!(pick(JoinClass::Cyclic, &priced).0, Plan::WorstCase);
 /// ```
 pub fn candidates(
@@ -147,7 +143,6 @@ pub fn candidates(
     q: &Query,
     sizes: &[u64],
     out: Option<u64>,
-    skew: Option<&JoinSkew>,
     p: usize,
 ) -> Vec<(Plan, f64)> {
     if class == JoinClass::Cyclic {
@@ -160,13 +155,7 @@ pub fn candidates(
     let Some(out) = out else {
         return Vec::new();
     };
-    let in_size = sizes.iter().sum();
-    let mut priced = closed_form_costs(class, in_size, out, p);
-    if let Some(profile) = skew {
-        let hybrid = crate::binary::hybrid_load_estimate(profile, in_size, p);
-        priced.push((Plan::SkewHybrid, hybrid));
-    }
-    priced
+    closed_form_costs(class, sizes.iter().sum(), out, p)
 }
 
 /// Pick the plan and its estimate from a [`candidates`] list. Starting from
@@ -199,7 +188,7 @@ pub fn choose_plan(class: JoinClass, in_size: u64, out_size: u64, p: usize) -> P
 /// [`candidates`]. Kept for `mpcbench`'s adapter, which replays the
 /// engine's phases.
 pub fn choose_plan_cyclic(q: &Query, sizes: &[u64], p: usize) -> (Plan, f64) {
-    let priced = candidates(JoinClass::Cyclic, q, sizes, None, None, p);
+    let priced = candidates(JoinClass::Cyclic, q, sizes, None, p);
     let (plan, est) = pick(JoinClass::Cyclic, &priced);
     (plan, est.unwrap_or(f64::INFINITY))
 }
@@ -314,17 +303,8 @@ pub fn choose_maintenance(
     (choice, maintain, recompute)
 }
 
-/// Can [`Plan::SkewHybrid`] serve this query? A binary join of two
-/// relations sharing at least one attribute (Cartesian pairs have no key to
-/// hash on).
-pub(crate) fn hybrid_applicable(q: &Query) -> bool {
-    matches!(q.edges(), [l, r] if l.attrs.iter().any(|a| r.attrs.contains(a)))
-}
-
-/// Run `plan` for `q` on an already-distributed database. The optional
-/// [`JoinSkew`] profile feeds the [`Plan::SkewHybrid`] arm (the engine
-/// detects during planning and passes the profile through so execution does
-/// not re-detect); without one that arm detects inline with
+/// Run `plan` for `q` on an already-distributed database. The
+/// [`Plan::SkewHybrid`] arm detects its heavy keys inline with
 /// [`DEFAULT_SKEW_TOP_K`] nominations per server.
 ///
 /// Seed discipline: every arm draws **exactly one** value from the caller's
@@ -350,7 +330,7 @@ pub(crate) fn hybrid_applicable(q: &Query) -> bool {
 /// let out = {
 ///     let mut net = cluster.net();
 ///     let mut seed = 42;
-///     execute(&mut net, Plan::InstanceOptimal, &q, distribute_db(&db, 4), None, &mut seed)
+///     execute(&mut net, Plan::InstanceOptimal, &q, distribute_db(&db, 4), &mut seed)
 /// };
 /// assert_eq!(out.total_len(), 2);
 /// assert!(cluster.stats().max_load > 0);
@@ -358,13 +338,13 @@ pub(crate) fn hybrid_applicable(q: &Query) -> bool {
 ///
 /// # Panics
 /// Panics if `plan` is [`Plan::SkewHybrid`] and `q` is not a binary join of
-/// two relations sharing at least one attribute.
+/// two relations sharing at least one attribute (Cartesian pairs have no
+/// key to hash on).
 pub fn execute(
     net: &mut Net,
     plan: Plan,
     q: &Query,
     dist: DistDatabase,
-    skew: Option<&JoinSkew>,
     seed: &mut u64,
 ) -> DistRelation {
     let mut local = next_seed(seed);
@@ -379,24 +359,19 @@ pub fn execute(
         }
         Plan::Ghd => crate::general::solve(net, q, dist, &mut local),
         Plan::SkewHybrid => {
-            assert!(hybrid_applicable(q), "the hybrid plan serves binary joins");
+            assert!(
+                matches!(q.edges(), [l, r] if l.attrs.iter().any(|a| r.attrs.contains(a))),
+                "the hybrid plan serves binary joins"
+            );
             let [left, right]: [DistRelation; 2] = dist.try_into().expect("two relations");
-            let detected;
-            let profile = match skew {
-                Some(s) => s,
-                None => {
-                    detected =
-                        crate::binary::detect_join_skew(net, &left, &right, DEFAULT_SKEW_TOP_K)
-                            .significant(net.p());
-                    &detected
-                }
-            };
-            crate::binary::hybrid_hash_join(net, left, right, profile, &mut local)
+            let skew = crate::binary::detect_join_skew(net, &left, &right, DEFAULT_SKEW_TOP_K)
+                .significant(net.p());
+            crate::binary::hybrid_hash_join(net, left, right, &skew, &mut local)
         }
     }
 }
 
-/// [`execute`] without a skew profile. Kept for `mpcbench`'s adapter, which
+/// [`execute`] under the name `mpcbench`'s adapter calls; the adapter
 /// replays the engine's phases.
 pub fn execute_plan_dist(
     net: &mut Net,
@@ -405,7 +380,7 @@ pub fn execute_plan_dist(
     dist: DistDatabase,
     seed: &mut u64,
 ) -> DistRelation {
-    execute(net, plan, q, dist, None, seed)
+    execute(net, plan, q, dist, seed)
 }
 
 #[cfg(test)]
@@ -424,7 +399,7 @@ mod tests {
         let mut seed = seed;
         let out = {
             let mut net = cluster.net();
-            execute(&mut net, plan, q, distribute_db(db, p), None, &mut seed)
+            execute(&mut net, plan, q, distribute_db(db, p), &mut seed)
         };
         let mut got = out.gather_free().tuples;
         got.sort_unstable();
@@ -442,11 +417,26 @@ mod tests {
         )
     }
 
-    /// Acyclic candidates at a known `OUT`, no profile.
+    /// A binary join where one key holds 60% of each side, plus a light
+    /// tail.
+    fn skewed_binary() -> (Query, Database) {
+        let mut b = aj_relation::QueryBuilder::new();
+        b.relation("R1", &["A", "B"]);
+        b.relation("R2", &["B", "C"]);
+        let q = b.build();
+        let mut rows1: Vec<Vec<u64>> = (0..120).map(|i| vec![i, 0]).collect();
+        rows1.extend((0..80).map(|i| vec![200 + i, 1 + i % 40]));
+        let mut rows2: Vec<Vec<u64>> = (0..120).map(|i| vec![0, 1000 + i]).collect();
+        rows2.extend((0..80).map(|i| vec![1 + i % 40, 2000 + i]));
+        let db = aj_relation::database_from_rows(&q, &[rows1, rows2]);
+        (q, db)
+    }
+
+    /// Acyclic candidates at a known `OUT`.
     fn pick_at(class: JoinClass, in_size: u64, out: u64, p: usize) -> (Plan, Option<f64>) {
         pick(
             class,
-            &candidates(class, &line_query(3), &[in_size], Some(out), None, p),
+            &candidates(class, &line_query(3), &[in_size], Some(out), p),
         )
     }
 
@@ -491,11 +481,14 @@ mod tests {
         let q_line = line_query(3);
         let db_line = line3_db(&q_line);
         let tri = aj_instancegen::fig6::generate(40, 60, 5);
+        let (q_bin, db_bin) = skewed_binary();
         let after_thm7 = run(Plan::OutputOptimal, &q_line, &db_line, 4, 1234).1;
         let after_yann = run(Plan::Yannakakis, &q_line, &db_line, 4, 1234).1;
         let after_hcube = run(Plan::WorstCase, &tri.query, &tri.db, 4, 1234).1;
+        let after_hybrid = run(Plan::SkewHybrid, &q_bin, &db_bin, 4, 1234).1;
         assert_eq!(after_thm7, after_yann);
         assert_eq!(after_yann, after_hcube);
+        assert_eq!(after_hcube, after_hybrid);
     }
 
     /// Replaying the same seed yields the identical run (result and loads).
@@ -528,50 +521,17 @@ mod tests {
         );
     }
 
-    /// The hybrid plan competes only when a profile exists, wins when its
-    /// profile-priced load beats the closed forms, and executes correctly.
+    /// The hybrid arm detects its heavy key for itself, splits it over a
+    /// grid (hash routing would put all 240 of its tuples on one server)
+    /// and matches the oracle.
     #[test]
-    fn skew_hybrid_plan_selection_and_execution() {
-        use aj_relation::skew::{JoinSkew, SkewProfile};
-        let mut b = aj_relation::QueryBuilder::new();
-        b.relation("R1", &["A", "B"]);
-        b.relation("R2", &["B", "C"]);
-        let q = b.build();
-        let class = JoinClass::TallFlat;
-        let price = |out: u64, skew: Option<&JoinSkew>| {
-            pick(class, &candidates(class, &q, &[4096], Some(out), skew, 16))
-        };
-        // No profile: the hybrid is not a candidate.
-        assert_ne!(price(1 << 20, None).0, Plan::SkewHybrid);
-        // A clean profile on a high-OUT instance: one round, no output
-        // movement — the hybrid wins.
-        let clean = JoinSkew::empty(1);
-        let (plan, est) = price(1 << 20, Some(&clean));
-        assert_eq!(plan, Plan::SkewHybrid);
-        let est = est.unwrap();
-        assert!(est >= 4096.0 / 16.0);
-        // A heavily skewed profile still wins over the hash-hostile closed
-        // forms, with a larger estimate than the clean one.
-        let skewed = JoinSkew {
-            left: SkewProfile::from_counts(1, 2048, vec![(Tuple::from([7u64]), 1500)]),
-            right: SkewProfile::from_counts(1, 2048, vec![(Tuple::from([7u64]), 1500)]),
-        };
-        assert!(price(1 << 21, Some(&skewed)).1.unwrap() > est);
-        // Execution: the hybrid arm (self-detecting) matches the oracle.
-        let db = aj_relation::database_from_rows(
-            &q,
-            &[
-                (0..60).map(|i| vec![i, i % 5]).collect(),
-                (0..40).map(|i| vec![i % 5, 100 + i]).collect(),
-            ],
-        );
+    fn skew_hybrid_plan_matches_the_oracle() {
+        let (q, db) = skewed_binary();
         let (_, mut want) = ram::join(&q, &db);
         want.sort_unstable();
-        let (got, after_hybrid, _) = run(Plan::SkewHybrid, &q, &db, 4, 99);
+        let (got, _, stats) = run(Plan::SkewHybrid, &q, &db, 8, 99);
         assert_eq!(got, want);
-        // Seed discipline: the hybrid arm advances the stream exactly like
-        // every other arm.
-        assert_eq!(after_hybrid, run(Plan::Yannakakis, &q, &db, 4, 99).1);
+        assert!(stats.max_load < 240, "L = {}", stats.max_load);
     }
 
     /// Tie-breaking and repeated attribute sets: the cyclic plan choice is
@@ -604,7 +564,7 @@ mod tests {
         b.relation("R2", &["B", "C"]);
         b.relation("R3", &["C", "A"]);
         let tri = b.build();
-        let priced = candidates(JoinClass::Cyclic, &tri, &[32, 32, 32], None, None, 8);
+        let priced = candidates(JoinClass::Cyclic, &tri, &[32, 32, 32], None, 8);
         assert_eq!(pick(JoinClass::Cyclic, &priced).0, Plan::WorstCase);
     }
 
@@ -646,7 +606,7 @@ mod tests {
         ];
         assert_eq!(pick(JoinClass::Acyclic, &tied).0, Plan::OutputOptimal);
         // Nothing priced (no OUT, or class-only dispatch): the class answer.
-        assert!(candidates(JoinClass::Acyclic, &line_query(3), &[10], None, None, 8).is_empty());
+        assert!(candidates(JoinClass::Acyclic, &line_query(3), &[10], None, 8).is_empty());
         assert_eq!(pick(JoinClass::Acyclic, &[]), (Plan::OutputOptimal, None));
         // Cyclic classes have no closed form to price at (IN, OUT).
         assert_eq!(

@@ -12,8 +12,7 @@
 //!   are drawn uniformly from the live instance;
 //! * **Zipf-skewed** (`zipf_s > 0`): both are rank-biased toward the head
 //!   of each relation/column — updates hammer the same hot region that
-//!   skewed *queries* hammer, which is exactly the stream a maintained
-//!   [`aj_relation::SkewProfile`] has to track.
+//!   skewed *queries* hammer.
 //!
 //! Like every generator in this crate, a stream is a deterministic function
 //! of its seed: the same `(query, db, parameters, seed)` regenerate the

@@ -134,11 +134,6 @@ impl FaultPlan {
             ..FaultPlan::default()
         }
     }
-
-    /// Does the plan inject anything at all?
-    pub fn is_active(&self) -> bool {
-        *self != FaultPlan::default() || self.seed != 0
-    }
 }
 
 /// Splitmix64-quality mixer (local copy; see `transport::splitmix`).
@@ -205,11 +200,6 @@ impl<T: Transport> FaultyTransport<T> {
     /// The plan this wrapper replays.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Has the plan's crash point fired?
-    pub fn crash_fired(&self) -> bool {
-        self.crashed.load(Ordering::Acquire)
     }
 
     fn lock_link(&self, from: usize, to: usize) -> std::sync::MutexGuard<'_, LinkState> {
@@ -403,7 +393,7 @@ mod tests {
             err.downcast_ref::<InjectedCrash>(),
             Some(&InjectedCrash { server: 0 })
         );
-        assert!(t.crash_fired());
+        assert!(t.crashed.load(Ordering::Acquire));
         // One-shot: the same (server, seq) send now goes through.
         t.send(0, 1, frame(5, 0, 3));
         assert_eq!(drain(&t, 1), vec![1, 3]);

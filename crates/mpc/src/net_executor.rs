@@ -278,11 +278,6 @@ impl NetExecutor {
         self.transport.as_ref()
     }
 
-    /// Is the reliable ack/retransmit protocol active?
-    pub fn is_reliable(&self) -> bool {
-        self.reliable
-    }
-
     /// Total bytes shipped across the transport so far (frame byte form,
     /// header and length prefix included — what a socket actually carries).
     /// Sum of the [`NetExecutor::wire_breakdown`] categories.

@@ -25,89 +25,6 @@ pub fn min_edge_cover(q: &Query) -> Vec<usize> {
     best.expect("every query covers itself").to_vec()
 }
 
-/// The integral edge-cover number `|C|`.
-pub fn edge_cover_number(q: &Query) -> usize {
-    min_edge_cover(q).len()
-}
-
-/// The GYO-style cover of Lemma 1's proof: repeatedly (a) drop an edge
-/// contained in another, (b) take an edge owning a private attribute into the
-/// cover and delete its attributes. For acyclic queries this produces a
-/// minimum cover whose edges each own a *unique attribute* — the property the
-/// Theorem-4 hard-instance construction relies on.
-pub fn gyo_cover(q: &Query) -> Option<Vec<usize>> {
-    if !q.is_acyclic() {
-        return None;
-    }
-    let m = q.n_edges();
-    let mut alive: Vec<bool> = vec![true; m];
-    let mut covered = AttrSet::EMPTY;
-    let mut cover = Vec::new();
-    let mut remaining: Vec<AttrSet> = q.edges().iter().map(|e| e.attr_set()).collect();
-    loop {
-        // Remove attributes already covered.
-        for s in remaining.iter_mut() {
-            *s = s.minus(covered);
-        }
-        // Drop empty or contained edges.
-        let mut changed = false;
-        for e in 0..m {
-            if !alive[e] {
-                continue;
-            }
-            if remaining[e].is_empty() {
-                alive[e] = false;
-                changed = true;
-                continue;
-            }
-            for o in 0..m {
-                if o != e
-                    && alive[o]
-                    && remaining[e].is_subset(remaining[o])
-                    && (remaining[e] != remaining[o] || e > o)
-                {
-                    alive[e] = false;
-                    changed = true;
-                    break;
-                }
-            }
-        }
-        if changed {
-            continue;
-        }
-        // Find an edge with a private (unique) attribute.
-        let mut picked = None;
-        'outer: for e in 0..m {
-            if !alive[e] {
-                continue;
-            }
-            for x in remaining[e].iter() {
-                let private = (0..m).all(|o| o == e || !alive[o] || !remaining[o].contains(x));
-                if private {
-                    picked = Some(e);
-                    break 'outer;
-                }
-            }
-        }
-        match picked {
-            Some(e) => {
-                cover.push(e);
-                covered = covered.union(q.edges()[e].attr_set());
-                alive[e] = false;
-            }
-            None => {
-                // All attributes covered?
-                if (0..m).all(|e| !alive[e]) {
-                    return Some(cover);
-                }
-                // Acyclic queries always yield a private attribute after
-                // reduction (GYO); reaching here means a bug.
-                unreachable!("GYO cover stuck on acyclic query");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,9 +44,7 @@ mod tests {
             b.relation("R3", &["C", "D"]);
         });
         // {R1, R3} covers {A,B,C,D}.
-        assert_eq!(edge_cover_number(&qq), 2);
-        let c = min_edge_cover(&qq);
-        assert_eq!(c, vec![0, 2]);
+        assert_eq!(min_edge_cover(&qq), vec![0, 2]);
     }
 
     #[test]
@@ -137,7 +52,7 @@ mod tests {
         let qq = q(|b| {
             b.relation("R", &["A", "B"]);
         });
-        assert_eq!(edge_cover_number(&qq), 1);
+        assert_eq!(min_edge_cover(&qq).len(), 1);
     }
 
     #[test]
@@ -147,58 +62,6 @@ mod tests {
             b.relation("R2", &["B"]);
             b.relation("R3", &["C"]);
         });
-        assert_eq!(edge_cover_number(&qq), 3);
-    }
-
-    /// Lemma 1 sanity: the GYO cover matches the exhaustive minimum on a
-    /// corpus of acyclic queries.
-    #[test]
-    fn gyo_cover_is_minimum_on_corpus() {
-        let corpus = vec![
-            q(|b| {
-                b.relation("R1", &["A", "B"]);
-                b.relation("R2", &["B", "C"]);
-                b.relation("R3", &["C", "D"]);
-            }),
-            q(|b| {
-                b.relation("R1", &["A"]);
-                b.relation("R2", &["A", "B"]);
-                b.relation("R3", &["B"]);
-            }),
-            q(|b| {
-                b.relation("R1", &["X", "A"]);
-                b.relation("R2", &["X", "B"]);
-                b.relation("R3", &["X", "C"]);
-            }),
-            q(|b| {
-                b.relation("R1", &["A", "B", "C"]);
-                b.relation("R2", &["C", "D"]);
-                b.relation("R3", &["D", "E", "F"]);
-                b.relation("R4", &["F", "G"]);
-            }),
-        ];
-        for qq in &corpus {
-            let g = gyo_cover(qq).expect("acyclic");
-            assert_eq!(
-                g.len(),
-                edge_cover_number(qq),
-                "GYO cover suboptimal on {qq}"
-            );
-            // Cover really covers.
-            let covered = g.iter().fold(AttrSet::EMPTY, |acc, &e| {
-                acc.union(qq.edges()[e].attr_set())
-            });
-            assert_eq!(covered, qq.all_attrs());
-        }
-    }
-
-    #[test]
-    fn gyo_cover_rejects_cyclic() {
-        let qq = q(|b| {
-            b.relation("R1", &["B", "C"]);
-            b.relation("R2", &["A", "C"]);
-            b.relation("R3", &["A", "B"]);
-        });
-        assert!(gyo_cover(&qq).is_none());
+        assert_eq!(min_edge_cover(&qq).len(), 3);
     }
 }

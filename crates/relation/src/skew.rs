@@ -11,9 +11,8 @@
 //! directives from the identical profile.
 //!
 //! [`JoinSkew`] pairs the two sides of a binary join; [`grid_split`] and
-//! [`target_cell_load`] are the pure placement math shared by the hybrid
-//! router (`aj_core::binary::hybrid_hash_join`) and the planner's cost
-//! estimate, so the estimate prices exactly the routing that will run.
+//! [`target_cell_load`] are the pure placement math of the hybrid router
+//! (`aj_core::binary::hybrid_hash_join`).
 //!
 //! ```
 //! use aj_relation::skew::{JoinSkew, SkewProfile};
@@ -128,55 +127,6 @@ impl SkewProfile {
     /// The largest recorded frequency (0 for an empty profile).
     pub fn max_count(&self) -> u64 {
         self.heavy.iter().map(|&(_, c)| c).max().unwrap_or(0)
-    }
-
-    /// Fold a batch of **signed** per-key count changes into the profile
-    /// (incremental maintenance under live updates; see `aj_core::delta`).
-    ///
-    /// * [`SkewProfile::total`] moves by the net signed sum (floored at 0);
-    /// * tracked keys have their counts adjusted, and are dropped when the
-    ///   adjusted count reaches 0;
-    /// * an untracked key with a positive net change enters the table with
-    ///   that change as its count — a *lower bound* on its true frequency,
-    ///   exactly like the counts the one-pass detection reports. This is how
-    ///   a key can cross the heavy-hitter threshold mid-stream: enough
-    ///   inserts accumulate a bound that clears [`SkewProfile::filtered`]'s
-    ///   cut without any re-detection pass.
-    ///
-    /// Deletions of untracked keys cannot go below the (unknown) true count,
-    /// so they are simply not tracked — the profile stays a table of lower
-    /// bounds throughout.
-    ///
-    /// # Panics
-    /// Panics if a changed key's arity differs from the profile's.
-    pub fn apply_delta(&mut self, changes: &[(Tuple, i64)]) {
-        let mut net: i64 = 0;
-        for (key, w) in changes {
-            assert_eq!(key.arity(), self.key_arity, "profile key arity mismatch");
-            net = net.saturating_add(*w);
-            match self
-                .heavy
-                .binary_search_by(|(k, _)| k.values().cmp(key.values()))
-            {
-                Ok(i) => {
-                    let c = self.heavy[i].1 as i64 + w;
-                    if c <= 0 {
-                        self.heavy.remove(i);
-                    } else {
-                        self.heavy[i].1 = c as u64;
-                    }
-                }
-                Err(i) if *w > 0 => {
-                    self.heavy.insert(i, (key.clone(), *w as u64));
-                }
-                Err(_) => {} // deleting below an untracked lower bound: no-op
-            }
-        }
-        self.total = if net >= 0 {
-            self.total.saturating_add(net as u64)
-        } else {
-            self.total.saturating_sub(net.unsigned_abs())
-        };
     }
 
     /// The profile restricted to keys with `count >= threshold` (the entries

@@ -80,7 +80,7 @@ proptest! {
         let want = oracle_sorted(&q, &db);
         let got = run_sorted(4, &q, &db, |net, q, dist| {
             let mut s = seed | 1;
-            planner::execute(net, Plan::for_class(classify(q)), q, dist, None, &mut s)
+            planner::execute(net, Plan::for_class(classify(q)), q, dist, &mut s)
         });
         prop_assert_eq!(got, want);
     }

@@ -185,10 +185,10 @@ fn decision_line(
 }
 
 /// Every plan decision the planner takes on fixed inputs: the mixed batch
-/// on a cost-based and a class-only engine, the skew-aware binary join,
-/// the cyclic pricing of the random connected queries `general_queries.rs`
-/// fuzzes, and the maintain-vs-recompute prices of the pinned 8-batch view
-/// streams (`incremental.rs::view_loads_are_pinned`).
+/// on a cost-based and a class-only engine, the cyclic pricing of the
+/// random connected queries `general_queries.rs` fuzzes, and the
+/// maintain-vs-recompute prices of the pinned 8-batch view streams
+/// (`incremental.rs::view_loads_are_pinned`).
 fn plan_decisions() -> Vec<String> {
     let mut lines = Vec::new();
     let batch = mixed_batch();
@@ -208,28 +208,6 @@ fn plan_decisions() -> Vec<String> {
             ));
         }
     }
-
-    let mut b = QueryBuilder::new();
-    b.relation("R1", &["A", "B"]);
-    b.relation("R2", &["B", "C"]);
-    let q = b.build();
-    let mut rows1: Vec<Vec<u64>> = (0..120).map(|i| vec![i, 0]).collect();
-    rows1.extend((0..80).map(|i| vec![200 + i, 1 + i % 40]));
-    let mut rows2: Vec<Vec<u64>> = (0..120).map(|i| vec![0, 1000 + i]).collect();
-    rows2.extend((0..80).map(|i| vec![1 + i % 40, 2000 + i]));
-    let db = acyclic_joins::relation::database_from_rows(&q, &[rows1, rows2]);
-    let cfg = EngineConfig {
-        skew_aware: true,
-        ..EngineConfig::default()
-    };
-    let mut engine = QueryEngine::with_cluster(acyclic_joins::mpc::Cluster::new(8), cfg);
-    let o = engine.run(&q, &db);
-    lines.push(decision_line(
-        "skew",
-        o.plan,
-        o.estimated_load,
-        &o.alternatives,
-    ));
 
     for seed in 0u64..100 {
         let q = randquery::random_connected_query(seed);

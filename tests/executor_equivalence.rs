@@ -81,7 +81,7 @@ proptest! {
         let ((seq_out, seq_stats), (par_out, par_stats)) =
             both_executors(4, &q, &db, |net, q, dist| {
                 let mut s = seed | 1;
-                planner::execute(net, Plan::for_class(classify(q)), q, dist, None, &mut s)
+                planner::execute(net, Plan::for_class(classify(q)), q, dist, &mut s)
             });
         let (_, mut want) = acyclic_joins::relation::ram::join(&q, &db);
         want.sort_unstable();

@@ -1,12 +1,10 @@
 //! Differential tests of the incremental-maintenance subsystem
 //! (`aj_core::delta`): for every view shape, applying a stream of random
 //! signed batches must leave a counted materialization **bit-identical** to
-//! a full recompute on the final base state — on both executors — and the
-//! maintained skew profiles must track updates and invalidate on rebuild.
+//! a full recompute on the final base state — on both executors.
 
 use aj_core::engine::QueryEngine;
 use aj_core::planner::MaintenanceChoice;
-use aj_mpc::Cluster;
 use aj_relation::delta::{CountedSnapshot, UpdateBatch};
 use aj_relation::{ram, Database, Query, Tuple};
 
@@ -300,72 +298,6 @@ fn delete_reinsert_round_trip() {
     assert_eq!(engine.view(view).snapshot(), before);
 }
 
-/// Satellite: a join key whose frequency crosses the heavy-hitter threshold
-/// mid-stream must become visible in the *maintained* profile without any
-/// re-detection, and a rebuild must re-detect (invalidate) the profile.
-#[test]
-fn view_skew_profile_crosses_threshold_and_invalidates() {
-    let p = 8usize;
-    let mut b = aj_relation::QueryBuilder::new();
-    b.relation("R1", &["A", "B"]);
-    b.relation("R2", &["B", "C"]);
-    let q = b.build();
-    // 256 light tuples per side, key domain 64: nobody near IN/p = 64.
-    let db = aj_relation::database_from_rows(
-        &q,
-        &[
-            (0..256).map(|i| vec![i, i % 64]).collect(),
-            (0..256).map(|i| vec![i % 64, 4000 + i]).collect(),
-        ],
-    );
-    let mut engine = QueryEngine::with_cluster(Cluster::new(p), Default::default());
-    let view = engine.register_view(&q, &db);
-    let skew = engine.view(view).skew().expect("binary view is profiled");
-    assert!(
-        !skew.significant(p).left.is_heavy(&[7]),
-        "key 7 must start light"
-    );
-    // Stream inserts onto key B = 7 on the left side until it crosses the
-    // fair share of the (growing) relation.
-    let mut batch = UpdateBatch::empty(2);
-    for i in 0..80u64 {
-        batch.insert(0, Tuple::from([10_000 + i, 7]));
-    }
-    let outcome = engine.apply_update(view, &batch);
-    assert_eq!(outcome.strategy, MaintenanceChoice::Maintain);
-    let skew = engine.view(view).skew().expect("still profiled");
-    assert!(
-        skew.significant(p).left.is_heavy(&[7]),
-        "key 7 crossed the threshold mid-stream: {skew:?}"
-    );
-    assert_eq!(skew.left.total(), 256 + 80);
-    // Deleting the hot tuples drops the maintained bound back below the
-    // threshold.
-    let mut back = UpdateBatch::empty(2);
-    for i in 0..80u64 {
-        back.delete(0, Tuple::from([10_000 + i, 7]));
-    }
-    engine.apply_update(view, &back);
-    let skew = engine.view(view).skew().expect("still profiled");
-    assert!(!skew.significant(p).left.is_heavy(&[7]));
-    // Invalidation on recompute: force a rebuild with an instance-sized
-    // batch and check the profile was re-detected from the actual base
-    // (fresh exact nominations, not the maintained lower bounds).
-    let rebuilds_before = engine.view(view).rebuilds();
-    let mut mirror = engine.view(view).base().clone();
-    let huge = aj_instancegen::updates::update_stream(&q, &mirror, 1, 1.0, 0.0, 3).remove(0);
-    let outcome = engine.apply_update(view, &huge);
-    huge.apply_to(&mut mirror);
-    assert_eq!(outcome.strategy, MaintenanceChoice::Recompute);
-    assert!(engine.view(view).rebuilds() > rebuilds_before);
-    let skew = engine.view(view).skew().expect("re-detected");
-    assert_eq!(
-        skew.left.total(),
-        mirror.relations[0].len() as u64,
-        "rebuild re-detects from the current base"
-    );
-}
-
 /// Per-view epochs attribute maintenance load: registration and every batch
 /// report their own interval, and the engine's cumulative stats cover them.
 #[test]
@@ -401,10 +333,12 @@ fn view_epochs_attribute_maintenance_load() {
 /// Theorem 3 counted its subsets once, the registrations were binary
 /// `[60, 65, 1594]`, line3 `[139, 43, 3105]`, star3 `[110, 133, 2353]` and
 /// ghd `[323, 384, 5352]`, and ghd's maintenance `[2584, 146, 17793]`.
+/// Before binary views stopped building a heavy-hitter profile no decision
+/// read, the binary registration was `[33, 65, 1423]`.
 #[test]
 fn view_loads_are_pinned() {
     const PINNED: [(&str, [u64; 3], [u64; 3]); 5] = [
-        ("binary", [33, 65, 1423], [48, 7, 412]),
+        ("binary", [29, 65, 1212], [48, 7, 412]),
         ("line3", [109, 43, 2995], [104, 10, 773]),
         ("star3", [55, 133, 1953], [104, 20, 1389]),
         ("triangle", [4, 16, 340], [72, 3, 308]),
@@ -551,7 +485,9 @@ fn checkpoint_restore_matches_oracle_on_every_shape() {
         // form carries everything restore needs.
         let mut words = Vec::new();
         ckpt.encode(&mut words);
-        let decoded = ViewCheckpoint::decode(&mut WireReader::new(&words));
+        let mut reader = WireReader::new(&words);
+        let decoded = ViewCheckpoint::decode(&mut reader);
+        assert!(reader.is_exhausted(), "{label}: undecoded checkpoint words");
         assert_eq!(
             decoded.snapshot(),
             ckpt.snapshot(),
@@ -560,6 +496,11 @@ fn checkpoint_restore_matches_oracle_on_every_shape() {
         assert_eq!(decoded.base(), ckpt.base(), "{label}: wire base");
         assert_eq!(decoded.cum_delta(), ckpt.cum_delta());
         assert_eq!(decoded.rebuilds(), ckpt.rebuilds());
+        // The encoding is canonical: decoding reads every word, and
+        // re-encoding the decoded copy yields the identical buffer.
+        let mut again = Vec::new();
+        decoded.encode(&mut again);
+        assert_eq!(again, words, "{label}: re-encoded checkpoint");
         engine.restore(view, &decoded);
         assert_eq!(
             engine.view(view).snapshot(),
