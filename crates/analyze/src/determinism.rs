@@ -12,9 +12,11 @@
 //!   results (then waive the site with `// aj:allow(det-map): why`).
 //! * **`wall-clock`** — `Instant`, `SystemTime`, the timed blocking
 //!   primitives (`recv_timeout`, `wait_timeout`, `park_timeout`) and
-//!   `thread::current().id()` are per-run state; outside `aj_bench` (and
-//!   test code) nothing may read them. In particular the reliable-delivery
-//!   retransmit backoff must be driven by logical step counters, not clocks.
+//!   `thread::current().id()` are per-run state; outside the timing tools
+//!   (`aj_bench`'s microbench harness and `mpcbench`, plus bench targets and
+//!   test code) nothing may read them. In particular the
+//!   reliable-delivery retransmit backoff must be driven by logical step
+//!   counters, not clocks, and `repro`'s paper record stays clock-free.
 
 use crate::report::Violation;
 use crate::source::SourceFile;
@@ -54,6 +56,14 @@ pub fn det_map(f: &SourceFile) -> Vec<Violation> {
     out
 }
 
+/// The only non-test sources that may read a clock: the wall-clock
+/// benchmark tools. `crates/bench/benches/` is bench code by location and
+/// exempt like tests.
+const TIMING_TOOLS: &[&str] = &[
+    "crates/bench/src/microbench.rs",
+    "crates/bench/src/bin/mpcbench/",
+];
+
 /// Run the `wall-clock` rule on one file.
 ///
 /// Besides the clock *types*, the rule flags the timed blocking primitives
@@ -63,7 +73,7 @@ pub fn det_map(f: &SourceFile) -> Vec<Violation> {
 /// `aj:allow(wall-clock)` waiver arguing the expiry cannot reach results.
 pub fn wall_clock(f: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
-    if f.crate_name == "aj_bench" || f.is_test_file {
+    if f.is_test_file || TIMING_TOOLS.iter().any(|t| f.rel_path.starts_with(t)) {
         return out;
     }
     // The one vetted clock sink of the observability layer: `aj_obs`
@@ -99,8 +109,8 @@ pub fn wall_clock(f: &SourceFile) -> Vec<Violation> {
             path: f.rel_path.clone(),
             line: t.line,
             message: format!(
-                "wall-clock/thread-identity source `{name}` outside aj_bench: results must not \
-                 depend on per-run state"
+                "wall-clock/thread-identity source `{name}` outside the timing tools: results \
+                 must not depend on per-run state"
             ),
         });
     }

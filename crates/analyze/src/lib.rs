@@ -10,7 +10,8 @@
 //!
 //! 1. **Determinism** ([`determinism`]) — no `std::collections::HashMap`/
 //!    `HashSet` in result-affecting crates (`det-map`), no wall-clock or
-//!    thread-identity reads outside `aj_bench` (`wall-clock`).
+//!    thread-identity reads outside the wall-clock benchmark tools
+//!    (`wall-clock`).
 //! 2. **Unsafe hygiene** ([`unsafety`]) — every `unsafe` site carries a
 //!    `// SAFETY:` comment (`safety-comment`), the committed `UNSAFETY.md`
 //!    inventory matches the code (`unsafe-inventory`), and unsafe-free

@@ -34,7 +34,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "wall-clock",
-        "Instant/SystemTime/thread::current().id() outside aj_bench: wall-clock state must not reach result-affecting code",
+        "Instant/SystemTime/thread::current().id() outside the timing tools (aj_bench's microbench, mpcbench, bench targets): wall-clock state must not reach results or the paper record",
     ),
     (
         "safety-comment",

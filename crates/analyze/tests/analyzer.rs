@@ -51,9 +51,29 @@ fn wall_clock_fixture_is_flagged() {
 }
 
 #[test]
-fn wall_clock_is_legal_in_bench() {
-    let f = SourceFile::parse("crates/bench/src/wall_clock.rs", &fixture("wall_clock.rs"));
-    assert!(per_file_rules(&f).is_empty());
+fn wall_clock_is_legal_in_the_timing_tools() {
+    for path in [
+        "crates/bench/src/microbench.rs",
+        "crates/bench/src/bin/mpcbench/x.rs",
+    ] {
+        let f = SourceFile::parse(path, &fixture("wall_clock.rs"));
+        assert!(per_file_rules(&f).is_empty(), "{path}");
+    }
+}
+
+#[test]
+fn wall_clock_is_flagged_in_the_paper_record() {
+    for path in [
+        "crates/bench/src/experiments/x.rs",
+        "crates/bench/src/jsonout.rs",
+    ] {
+        let got = flags(path, "wall_clock.rs");
+        assert_eq!(
+            got,
+            vec![("wall-clock".to_string(), 4), ("wall-clock".to_string(), 5)],
+            "{path}"
+        );
+    }
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! ```text
 //! repro                      # run everything (sequential executor)
 //! repro --parallel           # also run every measurement on the parallel
-//!                            #   executor: assert equal loads, report speedup
+//!                            #   executor: assert equal Stats and results
 //! repro --backend net        # also run every measurement on the network
 //!                            #   backend (message passing over wire frames):
-//!                            #   assert equal loads, report wire bytes
+//!                            #   assert equal Stats and results
 //! repro --backend par        # alias for --parallel; --backend seq is a no-op
 //! repro --backend net --transport uds
 //!                            # route the network backend over real
@@ -15,9 +15,8 @@
 //!                            #   in-process transport); prints a clear error
 //!                            #   if uds support is compiled out or sockets
 //!                            #   cannot be created
-//! repro --json BENCH.json    # additionally write the benchmark trajectory
-//!                            #   (per-experiment wall clocks, loads,
-//!                            #   throughput) as JSON
+//! repro --json BENCH.json    # additionally write the printed tables as
+//!                            #   JSON: the exact, byte-stable paper record
 //! repro --trace TRACE.json   # record the structured trace of every
 //!                            #   sequential measurement and write the whole
 //!                            #   run as one Chrome trace-event file
@@ -29,7 +28,7 @@
 
 use aj_bench::{
     probe_net_transport, run_experiment, set_net, set_net_uds, set_parallel, set_trace,
-    take_records, take_traces, ExperimentRun, ALL_EXPERIMENTS,
+    take_traces, ALL_EXPERIMENTS,
 };
 
 fn main() {
@@ -132,13 +131,13 @@ fn main() {
     println!("load L = max tuples received by any server in any round");
     if parallel {
         println!(
-            "parallel comparison ON: every measurement re-runs on ParExecutor (same L asserted)"
+            "parallel comparison ON: every measurement re-runs on ParExecutor (same Stats asserted)"
         );
     }
     if net {
         println!(
             "network backend ON: every measurement re-runs on NetExecutor \
-             (message passing over wire frames, same L asserted; transport: {})",
+             (message passing over wire frames, same Stats asserted; transport: {})",
             if uds { "unix-domain sockets" } else { "chan" }
         );
     }
@@ -149,28 +148,21 @@ fn main() {
         );
     }
     println!();
-    let mut runs: Vec<ExperimentRun> = Vec::new();
+    let mut runs = Vec::new();
     for id in ids {
-        let start = std::time::Instant::now();
-        let _ = take_records(); // drop cells left over from a previous experiment
-        for table in run_experiment(id) {
+        let tables = run_experiment(id);
+        for table in &tables {
             println!("{table}");
         }
-        let wall = start.elapsed();
-        eprintln!("[{id}: {wall:?}]");
-        runs.push(ExperimentRun {
-            id: id.to_string(),
-            wall_ms: wall.as_secs_f64() * 1e3,
-            cells: take_records(),
-        });
+        runs.push((id, tables));
     }
     if let Some(path) = json_path {
-        let doc = aj_bench::jsonout::render(parallel, net, &runs);
+        let doc = aj_bench::jsonout::render(&runs);
         if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(1);
         }
-        eprintln!("[benchmark trajectory written to {path}]");
+        eprintln!("[paper record written to {path}]");
     }
     if let Some(path) = trace_path {
         let traces = take_traces();

@@ -24,14 +24,12 @@
 //! * with `--parallel`, the whole batch re-runs on a [`ParExecutor`](aj_mpc::ParExecutor)-backed
 //!   engine and every per-query epoch must be bit-identical (asserted).
 
-use std::time::Instant;
-
 use aj_core::engine::{EngineConfig, QueryEngine, QueryOutcome};
 use aj_mpc::Cluster;
 use aj_relation::classify::classify;
 use aj_relation::{Database, Query};
 
-use crate::table::{fmt_f, ExpTable};
+use crate::table::ExpTable;
 
 const P: usize = 8;
 
@@ -135,13 +133,8 @@ fn dedup(mut db: Database) -> Database {
     db
 }
 
-/// Serve the whole batch on a fresh engine; returns outcomes, wall ms, and
-/// the structured-trace event count (only with `--trace`).
-fn serve(
-    batch: &[(Query, Database)],
-    cost_based: bool,
-    parallel: bool,
-) -> (Vec<QueryOutcome>, f64, Option<u64>) {
+/// Serve the whole batch on a fresh engine; returns the per-query outcomes.
+fn serve(batch: &[(Query, Database)], cost_based: bool, parallel: bool) -> Vec<QueryOutcome> {
     let cluster = if parallel {
         Cluster::new_parallel(P)
     } else {
@@ -155,23 +148,19 @@ fn serve(
     if super::trace_enabled() {
         engine.enable_tracing(aj_obs::ObsConfig::default());
     }
-    let t0 = Instant::now();
     let outcomes = engine.run_batch(batch);
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Epoch consistency: per-query epochs sum/max back to the global stats.
     assert!(
         aj_core::engine::epochs_reconcile(&outcomes, engine.stats()),
         "per-query epochs must reconcile with the cumulative stats"
     );
-    let trace_events = engine.take_trace().map(|t| {
-        let n = t.recorded();
+    if let Some(t) = engine.take_trace() {
         let planner = if cost_based { "cost" } else { "class" };
         let exec = if parallel { "par" } else { "seq" };
         super::stash_trace(format!("engine-batch-{planner}-{exec}"), t);
-        n
-    });
-    (outcomes, ms, trace_events)
+    }
+    outcomes
 }
 
 pub fn run() -> Vec<ExpTable> {
@@ -182,11 +171,10 @@ pub fn run() -> Vec<ExpTable> {
         .collect();
     let n_queries = batch.len();
 
-    let (cost, cost_ms, trace_events) = serve(&batch, true, false);
-    let (class, class_ms, _) = serve(&batch, false, false);
-
-    let par_ms = if super::parallel_enabled() {
-        let (par, ms, _) = serve(&batch, true, true);
+    let cost = serve(&batch, true, false);
+    let class = serve(&batch, false, false);
+    if super::parallel_enabled() {
+        let par = serve(&batch, true, true);
         for (a, b) in cost.iter().zip(&par) {
             assert_eq!(a.plan, b.plan, "executors disagree on the plan");
             assert_eq!(
@@ -198,25 +186,7 @@ pub fn run() -> Vec<ExpTable> {
                 "executors disagree on execution epoch"
             );
         }
-        Some(ms)
-    } else {
-        None
-    };
-    let batch_load = cost.iter().map(|o| o.execution.max_load).max().unwrap_or(0);
-    super::record(super::BenchRecord {
-        label: "query-batch".to_string(),
-        p: P,
-        max_load: batch_load,
-        units: n_queries as u64,
-        seq_ms: cost_ms,
-        par_ms,
-        net_ms: None,
-        wire_bytes: None,
-        wire_payload: None,
-        wire_retransmit: None,
-        wire_ack: None,
-        trace_events,
-    });
+    }
 
     let mut t = ExpTable::new(
         format!(
@@ -266,24 +236,5 @@ pub fn run() -> Vec<ExpTable> {
     t.note("L columns are the max per-query *execution-epoch* load of the group; cost ≤ class asserted per query.");
     t.note("hits: queries reusing cached plan artifacts (all but the first of each shape).");
 
-    let mut thr = ExpTable::new(
-        "Engine throughput (same batch, same cluster)",
-        &["planner", "queries", "ms(batch)", "queries/s"],
-    );
-    let mut row = |name: &str, ms: f64| {
-        thr.row(vec![
-            name.to_string(),
-            n_queries.to_string(),
-            fmt_f(ms),
-            fmt_f(n_queries as f64 / (ms / 1e3).max(1e-9)),
-        ]);
-    };
-    row("cost-based (seq)", cost_ms);
-    row("class-only (seq)", class_ms);
-    if let Some(ms) = par_ms {
-        row("cost-based (par)", ms);
-    }
-    thr.note("Cost-based planning adds the Corollary-4 counting pass per acyclic query (linear load, a few rounds).");
-
-    vec![t, thr]
+    vec![t]
 }

@@ -4,7 +4,7 @@
 
 use aj_core::bounds;
 
-use crate::experiments::{measure_line3, measure_yannakakis, with_wall};
+use crate::experiments::{measure_line3, measure_yannakakis, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 pub fn run() -> Vec<ExpTable> {
@@ -15,7 +15,7 @@ pub fn run() -> Vec<ExpTable> {
             "Figure 3 (one-sided): Yannakakis join order matters (IN≈{}, p={p})",
             3 * n
         ),
-        &with_wall(&[
+        &with_cost(&[
             "OUT",
             "L (R1⋈R2)⋈R3",
             "L R1⋈(R2⋈R3)",
@@ -29,7 +29,7 @@ pub fn run() -> Vec<ExpTable> {
         let in_size = inst.db.input_size() as u64;
         let (_, l_bad, _) = measure_yannakakis(p, &inst.query, &inst.db, Some(vec![0, 1, 2]));
         let (_, l_good, _) = measure_yannakakis(p, &inst.query, &inst.db, Some(vec![2, 1, 0]));
-        let (cnt, l_ours, wall) = measure_line3(p, &inst.query, &inst.db);
+        let (cnt, l_ours, cost) = measure_line3(p, &inst.query, &inst.db);
         assert_eq!(cnt as u64, inst.out);
         let mut row = vec![
             inst.out.to_string(),
@@ -39,7 +39,7 @@ pub fn run() -> Vec<ExpTable> {
             fmt_f(bounds::yannakakis_bound(in_size, inst.out, p)),
             fmt_f(bounds::acyclic_bound(in_size, inst.out, p)),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         one.row(row);
     }
     one.note(
@@ -51,7 +51,7 @@ pub fn run() -> Vec<ExpTable> {
             "Figure 3 (two-sided): no global order is good (IN≈{}, p={p})",
             6 * n
         ),
-        &with_wall(&[
+        &with_cost(&[
             "OUT",
             "L fwd order",
             "L rev order",
@@ -64,7 +64,7 @@ pub fn run() -> Vec<ExpTable> {
         let in_size = inst.db.input_size() as u64;
         let (_, l_fwd, _) = measure_yannakakis(p, &inst.query, &inst.db, Some(vec![0, 1, 2]));
         let (_, l_rev, _) = measure_yannakakis(p, &inst.query, &inst.db, Some(vec![2, 1, 0]));
-        let (cnt, l_ours, wall) = measure_line3(p, &inst.query, &inst.db);
+        let (cnt, l_ours, cost) = measure_line3(p, &inst.query, &inst.db);
         assert_eq!(cnt as u64, inst.out);
         let mut row = vec![
             inst.out.to_string(),
@@ -73,7 +73,7 @@ pub fn run() -> Vec<ExpTable> {
             l_ours.to_string(),
             fmt_f(bounds::acyclic_bound(in_size, inst.out, p)),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         two.row(row);
     }
     two.note(

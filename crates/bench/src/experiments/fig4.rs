@@ -6,7 +6,7 @@
 use aj_core::bounds;
 use aj_instancegen::fig4;
 
-use crate::experiments::{measure_line3, with_wall};
+use crate::experiments::{measure_line3, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 pub fn run() -> Vec<ExpTable> {
@@ -14,12 +14,12 @@ pub fn run() -> Vec<ExpTable> {
     let n = 768u64;
     let mut t = ExpTable::new(
         format!("Figure 4: line-3 lower-bound instance (N={n}, p={p})"),
-        &with_wall(&["τ", "OUT", "L measured", "lower bnd", "Thm5 bound", "IN/√p"]),
+        &with_cost(&["τ", "OUT", "L measured", "lower bnd", "Thm5 bound", "IN/√p"]),
     );
     for tau in [2u64, 4, 8] {
         let inst = fig4::generate(n, n * tau * tau, 42 + tau);
         let in_size = inst.db.input_size() as u64;
-        let (cnt, load, wall) = measure_line3(p, &inst.query, &inst.db);
+        let (cnt, load, cost) = measure_line3(p, &inst.query, &inst.db);
         assert_eq!(cnt as u64, inst.out);
         let lower = bounds::line3_lower_bound(in_size, inst.out, p);
         let mut row = vec![
@@ -30,7 +30,7 @@ pub fn run() -> Vec<ExpTable> {
             fmt_f(bounds::acyclic_bound(in_size, inst.out, p)),
             fmt_f(bounds::line3_worst_case(in_size, p)),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note("Measured load is sandwiched: lower bound ≤ L ≤ O(Thm5 bound).");

@@ -5,7 +5,7 @@
 use aj_instancegen::{random, shapes};
 use aj_relation::ram;
 
-use crate::experiments::{measure_acyclic, with_wall};
+use crate::experiments::{measure_acyclic, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 pub fn run() -> Vec<ExpTable> {
@@ -52,11 +52,11 @@ pub fn run() -> Vec<ExpTable> {
     let db = random::random_instance(&q, 400, 8, 99);
     let out = ram::count(&q, &db);
     let p = 16;
-    let (cnt, load, wall) = measure_acyclic(p, &q, &db);
+    let (cnt, load, cost) = measure_acyclic(p, &q, &db);
     assert_eq!(cnt as u64, out);
     let mut m = ExpTable::new(
         "Figure 5 query: measured Theorem-7 run",
-        &with_wall(&["IN", "OUT", "p", "L measured", "Thm7 bound"]),
+        &with_cost(&["IN", "OUT", "p", "L measured", "Thm7 bound"]),
     );
     let mut row = vec![
         db.input_size().to_string(),
@@ -69,7 +69,7 @@ pub fn run() -> Vec<ExpTable> {
             p,
         )),
     ];
-    row.extend(wall.cells());
+    row.extend(cost.cells());
     m.row(row);
     vec![t, m]
 }

@@ -6,7 +6,7 @@
 use aj_core::triangle;
 use aj_instancegen::fig6;
 
-use crate::experiments::{measure, with_wall};
+use crate::experiments::{measure, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 pub fn run() -> Vec<ExpTable> {
@@ -14,7 +14,7 @@ pub fn run() -> Vec<ExpTable> {
     let n = 729u64;
     let mut t = ExpTable::new(
         format!("Figure 6: triangle join, HyperCube vs Theorem-11 bound (N={n}, p={p})"),
-        &with_wall(&[
+        &with_cost(&[
             "τ=OUT/N",
             "OUT",
             "L measured",
@@ -26,7 +26,7 @@ pub fn run() -> Vec<ExpTable> {
     for tau in [1u64, 3, 9, 27] {
         let inst = fig6::generate(n, n * tau, 13 + tau);
         let in_size = inst.db.input_size() as u64;
-        let (cnt, load, wall) = measure(p, |net| {
+        let (cnt, load, cost) = measure(p, |net| {
             aj_core::triangle::solve(net, &inst.query, &inst.db, 5).total_len()
         });
         assert_eq!(cnt as u64, inst.out);
@@ -38,7 +38,7 @@ pub fn run() -> Vec<ExpTable> {
             fmt_f(triangle::lower_bound(in_size, inst.out, p)),
             fmt_f(triangle::acyclic_comparison_bound(in_size, inst.out, p)),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note("Measured HyperCube load is flat in OUT (≈ IN/p^(2/3)): output-insensitive.");

@@ -19,7 +19,7 @@ use aj_core::planner::{candidates, execute, pick, Plan};
 use aj_instancegen::randquery::{self, QueryShape};
 use aj_relation::{Ghd, JoinClass, Query, Tuple};
 
-use super::{measure, with_wall};
+use super::{measure, with_cost};
 use crate::table::ExpTable;
 
 /// Tuples drawn per relation (debug builds scale down so the experiment
@@ -61,7 +61,7 @@ fn general_table() -> ExpTable {
             "General cyclic queries: GHD bags vs whole-query HyperCube, \
              n = {N}/relation, domain = {DOMAIN}, p = {P}"
         ),
-        &with_wall(&[
+        &with_cost(&[
             "query", "m", "attrs", "bags", "w", "IN", "OUT", "L(hcube)", "L(ghd)", "ratio", "plan",
         ]),
     );
@@ -75,28 +75,13 @@ fn general_table() -> ExpTable {
         let cyclic = JoinClass::Cyclic;
         let (plan, _est) = pick(cyclic, &candidates(cyclic, &q, &sizes, None, P));
         let (out_hcube, l_hcube, _) = measure(P, |net| run_arm(net, Plan::WorstCase, &q, &db));
-        let (out_ghd, l_ghd, wall) = measure(P, |net| run_arm(net, Plan::Ghd, &q, &db));
+        let (out_ghd, l_ghd, cost) = measure(P, |net| run_arm(net, Plan::Ghd, &q, &db));
         assert_eq!(
             out_hcube, out_ghd,
             "{shape:?}#{seed:x}: the two plans must agree on the output"
         );
-        let label = format!("{shape:?}+{attachments}");
-        super::record(super::BenchRecord {
-            label: format!("general:{label}-ghd"),
-            p: P,
-            max_load: l_ghd,
-            units: out_ghd.len() as u64,
-            seq_ms: wall.seq_ms,
-            par_ms: wall.par_ms,
-            net_ms: wall.net_ms,
-            wire_bytes: wall.wire_bytes,
-            wire_payload: None,
-            wire_retransmit: None,
-            wire_ack: None,
-            trace_events: None,
-        });
         let mut row = vec![
-            label,
+            format!("{shape:?}+{attachments}"),
             q.n_edges().to_string(),
             q.n_attrs().to_string(),
             ghd.n_bags().to_string(),
@@ -108,7 +93,7 @@ fn general_table() -> ExpTable {
             format!("{:.2}", l_ghd as f64 / l_hcube as f64),
             plan.to_string(),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note(

@@ -1,25 +1,18 @@
-//! **Scaling** — wall-clock speedup of the parallel cluster executor.
+//! **Scaling** — the binary join's load across cluster sizes.
 //!
-//! Not a figure of the paper: this experiment demonstrates that the
-//! *simulation itself* scales — the per-server closures of the round API run
-//! concurrently under [`aj_mpc::ParExecutor`], so the wall-clock time of a
-//! join tracks the per-server load bound instead of the total work. Both
-//! executors must (and do) report identical loads and results; this table
-//! reports how much faster the parallel one finishes.
-//!
-//! The speedup ceiling is `min(p, cores)`: on a single-core host the column
-//! reads ≈1.0x, on a multi-core host ≥2x from `p = 8` up (the binary join's
-//! time is dominated by per-server hash-join work, which parallelizes
-//! embarrassingly).
-
-use std::time::Instant;
+//! Not a figure of the paper: one fixed binary join (fanout 12 per side,
+//! `OUT = 6·IN`) measured at `p ∈ {4, 8, 16}`, so the `L` column shows the
+//! load falling with `p`. Like every experiment it reports exact loads and
+//! costs only; with `repro --parallel` or `--backend net` each join re-runs
+//! on that executor with the same `Stats` and result asserted. The wall
+//! clock of the same instance is `mpcbench`'s `bulk_binary` workload.
 
 use aj_core::binary::binary_join;
 use aj_core::dist::distribute_db;
 use aj_relation::{database_from_rows, Database};
 
-use crate::microbench::cluster;
-use crate::table::{fmt_f, ExpTable};
+use super::{measure, with_cost};
+use crate::table::ExpTable;
 
 /// Per-side relation size (scaled down in debug builds so the experiment
 /// smoke test stays fast; `repro` release builds use the full size).
@@ -45,95 +38,25 @@ fn instance(n: u64) -> Database {
     db
 }
 
-/// Best-of-`iters` wall time of one full join on the given cluster kind;
-/// the final element is the structured-trace event count (`--trace`,
-/// sequential runs only — the trace is identical across iterations, so one
-/// copy per `p` is stashed for the Chrome export).
-fn time_join(
-    db: &Database,
-    p: usize,
-    parallel: bool,
-    iters: usize,
-) -> (usize, u64, f64, Option<u64>) {
-    let mut best = f64::INFINITY;
-    let mut out_len = 0;
-    let mut load = 0;
-    let mut trace_events = None;
-    for _ in 0..iters {
-        let mut cluster = cluster(p, parallel);
-        if !parallel && super::trace_enabled() {
-            cluster.enable_tracing(aj_obs::ObsConfig::default());
-        }
-        let t0 = Instant::now();
-        let out = {
-            let mut net = cluster.net();
-            let dist = distribute_db(db, p);
-            let mut seed = 7;
-            let mut it = dist.into_iter();
-            let left = it.next().unwrap();
-            let right = it.next().unwrap();
-            binary_join(&mut net, left, right, &mut seed)
-        };
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out_len = out.total_len();
-        load = cluster.stats().max_load;
-        if let Some(t) = cluster.take_trace() {
-            let n = t.recorded();
-            if trace_events.is_none() {
-                super::stash_trace(format!("scaling-binary-join-p{p}"), t);
-            }
-            trace_events = Some(n);
-        }
-    }
-    (out_len, load, best, trace_events)
-}
-
 pub fn run() -> Vec<ExpTable> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let db = instance(N);
-    let in_size = db.input_size();
     let mut t = ExpTable::new(
         format!(
-            "Scaling: SeqExecutor vs ParExecutor wall clock (binary join, IN={in_size}, {cores} cores)"
+            "Scaling: binary join load across p (IN={})",
+            db.input_size()
         ),
-        &["p", "OUT", "L", "ms(seq)", "ms(par)", "speedup"],
+        &with_cost(&["p", "OUT", "L"]),
     );
-    let iters = if cfg!(debug_assertions) { 1 } else { 2 };
     for p in [4usize, 8, 16] {
-        let (out_seq, load_seq, seq_ms, trace_events) = time_join(&db, p, false, iters);
-        let (out_par, load_par, par_ms, _) = time_join(&db, p, true, iters);
-        assert_eq!(out_seq, out_par, "executors disagree on the result size");
-        assert_eq!(load_seq, load_par, "executors disagree on the load");
-        super::record(super::BenchRecord {
-            label: "binary-join".to_string(),
-            p,
-            max_load: load_seq,
-            units: in_size as u64 + out_seq as u64,
-            seq_ms,
-            par_ms: Some(par_ms),
-            net_ms: None,
-            wire_bytes: None,
-            wire_payload: None,
-            wire_retransmit: None,
-            wire_ack: None,
-            trace_events,
+        let (out, load, cost) = measure(p, |net| {
+            let mut dist = distribute_db(&db, p).into_iter();
+            let (left, right) = (dist.next().unwrap(), dist.next().unwrap());
+            let mut seed = 7;
+            binary_join(net, left, right, &mut seed).total_len()
         });
-        t.row(vec![
-            p.to_string(),
-            out_seq.to_string(),
-            load_seq.to_string(),
-            fmt_f(seq_ms),
-            fmt_f(par_ms),
-            format!("{:.2}x", seq_ms / par_ms.max(1e-9)),
-        ]);
+        let mut row = vec![p.to_string(), out.to_string(), load.to_string()];
+        row.extend(cost.cells());
+        t.row(row);
     }
-    t.note(
-        "Same loads, same outputs — only wall clock changes: the executor-equivalence guarantee.",
-    );
-    t.note(format!(
-        "Speedup ceiling is min(p, cores) = min(p, {cores}); single-core hosts read ≈1.0x."
-    ));
     vec![t]
 }

@@ -6,7 +6,7 @@
 use aj_core::hypercube::{cartesian_shares, hypercube_join};
 use aj_instancegen::cartesian;
 
-use crate::experiments::{measure, with_wall};
+use crate::experiments::{measure, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 pub fn run() -> Vec<ExpTable> {
@@ -19,7 +19,7 @@ pub fn run() -> Vec<ExpTable> {
     ];
     let mut t = ExpTable::new(
         format!("Section 1.3: Cartesian skew separation (IN={in_size}, p={p})"),
-        &with_wall(&[
+        &with_cost(&[
             "instance",
             "OUT",
             "L_Cartesian (Eq. 1)",
@@ -31,7 +31,7 @@ pub fn run() -> Vec<ExpTable> {
         let (q, db) = cartesian::instance(sizes);
         let out: u64 = sizes.iter().product();
         let lower = cartesian::cartesian_lower_bound(sizes, p);
-        let (cnt, load, wall) = measure(p, |net| {
+        let (cnt, load, cost) = measure(p, |net| {
             let shares = cartesian_shares(sizes, p);
             hypercube_join(net, &q, &db, &shares, 3).total_len()
         });
@@ -45,7 +45,7 @@ pub fn run() -> Vec<ExpTable> {
             load.to_string(),
             format!("~1/{:.1}", exp),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note("Same IN, comparable OUT — but the skewed instance's Eq.(1) bound is (OUT/p)^(1/2) vs (OUT/p)^(1/3).");

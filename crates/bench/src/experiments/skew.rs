@@ -23,7 +23,7 @@ use aj_core::hypercube::{
 };
 use aj_instancegen::skew::{zipf_binary, zipf_triangle};
 
-use super::{measure, with_wall};
+use super::{measure, with_cost};
 use crate::table::ExpTable;
 
 /// Tuples per side of the binary instances (debug builds scale down so the
@@ -42,7 +42,7 @@ fn binary_table() -> ExpTable {
         format!(
             "Skew-aware binary join: Zipf(s) keys over domain {DOMAIN}, n = {N_BINARY}/side, p = {p}"
         ),
-        &with_wall(&["s", "IN", "OUT", "L(hash)", "L(detect)", "L(hybrid)", "hy/ha", "L(grid)"]),
+        &with_cost(&["s", "IN", "OUT", "L(hash)", "L(detect)", "L(hybrid)", "hy/ha", "L(grid)"]),
     );
     for (si, s) in [0.0f64, 0.8, 1.1].into_iter().enumerate() {
         let inst = zipf_binary(N_BINARY, s, DOMAIN, 0xbead + si as u64);
@@ -64,7 +64,7 @@ fn binary_table() -> ExpTable {
             let mut seed = 7;
             hash_join(net, left, right, &mut seed).total_len()
         });
-        let (out_hybrid, l_hybrid, wall) = measure(p, |net| {
+        let (out_hybrid, l_hybrid, cost) = measure(p, |net| {
             let (left, right) = sides(p);
             let mut seed = 7;
             hybrid_hash_join(net, left, right, &skew, &mut seed).total_len()
@@ -100,7 +100,7 @@ fn binary_table() -> ExpTable {
             format!("{:.2}", l_hybrid as f64 / l_hash as f64),
             l_grid.to_string(),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note(
@@ -116,7 +116,7 @@ fn triangle_table() -> ExpTable {
         format!(
             "Skew-aware HyperCube: Zipf(s) triangle vertices, n = {N_TRIANGLE}/relation, p = {p}"
         ),
-        &with_wall(&[
+        &with_cost(&[
             "s",
             "IN",
             "OUT",
@@ -152,7 +152,7 @@ fn triangle_table() -> ExpTable {
             hypercube_join_skew(net, &inst.query, dist, &shares, &HypercubeSkew::empty(), 13)
                 .total_len()
         });
-        let (out_skew, l_skew, wall) = measure(p, |net| {
+        let (out_skew, l_skew, cost) = measure(p, |net| {
             let dist = distribute_db(&inst.db, p);
             hypercube_join_skew(net, &inst.query, dist, &shares, &skew, 13).total_len()
         });
@@ -184,7 +184,7 @@ fn triangle_table() -> ExpTable {
             l_skew.to_string(),
             format!("{:.2}", l_skew as f64 / l_plain as f64),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note("Heavy vertices: the designated relation partitions across the value's dimension, the rest replicate.");

@@ -6,7 +6,7 @@ use aj_core::bounds;
 use aj_instancegen::{fig3, shapes};
 use aj_relation::{database_from_rows, ram, Database, Query};
 
-use crate::experiments::{measure_acyclic, measure_hierarchical, measure_yannakakis, with_wall};
+use crate::experiments::{measure_acyclic, measure_hierarchical, measure_yannakakis, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 fn tall_flat_instance(n: u64) -> (Query, Database) {
@@ -45,7 +45,7 @@ pub fn run() -> Vec<ExpTable> {
     let p = 16;
     let mut t = ExpTable::new(
         format!("Table 1: summary of results, measured (p={p})"),
-        &with_wall(&[
+        &with_cost(&[
             "class",
             "algorithm",
             "IN",
@@ -65,7 +65,7 @@ pub fn run() -> Vec<ExpTable> {
         let in_size = db.input_size() as u64;
         let out = ram::count(&q, &db);
         let l_inst = db.input_size() as f64 / p as f64 + bounds::l_instance(&q, &db, p);
-        let (cnt, load, wall) = measure_hierarchical(p, &q, &db);
+        let (cnt, load, cost) = measure_hierarchical(p, &q, &db);
         assert_eq!(cnt as u64, out);
         let mut row = vec![
             class.into(),
@@ -77,7 +77,7 @@ pub fn run() -> Vec<ExpTable> {
             fmt_f(l_inst),
             fmt_f(load as f64 / l_inst),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
 
@@ -85,7 +85,7 @@ pub fn run() -> Vec<ExpTable> {
     let inst = fig3::two_sided(1024, 32 * 1024);
     let in_size = inst.db.input_size() as u64;
     let bound = bounds::acyclic_bound(in_size, inst.out, p);
-    let (cnt, load, wall) = measure_acyclic(p, &inst.query, &inst.db);
+    let (cnt, load, cost) = measure_acyclic(p, &inst.query, &inst.db);
     assert_eq!(cnt as u64, inst.out);
     let mut row = vec![
         "acyclic".into(),
@@ -97,9 +97,9 @@ pub fn run() -> Vec<ExpTable> {
         fmt_f(bound),
         fmt_f(load as f64 / bound),
     ];
-    row.extend(wall.cells());
+    row.extend(cost.cells());
     t.row(row);
-    let (_, yan_load, yan_wall) = measure_yannakakis(p, &inst.query, &inst.db, None);
+    let (_, yan_load, yan_cost) = measure_yannakakis(p, &inst.query, &inst.db, None);
     let yan_bound = bounds::yannakakis_bound(in_size, inst.out, p);
     let mut row = vec![
         "acyclic".into(),
@@ -111,7 +111,7 @@ pub fn run() -> Vec<ExpTable> {
         fmt_f(yan_bound),
         fmt_f(yan_load as f64 / yan_bound),
     ];
-    row.extend(yan_wall.cells());
+    row.extend(yan_cost.cells());
     t.row(row);
 
     // Triangle row: the lower-bound formula (measured in fig6).
@@ -125,7 +125,7 @@ pub fn run() -> Vec<ExpTable> {
         "see fig6".into(),
         "—".into(),
     ];
-    row.extend(crate::experiments::Wall::na_cells());
+    row.extend(crate::experiments::Cost::na_cells());
     t.row(row);
     t.note("Every measured ratio is O(1) against its row's bound — the content of Table 1.");
     t.note("One-round vs multi-round columns: our Thm-3/5/7 implementations are multi-round (constant rounds).");

@@ -8,7 +8,7 @@ use aj_core::hypercube::{hypercube_join, worst_case_shares};
 use aj_instancegen::shapes;
 use aj_relation::{Database, Relation, Tuple};
 
-use crate::experiments::{measure, measure_hierarchical, with_wall};
+use crate::experiments::{measure, measure_hierarchical, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 /// A star-join instance R1(X,A) ⋈ R2(X,B) where a `frac` fraction of each
@@ -36,7 +36,7 @@ pub fn run() -> Vec<ExpTable> {
             "Theorem 3: instance-optimality ratio on skewed star joins (IN={}, p={p})",
             2 * n
         ),
-        &with_wall(&[
+        &with_cost(&[
             "skew",
             "OUT",
             "L_instance",
@@ -50,7 +50,7 @@ pub fn run() -> Vec<ExpTable> {
         let (q, db) = star_instance(n, frac);
         let l_inst = bounds::l_instance(&q, &db, p) + db.input_size() as f64 / p as f64;
         let out = aj_relation::ram::count(&q, &db);
-        let (cnt, load, wall) = measure_hierarchical(p, &q, &db);
+        let (cnt, load, cost) = measure_hierarchical(p, &q, &db);
         assert_eq!(cnt as u64, out);
         let (_, hc_load, _) = measure(p, |net| {
             let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
@@ -66,7 +66,7 @@ pub fn run() -> Vec<ExpTable> {
             hc_load.to_string(),
             fmt_f(hc_load as f64 / l_inst),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note("Thm3's ratio stays O(1) as skew grows; the skew-oblivious HyperCube ratio grows with the heavy value.");

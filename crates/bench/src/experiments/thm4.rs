@@ -9,7 +9,7 @@ use aj_core::bounds;
 use aj_instancegen::shapes;
 use aj_relation::{database_from_rows, ram, Database, Query};
 
-use crate::experiments::{measure_hierarchical, with_wall};
+use crate::experiments::{measure_hierarchical, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 /// The Theorem-4 tight instance on the star query R1(X,A1) ⋈ … ⋈ Rm(X,Am):
@@ -34,7 +34,7 @@ pub fn run() -> Vec<ExpTable> {
     let n = 64u64;
     let mut t = ExpTable::new(
         format!("Theorem 4: output-optimal closed form for r-hierarchical joins (star-{m}, p={p})"),
-        &with_wall(&[
+        &with_cost(&[
             "k (product arity)",
             "IN",
             "OUT",
@@ -49,7 +49,7 @@ pub fn run() -> Vec<ExpTable> {
         let (q, db) = tight_instance(m, n, k);
         let in_size = db.input_size() as u64;
         let out = ram::count(&q, &db);
-        let (cnt, load, wall) = measure_hierarchical(p, &q, &db);
+        let (cnt, load, cost) = measure_hierarchical(p, &q, &db);
         assert_eq!(cnt as u64, out);
         let b4 = bounds::theorem4_bound(in_size, out, p);
         let mut row = vec![
@@ -62,7 +62,7 @@ pub fn run() -> Vec<ExpTable> {
             fmt_f(load as f64 / b4),
             fmt_f(bounds::r_hierarchical_bound(in_size, out, p)),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note("k* tracks ⌈log_IN OUT⌉: the load exponent on OUT flattens from 1/1 to 1/k*.");

@@ -5,7 +5,7 @@
 
 use aj_core::bounds;
 
-use crate::experiments::{measure_line3, measure_yannakakis, with_wall};
+use crate::experiments::{measure_line3, measure_yannakakis, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 pub fn run() -> Vec<ExpTable> {
@@ -16,7 +16,7 @@ pub fn run() -> Vec<ExpTable> {
             "Theorem 5: line-3 load vs OUT (two-sided Fig-3 instances, IN≈{}, p={p})",
             6 * n
         ),
-        &with_wall(&[
+        &with_cost(&[
             "OUT",
             "L line-3",
             "Thm5 bound",
@@ -29,7 +29,7 @@ pub fn run() -> Vec<ExpTable> {
     for factor in [2u64, 8, 32, 128] {
         let inst = aj_instancegen::fig3::two_sided(n, n * factor);
         let in_size = inst.db.input_size() as u64;
-        let (cnt, load, wall) = measure_line3(p, &inst.query, &inst.db);
+        let (cnt, load, cost) = measure_line3(p, &inst.query, &inst.db);
         assert_eq!(cnt as u64, inst.out);
         let bound = bounds::acyclic_bound(in_size, inst.out, p);
         let (_, yan, _) = measure_yannakakis(p, &inst.query, &inst.db, None);
@@ -42,7 +42,7 @@ pub fn run() -> Vec<ExpTable> {
             fmt_f(bounds::yannakakis_bound(in_size, inst.out, p)),
             fmt_f(bounds::line3_worst_case(in_size, p)),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note("Ratio column stays O(1): load tracks IN/p + √(IN·OUT)/p, an √(OUT/IN)-factor below Yannakakis.");

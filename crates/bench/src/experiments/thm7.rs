@@ -6,7 +6,7 @@ use aj_core::bounds;
 use aj_instancegen::{line_query, random};
 use aj_relation::{database_from_rows, ram, Database, Query};
 
-use crate::experiments::{measure_acyclic, measure_yannakakis, with_wall};
+use crate::experiments::{measure_acyclic, measure_yannakakis, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 /// A line-4 instance whose middle joins fan out by `f`.
@@ -34,7 +34,7 @@ pub fn run() -> Vec<ExpTable> {
     let p = 16;
     let mut t = ExpTable::new(
         format!("Theorem 7: arbitrary acyclic joins (p={p})"),
-        &with_wall(&[
+        &with_cost(&[
             "query",
             "IN",
             "OUT",
@@ -49,7 +49,7 @@ pub fn run() -> Vec<ExpTable> {
         let (q, db) = line4_instance(512, f);
         let in_size = db.input_size() as u64;
         let out = ram::count(&q, &db);
-        let (cnt, load, wall) = measure_acyclic(p, &q, &db);
+        let (cnt, load, cost) = measure_acyclic(p, &q, &db);
         assert_eq!(cnt as u64, out);
         let bound = bounds::acyclic_bound(in_size, out, p);
         let (_, yan, _) = measure_yannakakis(p, &q, &db, None);
@@ -62,7 +62,7 @@ pub fn run() -> Vec<ExpTable> {
             fmt_f(load as f64 / bound),
             yan.to_string(),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     // The Figure-5 query on random data.
@@ -70,7 +70,7 @@ pub fn run() -> Vec<ExpTable> {
     let db5 = random::random_instance(&q5, 600, 8, 5);
     let in5 = db5.input_size() as u64;
     let out5 = ram::count(&q5, &db5);
-    let (cnt5, load5, wall5) = measure_acyclic(p, &q5, &db5);
+    let (cnt5, load5, cost5) = measure_acyclic(p, &q5, &db5);
     assert_eq!(cnt5 as u64, out5);
     let (_, yan5, _) = measure_yannakakis(p, &q5, &db5, None);
     let mut row = vec![
@@ -82,7 +82,7 @@ pub fn run() -> Vec<ExpTable> {
         fmt_f(load5 as f64 / bounds::acyclic_bound(in5, out5, p)),
         yan5.to_string(),
     ];
-    row.extend(wall5.cells());
+    row.extend(cost5.cells());
     t.row(row);
     t.note("Ratio stays O(1) across shapes; the gap to Yannakakis widens as OUT/IN grows.");
     vec![t]

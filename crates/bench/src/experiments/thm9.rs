@@ -8,7 +8,7 @@ use aj_core::dist::distribute_db;
 use aj_relation::semiring::{AnnRelation, CountRing};
 use aj_relation::{database_from_rows, Database, Query};
 
-use crate::experiments::{measure, with_wall};
+use crate::experiments::{measure, with_cost};
 use crate::table::{fmt_f, ExpTable};
 
 fn line3_fanout(n: u64, f: u64) -> (Query, Database) {
@@ -33,7 +33,7 @@ pub fn run() -> Vec<ExpTable> {
     let n = 1024u64;
     let mut t = ExpTable::new(
         format!("Theorem 9: COUNT(*) GROUP BY X0,X1 on line-3 (p={p})"),
-        &with_wall(&[
+        &with_cost(&[
             "fanout",
             "|join|",
             "OUT (groups)",
@@ -47,7 +47,7 @@ pub fn run() -> Vec<ExpTable> {
         let in_size = db.input_size() as u64;
         let join_size = aj_relation::ram::count(&q, &db);
         let y = vec![q.attr_by_name("X0").unwrap(), q.attr_by_name("X1").unwrap()];
-        let (groups, load, wall) = measure(p, |net| {
+        let (groups, load, cost) = measure(p, |net| {
             let ann: Vec<AnnRelation<CountRing>> = db
                 .relations
                 .iter()
@@ -65,7 +65,7 @@ pub fn run() -> Vec<ExpTable> {
             fmt_f(aj_core::bounds::acyclic_bound(in_size, groups as u64, p)),
             is_out_hierarchical(&q, &y).to_string(),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         t.row(row);
     }
     t.note("The load depends on the aggregated OUT (number of groups), not the raw join size.");
@@ -73,12 +73,12 @@ pub fn run() -> Vec<ExpTable> {
     // Corollary 4: |Q(R)| at linear load even when OUT explodes.
     let mut c = ExpTable::new(
         format!("Corollary 4: output-size computation at linear load (p={p})"),
-        &with_wall(&["fanout", "OUT = |Q(R)|", "L measured", "IN/p"]),
+        &with_cost(&["fanout", "OUT = |Q(R)|", "L measured", "IN/p"]),
     );
     for f in [4u64, 64, 256] {
         let (q, db) = line3_fanout(n, f);
         let in_size = db.input_size() as u64;
-        let (out, load, wall) = measure(p, |net| {
+        let (out, load, cost) = measure(p, |net| {
             let dist = distribute_db(&db, p);
             let mut seed = 3;
             output_size(net, &q, &dist, &mut seed)
@@ -89,7 +89,7 @@ pub fn run() -> Vec<ExpTable> {
             load.to_string(),
             fmt_f(in_size as f64 / p as f64),
         ];
-        row.extend(wall.cells());
+        row.extend(cost.cells());
         c.row(row);
     }
     c.note("L stays Θ(IN/p) while OUT grows by orders of magnitude: counting is free, enumeration is not.");

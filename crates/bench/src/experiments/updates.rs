@@ -6,7 +6,7 @@
 //! update fractions {0.1%, 1%, 10%}. Per cell the table compares the
 //! **maintenance** units (the delta pass's epoch, averaged per batch)
 //! against a **full recompute** (a fresh registration on the final state,
-//! in its own epoch), plus wall-clock for both.
+//! in its own epoch), plus the max load `L` of each.
 //!
 //! What to look for (asserted):
 //!
@@ -22,14 +22,12 @@
 //!   [`aj_mpc::ParExecutor`]-backed engine and every epoch (registration
 //!   and per-batch maintenance) must be bit-identical.
 
-use std::time::Instant;
-
 use aj_core::engine::QueryEngine;
 use aj_mpc::{Cluster, EpochStats};
 use aj_relation::delta::{CountedSnapshot, UpdateBatch};
 use aj_relation::{Database, Query};
 
-use crate::table::{fmt_f, ExpTable};
+use crate::table::ExpTable;
 
 const P: usize = 8;
 /// Batches per stream.
@@ -55,20 +53,13 @@ fn workload() -> Vec<(&'static str, Query, Database)> {
 
 /// One measured drive: register `q` on a fresh engine and stream `batches`
 /// through the view. Returns (snapshot, registration epoch, per-batch
-/// epochs, decisions, maintenance wall ms).
-#[allow(clippy::type_complexity)]
+/// epochs, decisions).
 fn drive(
     q: &Query,
     db: &Database,
     batches: &[UpdateBatch],
     parallel: bool,
-) -> (
-    CountedSnapshot,
-    EpochStats,
-    Vec<EpochStats>,
-    Vec<String>,
-    f64,
-) {
+) -> (CountedSnapshot, EpochStats, Vec<EpochStats>, Vec<String>) {
     let cluster = if parallel {
         Cluster::new_parallel(P)
     } else {
@@ -79,33 +70,27 @@ fn drive(
     let registration = engine.view(view).registration().clone();
     let mut epochs = Vec::with_capacity(batches.len());
     let mut decisions = Vec::with_capacity(batches.len());
-    let t0 = Instant::now();
     for batch in batches {
         let outcome = engine.apply_update(view, batch);
         epochs.push(outcome.maintenance);
         decisions.push(outcome.strategy.to_string());
     }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     (
         engine.view(view).snapshot(),
         registration,
         epochs,
         decisions,
-        wall_ms,
     )
 }
 
 /// A fresh registration on `db` (the full-recompute comparison point):
-/// returns (snapshot, build epoch, wall ms).
-fn recompute(q: &Query, db: &Database) -> (CountedSnapshot, EpochStats, f64) {
+/// returns (snapshot, build epoch).
+fn recompute(q: &Query, db: &Database) -> (CountedSnapshot, EpochStats) {
     let mut engine = QueryEngine::new(P);
-    let t0 = Instant::now();
     let view = engine.register_view(q, db);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     (
         engine.view(view).snapshot(),
         engine.view(view).registration().clone(),
-        wall_ms,
     )
 }
 
@@ -124,8 +109,8 @@ pub fn run() -> Vec<ExpTable> {
             "U(maintain)",
             "U(recompute)",
             "ratio",
-            "ms(maint)",
-            "ms(rebuild)",
+            "L(maintain)",
+            "L(recompute)",
         ],
     );
     for (label, q, db) in workload() {
@@ -140,14 +125,14 @@ pub fn run() -> Vec<ExpTable> {
             for b in &batches {
                 b.apply_to(&mut final_db);
             }
-            let (snap, reg, epochs, decisions, maint_ms) = drive(&q, &base, &batches, false);
+            let (snap, reg, epochs, decisions) = drive(&q, &base, &batches, false);
             if super::parallel_enabled() {
-                let (psnap, preg, pepochs, _, _) = drive(&q, &base, &batches, true);
+                let (psnap, preg, pepochs, _) = drive(&q, &base, &batches, true);
                 assert_eq!(snap, psnap, "{label}: executors disagree on the view");
                 assert_eq!(reg, preg, "{label}: executors disagree on registration");
                 assert_eq!(epochs, pepochs, "{label}: executors disagree on epochs");
             }
-            let (rsnap, rebuild, rebuild_ms) = recompute(&q, &final_db);
+            let (rsnap, rebuild) = recompute(&q, &final_db);
             assert_eq!(
                 snap, rsnap,
                 "{label} f={fraction}: maintained view must be bit-identical to recompute"
@@ -167,34 +152,6 @@ pub fn run() -> Vec<ExpTable> {
                     "{label} f={fraction}: maintenance {per_batch} vs recompute {rec_units}"
                 );
             }
-            super::record(super::BenchRecord {
-                label: format!("updates:{label}@{:.1}%-maintain", fraction * 100.0),
-                p: P,
-                max_load: epochs.iter().map(|e| e.max_load).max().unwrap_or(0),
-                units: per_batch,
-                seq_ms: maint_ms / BATCHES as f64,
-                par_ms: None,
-                net_ms: None,
-                wire_bytes: None,
-                wire_payload: None,
-                wire_retransmit: None,
-                wire_ack: None,
-                trace_events: None,
-            });
-            super::record(super::BenchRecord {
-                label: format!("updates:{label}@{:.1}%-recompute", fraction * 100.0),
-                p: P,
-                max_load: rebuild.max_load,
-                units: rec_units,
-                seq_ms: rebuild_ms,
-                par_ms: None,
-                net_ms: None,
-                wire_bytes: None,
-                wire_payload: None,
-                wire_retransmit: None,
-                wire_ack: None,
-                trace_events: None,
-            });
             t.row(vec![
                 label.to_string(),
                 format!("{:.1}%", fraction * 100.0),
@@ -205,12 +162,18 @@ pub fn run() -> Vec<ExpTable> {
                 per_batch.to_string(),
                 rec_units.to_string(),
                 format!("{:.3}", per_batch as f64 / rec_units.max(1) as f64),
-                fmt_f(maint_ms / BATCHES as f64),
-                fmt_f(rebuild_ms),
+                epochs
+                    .iter()
+                    .map(|e| e.max_load)
+                    .max()
+                    .unwrap_or(0)
+                    .to_string(),
+                rebuild.max_load.to_string(),
             ]);
         }
     }
     t.note("U columns are epoch message units: maintenance averaged per batch vs one fresh registration on the final state.");
+    t.note("L(maintain) is the max load over the stream's maintenance epochs; L(recompute) that of the fresh registration.");
     t.note(
         "Bit-identity maintained == recomputed asserted per cell; ≤ 0.5× units asserted at f ≤ 1%.",
     );

@@ -1,46 +1,35 @@
-//! Hand-rolled JSON rendering for the benchmark trajectory
-//! (`repro --json BENCH_repro.json`). serde is unavailable in the offline
-//! build environment; the schema is small and flat, so a direct writer keeps
-//! the output stable and dependency-free.
+//! Hand-rolled JSON rendering of the paper record (`repro --json
+//! BENCH_repro.json`). serde is unavailable in the offline build
+//! environment; the schema is small, so a direct writer keeps the output
+//! stable and dependency-free.
 //!
-//! Schema (version 2; v2 adds the optional `trace_events` counts from
-//! `repro --trace`):
+//! Schema (version 3): the tables `repro` prints, cell for cell.
 //!
 //! ```json
 //! {
-//!   "schema": 2,
-//!   "parallel": true,
+//!   "schema": 3,
 //!   "experiments": [
 //!     {
 //!       "id": "scaling",
-//!       "wall_ms": 1234.5,
-//!       "seq_ms": 1000.0, "par_ms": 400.0,
-//!       "net_ms": 1200.0, "wire_bytes": 65536,
-//!       "trace_events": 4096,
-//!       "max_load": 9000, "units": 120000,
-//!       "units_per_sec_seq": 120000.0, "units_per_sec_par": 300000.0,
-//!       "cells": [ {"label": "binary-join", "p": 8, ...}, ... ]
+//!       "tables": [
+//!         {
+//!           "title": "Scaling: binary join load across p (IN=96000)",
+//!           "header": ["p", "OUT", "L", "rounds", "units"],
+//!           "rows": [
+//!             ["4", "576000", "24348", "…", "…"]
+//!           ]
+//!         }
+//!       ]
 //!     }
 //!   ]
 //! }
 //! ```
 //!
-//! `units` are the work items of a cell — tuples routed for `measure` cells,
-//! output tuples / queries where an experiment times itself — so
-//! `units_per_sec` is the simulator's throughput in its own natural unit.
+//! Every cell is exact (loads, counts, bounds), so the document is
+//! byte-stable: `--parallel` and `--backend net` only add assertions, and
+//! two runs of the same experiments write the same bytes.
 
-use crate::experiments::BenchRecord;
-
-/// All cells of one experiment plus its end-to-end wall clock.
-#[derive(Debug, Clone)]
-pub struct ExperimentRun {
-    /// Experiment id (one of [`crate::ALL_EXPERIMENTS`]).
-    pub id: String,
-    /// End-to-end wall time of the experiment, milliseconds.
-    pub wall_ms: f64,
-    /// Every cell the experiment recorded.
-    pub cells: Vec<BenchRecord>,
-}
+use crate::table::ExpTable;
 
 fn esc(s: &str) -> String {
     s.chars()
@@ -53,116 +42,37 @@ fn esc(s: &str) -> String {
         .collect()
 }
 
-fn f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
+fn strings<S: AsRef<str>>(cells: &[S]) -> String {
+    let quoted: Vec<String> = cells
+        .iter()
+        .map(|c| format!("\"{}\"", esc(c.as_ref())))
+        .collect();
+    format!("[{}]", quoted.join(", "))
 }
 
-fn opt_f(x: Option<f64>) -> String {
-    x.map(f).unwrap_or_else(|| "null".to_string())
-}
-
-fn rate(units: u64, ms: f64) -> f64 {
-    units as f64 / (ms / 1e3).max(1e-9)
-}
-
-/// Render the full trajectory document.
-pub fn render(parallel: bool, net: bool, runs: &[ExperimentRun]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": 2,\n");
-    out.push_str(&format!("  \"parallel\": {parallel},\n"));
-    out.push_str(&format!("  \"net\": {net},\n"));
-    out.push_str("  \"experiments\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let seq_ms: f64 = run.cells.iter().map(|c| c.seq_ms).sum();
-        let par_ms: Option<f64> =
-            if run.cells.iter().all(|c| c.par_ms.is_some()) && !run.cells.is_empty() {
-                Some(run.cells.iter().filter_map(|c| c.par_ms).sum())
-            } else {
-                None
-            };
-        let net_ms: Option<f64> =
-            if run.cells.iter().all(|c| c.net_ms.is_some()) && !run.cells.is_empty() {
-                Some(run.cells.iter().filter_map(|c| c.net_ms).sum())
-            } else {
-                None
-            };
-        let sum_opt = |get: fn(&BenchRecord) -> Option<u64>| -> Option<u64> {
-            if run.cells.iter().any(|c| get(c).is_some()) {
-                Some(run.cells.iter().filter_map(get).sum())
-            } else {
-                None
-            }
-        };
-        let wire_bytes = sum_opt(|c| c.wire_bytes);
-        let wire_payload = sum_opt(|c| c.wire_payload);
-        let wire_retransmit = sum_opt(|c| c.wire_retransmit);
-        let wire_ack = sum_opt(|c| c.wire_ack);
-        let trace_events = sum_opt(|c| c.trace_events);
-        let max_load = run.cells.iter().map(|c| c.max_load).max().unwrap_or(0);
-        let units: u64 = run.cells.iter().map(|c| c.units).sum();
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"id\": \"{}\",\n", esc(&run.id)));
-        out.push_str(&format!("      \"wall_ms\": {},\n", f(run.wall_ms)));
-        out.push_str(&format!("      \"seq_ms\": {},\n", f(seq_ms)));
-        out.push_str(&format!("      \"par_ms\": {},\n", opt_f(par_ms)));
-        out.push_str(&format!("      \"net_ms\": {},\n", opt_f(net_ms)));
-        let opt_u = |b: Option<u64>| {
-            b.map(|b| b.to_string())
-                .unwrap_or_else(|| "null".to_string())
-        };
-        out.push_str(&format!("      \"wire_bytes\": {},\n", opt_u(wire_bytes)));
+/// Render the record of `(experiment id, tables)` pairs, in run order.
+pub fn render(runs: &[(&str, Vec<ExpTable>)]) -> String {
+    let mut out = String::from("{\n  \"schema\": 3,\n  \"experiments\": [\n");
+    for (i, (id, tables)) in runs.iter().enumerate() {
         out.push_str(&format!(
-            "      \"wire_payload\": {},\n",
-            opt_u(wire_payload)
+            "    {{\n      \"id\": \"{}\",\n      \"tables\": [\n",
+            esc(id)
         ));
-        out.push_str(&format!(
-            "      \"wire_retransmit\": {},\n",
-            opt_u(wire_retransmit)
-        ));
-        out.push_str(&format!("      \"wire_ack\": {},\n", opt_u(wire_ack)));
-        out.push_str(&format!(
-            "      \"trace_events\": {},\n",
-            opt_u(trace_events)
-        ));
-        out.push_str(&format!("      \"max_load\": {max_load},\n"));
-        out.push_str(&format!("      \"units\": {units},\n"));
-        out.push_str(&format!(
-            "      \"units_per_sec_seq\": {},\n",
-            f(rate(units, seq_ms))
-        ));
-        out.push_str(&format!(
-            "      \"units_per_sec_par\": {},\n",
-            opt_f(par_ms.map(|ms| rate(units, ms)))
-        ));
-        out.push_str("      \"cells\": [\n");
-        for (j, c) in run.cells.iter().enumerate() {
+        for (j, t) in tables.iter().enumerate() {
             out.push_str(&format!(
-                "        {{\"label\": \"{}\", \"p\": {}, \"max_load\": {}, \"units\": {}, \"seq_ms\": {}, \"par_ms\": {}, \"net_ms\": {}, \"wire_bytes\": {}, \"wire_payload\": {}, \"wire_retransmit\": {}, \"wire_ack\": {}, \"trace_events\": {}}}{}\n",
-                esc(&c.label),
-                c.p,
-                c.max_load,
-                c.units,
-                f(c.seq_ms),
-                opt_f(c.par_ms),
-                opt_f(c.net_ms),
-                opt_u(c.wire_bytes),
-                opt_u(c.wire_payload),
-                opt_u(c.wire_retransmit),
-                opt_u(c.wire_ack),
-                opt_u(c.trace_events),
-                if j + 1 == run.cells.len() { "" } else { "," }
+                "        {{\n          \"title\": \"{}\",\n          \"header\": {},\n          \"rows\": [\n",
+                esc(&t.title),
+                strings(&t.header)
             ));
+            for (k, row) in t.rows.iter().enumerate() {
+                let sep = if k + 1 == t.rows.len() { "" } else { "," };
+                out.push_str(&format!("            {}{sep}\n", strings(row)));
+            }
+            let sep = if j + 1 == tables.len() { "" } else { "," };
+            out.push_str(&format!("          ]\n        }}{sep}\n"));
         }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
+        let sep = if i + 1 == runs.len() { "" } else { "," };
+        out.push_str(&format!("      ]\n    }}{sep}\n"));
     }
     out.push_str("  ]\n}\n");
     out
@@ -173,61 +83,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_valid_shape() {
-        let runs = vec![ExperimentRun {
-            id: "demo".to_string(),
-            wall_ms: 12.5,
-            cells: vec![BenchRecord {
-                label: "cell".to_string(),
-                p: 4,
-                max_load: 10,
-                units: 100,
-                seq_ms: 5.0,
-                par_ms: Some(2.5),
-                net_ms: None,
-                wire_bytes: None,
-                wire_payload: None,
-                wire_retransmit: None,
-                wire_ack: None,
-                trace_events: Some(42),
-            }],
-        }];
-        let s = render(true, false, &runs);
-        assert!(s.contains("\"schema\": 2"));
+    fn renders_tables_cell_for_cell() {
+        let mut t = ExpTable::new("demo \"q\"", &["p", "L"]);
+        t.row(vec!["4".into(), "10".into()]);
+        t.row(vec!["8".into(), "6".into()]);
+        let s = render(&[("demo", vec![t])]);
+        assert!(s.contains("\"schema\": 3"));
         assert!(s.contains("\"id\": \"demo\""));
-        assert!(s.contains("\"par_ms\": 2.500"));
-        // Experiment-level sum and the per-cell line both carry the count.
-        assert_eq!(s.matches("\"trace_events\": 42").count(), 2);
-        assert!(s.contains("\"units_per_sec_seq\": 20000.000"));
+        assert!(s.contains("\"title\": \"demo \\\"q\\\"\""));
+        assert!(s.contains("\"header\": [\"p\", \"L\"]"));
+        assert!(s.contains("[\"4\", \"10\"],\n"));
+        assert!(s.contains("[\"8\", \"6\"]\n"));
         // Balanced braces/brackets — cheap well-formedness check.
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches('[').count(), s.matches(']').count());
-    }
-
-    #[test]
-    fn net_fields_render() {
-        let runs = vec![ExperimentRun {
-            id: "net".to_string(),
-            wall_ms: 1.0,
-            cells: vec![BenchRecord {
-                label: "c".to_string(),
-                p: 4,
-                max_load: 2,
-                units: 10,
-                seq_ms: 1.0,
-                par_ms: None,
-                net_ms: Some(3.0),
-                wire_bytes: Some(4096),
-                wire_payload: None,
-                wire_retransmit: None,
-                wire_ack: None,
-                trace_events: None,
-            }],
-        }];
-        let s = render(false, true, &runs);
-        assert!(s.contains("\"net_ms\": 3.000"));
-        assert!(s.contains("\"wire_bytes\": 4096"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
     }
 
     #[test]
@@ -236,57 +105,27 @@ mod tests {
         assert_eq!(esc("x\ny"), "x\\u000ay");
     }
 
+    /// The record is the same bytes whether or not `measure` re-runs every
+    /// cell on the parallel executor. The flag is restored by a drop guard
+    /// even if an experiment panics.
     #[test]
-    fn missing_par_is_null() {
-        let runs = vec![ExperimentRun {
-            id: "seq-only".to_string(),
-            wall_ms: 1.0,
-            cells: vec![BenchRecord {
-                label: "c".to_string(),
-                p: 2,
-                max_load: 1,
-                units: 1,
-                seq_ms: 1.0,
-                par_ms: None,
-                net_ms: None,
-                wire_bytes: None,
-                wire_payload: None,
-                wire_retransmit: None,
-                wire_ack: None,
-                trace_events: None,
-            }],
-        }];
-        let s = render(false, false, &runs);
-        assert!(s.contains("\"par_ms\": null"));
-        assert!(s.contains("\"units_per_sec_par\": null"));
-        assert!(s.contains("\"trace_events\": null"));
-    }
-
-    #[test]
-    fn wire_breakdown_fields_render() {
-        let runs = vec![ExperimentRun {
-            id: "faults".to_string(),
-            wall_ms: 1.0,
-            cells: vec![BenchRecord {
-                label: "drop1pct".to_string(),
-                p: 8,
-                max_load: 9516,
-                units: 10,
-                seq_ms: 1.0,
-                par_ms: None,
-                net_ms: Some(3.0),
-                wire_bytes: Some(700),
-                wire_payload: Some(500),
-                wire_retransmit: Some(50),
-                wire_ack: Some(150),
-                trace_events: None,
-            }],
-        }];
-        let s = render(false, true, &runs);
-        // Experiment-level sums and the per-cell line both carry the split.
-        assert_eq!(s.matches("\"wire_payload\": 500").count(), 2);
-        assert_eq!(s.matches("\"wire_retransmit\": 50").count(), 2);
-        assert_eq!(s.matches("\"wire_ack\": 150").count(), 2);
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
+    fn record_is_identical_with_parallel_comparison() {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                crate::set_parallel(false);
+            }
+        }
+        let _restore = Restore;
+        let record = || {
+            let runs: Vec<(&str, Vec<ExpTable>)> = ["thm3", "scaling", "updates"]
+                .into_iter()
+                .map(|id| (id, crate::run_experiment(id)))
+                .collect();
+            render(&runs)
+        };
+        let plain = record();
+        crate::set_parallel(true);
+        assert_eq!(plain, record());
     }
 }

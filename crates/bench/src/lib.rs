@@ -2,12 +2,14 @@
 //! regenerating the corresponding result as a measured experiment on the MPC
 //! simulator. The `repro` binary prints them.
 //!
-//! Every measured experiment reports the simulated load `L` and wall-clock
-//! columns; with [`set_parallel`] enabled (the `repro --parallel` flag) each
-//! measurement also runs on the parallel executor, asserts load/result
-//! equivalence with the sequential one, and reports the real speedup. The
-//! extra `scaling` experiment (not a paper figure) compares the two
-//! executors head-to-head across `p`.
+//! Every measured experiment reports exact numbers only: the simulated load
+//! `L`, the bounds it is compared against, and each cell's [`Cost`] (rounds
+//! and units routed). No experiment reads a clock, so `repro --json` writes
+//! a byte-stable record of the printed tables ([`jsonout`]). With
+//! [`set_parallel`] (the `repro --parallel` flag) or [`set_net`] each
+//! measurement also runs on that executor and asserts the same `Stats` and
+//! result. Wall clocks belong to the `mpcbench` binary and the
+//! [`microbench`] harness.
 
 pub mod experiments;
 pub mod jsonout;
@@ -16,13 +18,11 @@ pub mod table;
 
 pub use experiments::{
     net_enabled, net_uds_enabled, parallel_enabled, probe_net_transport, set_net, set_net_uds,
-    set_parallel, set_trace, take_records, take_traces, trace_enabled, try_net_cluster,
-    BenchRecord, Wall,
+    set_parallel, set_trace, take_traces, trace_enabled, try_net_cluster, Cost,
 };
-pub use jsonout::ExperimentRun;
 pub use table::ExpTable;
 
-/// All experiment ids, in paper order (plus the executor `scaling` check).
+/// All experiment ids, in paper order (then the experiments beyond the paper).
 pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig1", "fig2", "table1", "sec13", "thm12", "thm3", "thm4", "fig3", "thm5", "fig4", "fig5",
     "thm7", "thm9", "fig6", "general", "scaling", "engine", "skew", "updates", "faults",

@@ -3,21 +3,9 @@
 //!
 //! Each benchmark runs a closure repeatedly, reports min/median wall time,
 //! and black-boxes the result so the optimizer cannot delete the work. Used
-//! by the `joins` and `data_plane` bench targets (`cargo bench`).
+//! by the `data_plane` bench target (`cargo bench`).
 
 use std::time::{Duration, Instant};
-
-use aj_mpc::Cluster;
-
-/// A fresh cluster on the requested executor — the one switch every
-/// seq-vs-par comparison in the benches and the scaling experiment uses.
-pub fn cluster(p: usize, parallel: bool) -> Cluster {
-    if parallel {
-        Cluster::new_parallel(p)
-    } else {
-        Cluster::new(p)
-    }
-}
 
 /// Prevent the optimizer from deleting a computed value.
 #[inline]
