@@ -15,6 +15,10 @@
 //!   (Step 3.1); the light part joins its light leaves (≤ `N_β·τ`
 //!   intermediate) and recurses on the contracted query (Step 3.2).
 //!
+//! Preprocessing is one counted full reduce: its bottom-up sweep is the
+//! Corollary-4 count, so `OUT` costs one coordinator call on top, and the
+//! seed draws of the separate counting pass it replaces are burnt.
+//!
 //! Relations may carry extra (annotation) columns; the input query must then
 //! already be reduced (see [`crate::aggregate`]).
 
@@ -22,39 +26,26 @@ use aj_relation::{Attr, Edge, Query, Tuple};
 
 use aj_mpc::Net;
 
-use crate::aggregate::output_size;
 use crate::binary::binary_join;
 use crate::dist::{
-    degrees_of, dist_full_reduce, dist_semi_join, next_seed, split_by_degree, DistDatabase,
-    DistRelation,
+    burn_count_draws, degrees_of, dist_full_reduce, dist_semi_join, next_seed, reduce_for_solver,
+    split_by_degree, DistDatabase, DistRelation,
 };
-use crate::hierarchical::has_extras;
+use crate::hierarchical::{empty_output, occurring_attrs};
 
 /// Solve an arbitrary acyclic join with load `O(IN/p + √(IN·OUT)/p)`
 /// (Theorem 7).
 pub fn solve(net: &mut Net, q: &Query, db: DistDatabase, seed: &mut u64) -> DistRelation {
     assert!(q.is_acyclic(), "Theorem 7 requires an acyclic query");
-    let db = dist_full_reduce(net, q, db, next_seed(seed));
-    let (q, db) = if has_extras(&db) {
-        let (qr, kept) = q.reduce();
-        assert_eq!(
-            kept.len(),
-            q.n_edges(),
-            "annotated input must be pre-reduced (use aggregate::join_aggregate)"
-        );
-        (qr, db)
-    } else {
-        let (qr, kept) = q.reduce();
-        (
-            qr,
-            kept.into_iter().map(|e| db[e].clone()).collect::<Vec<_>>(),
-        )
-    };
-    let out_size = output_size(net, &q, &db, seed);
+    // The reducer's bottom-up sweep is the Corollary-4 count; the separate
+    // counting pass it replaces (over the reduced query) burns its draws.
+    let (q, counted, _) = reduce_for_solver(net, q, db, next_seed(seed));
+    let out_size = counted.out(net);
+    burn_count_draws(q.n_edges(), seed);
     if out_size == 0 {
         return empty_output(&q, net.p());
     }
-    rec(net, &q, db, out_size, seed)
+    rec(net, &q, counted.db, out_size, seed)
 }
 
 fn rec(net: &mut Net, q: &Query, db: DistDatabase, out_size: u64, seed: &mut u64) -> DistRelation {
@@ -385,19 +376,6 @@ fn bfs_order_from(tree: &aj_relation::JoinTree, e0: usize, within: &[usize]) -> 
         }
     }
     order
-}
-
-fn occurring_attrs(q: &Query) -> Vec<Attr> {
-    (0..q.n_attrs())
-        .filter(|&a| !q.edges_containing(a).is_empty())
-        .collect()
-}
-
-fn empty_output(q: &Query, p: usize) -> DistRelation {
-    DistRelation {
-        attrs: occurring_attrs(q),
-        parts: aj_mpc::Partitioned::empty(p),
-    }
 }
 
 /// The Theorem-7 target load `IN/p + √(IN·OUT)/p` (for experiment tables).

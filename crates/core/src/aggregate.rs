@@ -8,15 +8,13 @@
 //! algorithms address columns only through their schema, so the extras ride
 //! along and are ⊗-combined when results are emitted.
 
-use aj_primitives::FxHashMap;
-
 use aj_mpc::{Net, Partitioned, Wire};
-use aj_primitives::{lookup, prefix_sum, sum_by_key, OwnedTable};
+use aj_primitives::{lookup, sum_by_key, FxHashMap, OwnedTable};
 use aj_relation::classify::is_hierarchical;
 use aj_relation::semiring::{AnnRelation, Semiring};
 use aj_relation::{Attr, AttrSet, Edge, Query, Tuple};
 
-use crate::dist::{dist_full_reduce, next_seed, DistDatabase, DistRelation};
+use crate::dist::{count_sweep, dist_full_reduce, next_seed, DistDatabase, DistRelation};
 
 /// Errors of the join-aggregate pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,84 +133,7 @@ pub fn output_size_with_tree(
     db: &DistDatabase,
     seed: &mut u64,
 ) -> u64 {
-    let partials: Vec<u64> = count_sweep(net, tree, db, seed)
-        .iter()
-        .map(|part| part.iter().fold(0u64, |a, (_, w)| a.saturating_add(*w)))
-        .collect();
-    debug_assert_eq!(partials.len(), net.p());
-    let (_, total) = prefix_sum(net, &partials);
-    total
-}
-
-/// The bottom-up counting sweep along `tree`: every tuple starts at weight
-/// 1; each child's weights are summed per join key (one draw of `seed`
-/// each) and multiplied into the parent's matching tuples, and parent
-/// tuples without a match drop. Returns the root's surviving
-/// `(tuple, subtree count)` rows per server.
-fn count_sweep(
-    net: &mut Net,
-    tree: &aj_relation::JoinTree,
-    db: &DistDatabase,
-    seed: &mut u64,
-) -> Vec<Vec<(Tuple, u64)>> {
-    // weights[e]: (tuple, weight) per server.
-    let mut weights: Vec<Vec<Vec<(Tuple, u64)>>> = db
-        .iter()
-        .map(|rel| {
-            net.run_each(|s| {
-                rel.parts[s]
-                    .iter()
-                    .map(|t| (t.clone(), 1u64))
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect();
-    for &e in &tree.order {
-        let Some(pr) = tree.parent[e] else { continue };
-        let shared: Vec<Attr> = db[e].shared_attrs(&db[pr]);
-        let epos = db[e].positions_of(&shared);
-        let ppos = db[pr].positions_of(&shared);
-        let msg_pairs = Partitioned::from_parts(net.run_local(
-            std::mem::take(&mut weights[e]),
-            |_, part: Vec<(Tuple, u64)>| {
-                part.into_iter()
-                    .map(|(t, w)| (t.project(&epos), w))
-                    .collect::<Vec<_>>()
-            },
-        ));
-        let table = sum_by_key(net, msg_pairs, next_seed(seed), |a: u64, b| {
-            a.saturating_add(b)
-        });
-        let requests = Partitioned::from_parts(net.run_each(|s| {
-            weights[pr][s]
-                .iter()
-                .map(|(t, _)| t.project(&ppos))
-                .collect::<Vec<_>>()
-        }));
-        let answers = lookup(net, &table, &requests);
-        weights[pr] = net.run_local(
-            std::mem::take(&mut weights[pr])
-                .into_iter()
-                .zip(answers)
-                .collect(),
-            |_, (mut part, ans): (Vec<(Tuple, u64)>, FxHashMap<Tuple, u64>)| {
-                // Probe by bare value slice — no per-tuple key allocation.
-                let mut key = Vec::with_capacity(ppos.len());
-                part.retain_mut(|(t, w)| {
-                    t.project_into(&ppos, &mut key);
-                    match ans.get(key.as_slice()) {
-                        Some(&m) => {
-                            *w = w.saturating_mul(m);
-                            true
-                        }
-                        None => false,
-                    }
-                });
-                part
-            },
-        );
-    }
-    std::mem::take(&mut weights[tree.root()])
+    count_sweep(net, tree, db.to_vec(), || next_seed(seed)).out(net)
 }
 
 /// Per-group output counts `|σ_{g=v} Q(R)|` for all values `v` of
@@ -238,11 +159,26 @@ pub fn count_by_group(
             );
         }
     }
-    let roots = count_sweep(net, &tree, db, seed);
-    let gpos = db[tree.root()].positions_of(group_attrs);
-    let grouped = Partitioned::from_parts(net.run_local(roots, |_, part: Vec<(Tuple, u64)>| {
-        part.into_iter()
-            .map(|(t, w)| (t.project(&gpos), w))
+    let c = count_sweep(net, &tree, db.to_vec(), || next_seed(seed));
+    debug_assert!(c.factors.is_empty(), "group in every edge: not Cartesian");
+    sum_by_group(net, &c.db[c.root], &c.counts, group_attrs, final_seed)
+}
+
+/// Sum the per-tuple `counts` of `root` per value of `group_attrs` (one
+/// sum-by-key round seeded `final_seed`).
+pub(crate) fn sum_by_group(
+    net: &mut Net,
+    root: &DistRelation,
+    counts: &[Vec<u64>],
+    group_attrs: &[Attr],
+    final_seed: u64,
+) -> OwnedTable<Tuple, u64> {
+    let gpos = root.positions_of(group_attrs);
+    let grouped = Partitioned::from_parts(net.run_each(|s| {
+        root.parts[s]
+            .iter()
+            .zip(&counts[s])
+            .map(|(t, &w)| (t.project(&gpos), w))
             .collect::<Vec<_>>()
     }));
     sum_by_key(net, grouped, final_seed, |a: u64, b| a.saturating_add(b))

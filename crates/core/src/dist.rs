@@ -1,8 +1,14 @@
-//! Distributed relations: the unit of data the MPC algorithms operate on.
+//! Distributed relations: the unit of data the MPC algorithms operate on,
+//! and the full reducer that removes their dangling tuples.
+//!
+//! Every semi-join carries a count beside each tuple, so the reducer's
+//! bottom-up sweep is also the Corollary-4 counting sweep: the solvers of
+//! Theorems 3, 5 and 7 read `OUT` (or the root's per-tuple counts) off their
+//! own reduce, and `output_size` and `count_by_group` run the sweep alone.
 
 use aj_mpc::{Net, Partitioned};
-use aj_primitives::{lookup, semi_join as prim_semi_join, sum_by_key, DEFAULT_SEED};
-use aj_relation::{Attr, Database, Query, Relation, Tuple};
+use aj_primitives::{coordinate, lookup, sum_by_key, FxHashMap, DEFAULT_SEED};
+use aj_relation::{Attr, Database, JoinTree, Query, Relation, Tuple};
 
 /// A relation partitioned over the servers of a [`Net`].
 ///
@@ -120,56 +126,231 @@ pub fn dist_semi_join(
     right: &DistRelation,
     seed: u64,
 ) -> DistRelation {
-    let shared = left.shared_attrs(right);
-    if shared.is_empty() {
-        // Keep left iff right non-empty; emptiness of a distributed relation
-        // is driver-visible metadata (costs one control broadcast at most).
-        return if right.total_len() == 0 {
-            DistRelation::empty(left.attrs, left.parts.p())
-        } else {
-            left
-        };
+    (semi_join_step(net, weighted(left), right, &ones(right), seed).0).0
+}
+
+/// A relation and its tuples' weights (`w[s][i]` goes with `parts[s][i]`).
+type Weighted = (DistRelation, Vec<Vec<u64>>);
+
+fn ones(rel: &DistRelation) -> Vec<Vec<u64>> {
+    rel.parts.iter().map(|part| vec![1; part.len()]).collect()
+}
+
+fn weighted(rel: DistRelation) -> Weighted {
+    let w = ones(&rel);
+    (rel, w)
+}
+
+/// `parent ⋉ child` carrying weights: the child's weights are summed per
+/// join key (one sum-by-key round seeded `seed`), the parent looks its keys
+/// up (two rounds) and keeps each matching tuple, its weight times the
+/// key's sum. Emptiness is driver-visible metadata: an empty side empties
+/// the parent without an exchange. A Cartesian child is free too: its
+/// per-server weight sums come back as a factor of every parent weight.
+fn semi_join_step(
+    net: &mut Net,
+    (parent, parent_w): Weighted,
+    child: &DistRelation,
+    child_w: &[Vec<u64>],
+    seed: u64,
+) -> (Weighted, Option<Vec<u64>>) {
+    if parent.total_len() == 0 || child.total_len() == 0 {
+        return (weighted(DistRelation::empty(parent.attrs, net.p())), None);
     }
-    let lpos = left.positions_of(&shared);
-    let rpos = right.positions_of(&shared);
-    let keys = Partitioned::from_parts(net.run_each(|s| {
-        right.parts[s]
+    let shared = parent.shared_attrs(child);
+    if shared.is_empty() {
+        let sums = child_w
             .iter()
-            .map(|t| t.project(&rpos))
+            .map(|w| w.iter().copied().fold(0, u64::saturating_add));
+        return ((parent, parent_w), Some(sums.collect()));
+    }
+    let (cpos, ppos) = (child.positions_of(&shared), parent.positions_of(&shared));
+    let pairs = Partitioned::from_parts(net.run_each(|s| {
+        (child.parts[s].iter().zip(&child_w[s]))
+            .map(|(t, &w)| (t.project(&cpos), w))
+            .collect::<Vec<_>>()
+    }));
+    let table = sum_by_key(net, pairs, seed, u64::saturating_add);
+    let requests = Partitioned::from_parts(net.run_each(|s| {
+        parent.parts[s]
+            .iter()
+            .map(|t| t.project(&ppos))
             .collect::<Vec<Tuple>>()
     }));
-    let attrs = left.attrs.clone();
-    let kept = prim_semi_join(net, left.parts, |t: &Tuple| t.project(&lpos), keys, seed);
-    DistRelation { attrs, parts: kept }
+    let answers = lookup(net, &table, &requests);
+    let shards = (parent.parts.into_parts().into_iter().zip(parent_w)).zip(answers);
+    let kept: Vec<(Vec<Tuple>, Vec<u64>)> = net.run_local(
+        shards.collect(),
+        |_, ((mut part, mut w), ans): ((Vec<Tuple>, Vec<u64>), FxHashMap<Tuple, u64>)| {
+            // In place, probing by bare value slice: no per-tuple allocation.
+            let (mut key, mut i, mut n) = (Vec::with_capacity(ppos.len()), 0, 0);
+            part.retain(|t| {
+                t.project_into(&ppos, &mut key);
+                let hit = ans.get(key.as_slice());
+                if let Some(&m) = hit {
+                    w[n] = w[i].saturating_mul(m);
+                    n += 1;
+                }
+                i += 1;
+                hit.is_some()
+            });
+            w.truncate(n);
+            (part, w)
+        },
+    );
+    let (parts, w): (Vec<Vec<Tuple>>, Vec<Vec<u64>>) = kept.into_iter().unzip();
+    let attrs = parent.attrs;
+    let parts = Partitioned::from_parts(parts);
+    ((DistRelation { attrs, parts }, w), None)
+}
+
+/// A database after a counting sweep: each root tuple's subtree count is
+/// its number of join results once the Cartesian factors multiply in.
+pub(crate) struct Counted {
+    /// The relations after the sweep.
+    pub db: DistDatabase,
+    /// The root edge of the join tree.
+    pub root: usize,
+    /// `counts[s][i]`: the subtree count of `db[root].parts[s][i]`.
+    pub counts: Vec<Vec<u64>>,
+    /// Per Cartesian step, the child's per-server count sums.
+    pub factors: Vec<Vec<u64>>,
+}
+
+impl Counted {
+    /// `OUT = |Q(R)|`: the root's counts times every factor, summed by one
+    /// [`column_sums`] call.
+    pub fn out(&self, net: &mut Net) -> u64 {
+        let partials = (0..net.p()).map(|s| {
+            let root = self.counts[s].iter().copied().fold(0, u64::saturating_add);
+            let factors = self.factors.iter().map(|f| f[s]);
+            std::iter::once(root).chain(factors).collect()
+        });
+        let sums = column_sums(net, partials.collect());
+        sums.into_iter().fold(1, u64::saturating_mul)
+    }
+}
+
+/// The column sums of one `Vec<u64>` per server (all of one length), added
+/// up by one coordinator call: 2 rounds, 2p units.
+pub(crate) fn column_sums(net: &mut Net, partials: Vec<Vec<u64>>) -> Vec<u64> {
+    coordinate(net, partials, |parts| {
+        let mut sums = vec![0u64; parts[0].len()];
+        for part in &parts {
+            for (sum, c) in sums.iter_mut().zip(part) {
+                *sum = sum.saturating_add(*c);
+            }
+        }
+        vec![sums; parts.len()]
+    })
+    .swap_remove(0)
+}
+
+/// The bottom-up sweep along `tree` (Corollary 4's count, the reducer's
+/// first half): from weight 1, each child steps into its parent in
+/// elimination order, seeded by one `seeds()` draw per non-root edge.
+pub(crate) fn count_sweep(
+    net: &mut Net,
+    tree: &JoinTree,
+    db: DistDatabase,
+    mut seeds: impl FnMut() -> u64,
+) -> Counted {
+    let mut rels: Vec<Weighted> = db.into_iter().map(weighted).collect();
+    let mut factors = Vec::new();
+    for &e in &tree.order {
+        let Some(pr) = tree.parent[e] else { continue };
+        let placeholder = weighted(DistRelation::empty(Vec::new(), net.p()));
+        let parent = std::mem::replace(&mut rels[pr], placeholder);
+        let (child, child_w) = &rels[e];
+        let (stepped, factor) = semi_join_step(net, parent, child, child_w, seeds());
+        rels[pr] = stepped;
+        factors.extend(factor);
+    }
+    let (db, mut w): (DistDatabase, Vec<_>) = rels.into_iter().unzip();
+    let root = tree.root();
+    let counts = std::mem::take(&mut w[root]);
+    Counted {
+        db,
+        root,
+        counts,
+        factors,
+    }
 }
 
 /// Remove all dangling tuples of an acyclic join: two semi-join sweeps along
 /// the join tree (the distributed full reducer; `O(m)` rounds, linear load).
 pub fn dist_full_reduce(net: &mut Net, q: &Query, db: DistDatabase, seed: u64) -> DistDatabase {
+    dist_full_reduce_counted(net, q, db, seed).db
+}
+
+/// [`dist_full_reduce`] with the root's counts: the bottom-up half is the
+/// counting sweep, the top-down half semi-joins every child with its parent.
+/// Step `i` is seeded `seed + i·0x9e37`.
+pub(crate) fn dist_full_reduce_counted(
+    net: &mut Net,
+    q: &Query,
+    db: DistDatabase,
+    seed: u64,
+) -> Counted {
     let tree = q
         .join_tree()
         .expect("full reducer requires an acyclic query");
-    let mut rels = db;
-    let mut s = seed;
-    for &e in &tree.order {
-        if let Some(p) = tree.parent[e] {
-            let parent_rel =
-                std::mem::replace(&mut rels[p], DistRelation::empty(Vec::new(), net.p()));
-            let reduced = dist_semi_join(net, parent_rel, &rels[e], s);
-            rels[p] = reduced;
-            s = s.wrapping_add(0x9e37);
-        }
-    }
+    let p = net.p();
+    let mut s = seed.wrapping_sub(0x9e37);
+    let mut step_seed = || {
+        s = s.wrapping_add(0x9e37);
+        s
+    };
+    let mut c = count_sweep(net, &tree, db, &mut step_seed);
     for &e in tree.order.iter().rev() {
-        if let Some(p) = tree.parent[e] {
-            let child_rel =
-                std::mem::replace(&mut rels[e], DistRelation::empty(Vec::new(), net.p()));
-            let reduced = dist_semi_join(net, child_rel, &rels[p], s);
-            rels[e] = reduced;
-            s = s.wrapping_add(0x9e37);
+        if let Some(pr) = tree.parent[e] {
+            let child = std::mem::replace(&mut c.db[e], DistRelation::empty(Vec::new(), p));
+            c.db[e] = dist_semi_join(net, child, &c.db[pr], step_seed());
         }
     }
-    rels
+    c
+}
+
+/// Theorems 3 and 7's preprocessing: the counted full reduce, then the
+/// hypergraph reduce, which drops contained relations (annotated input must
+/// come pre-reduced). Returns the reduced query, whose relations `db` now
+/// holds, and whether it kept every edge (else `root` is stale).
+pub(crate) fn reduce_for_solver(
+    net: &mut Net,
+    q: &Query,
+    db: DistDatabase,
+    seed: u64,
+) -> (Query, Counted, bool) {
+    let mut counted = dist_full_reduce_counted(net, q, db, seed);
+    let (qr, kept) = q.reduce();
+    let all = kept.len() == q.n_edges();
+    assert!(
+        all || !has_extras(&counted.db),
+        "annotated input must be pre-reduced (use aggregate::join_aggregate)"
+    );
+    if !all {
+        counted.db = kept.iter().map(|&e| counted.db[e].clone()).collect();
+    }
+    (qr, counted, all)
+}
+
+/// Do any tuples carry extra trailing columns beyond their schema?
+pub(crate) fn has_extras(db: &DistDatabase) -> bool {
+    db.iter().any(|rel| {
+        rel.parts
+            .iter()
+            .flat_map(|p| p.first())
+            .any(|t| t.arity() > rel.attrs.len())
+    })
+}
+
+/// Burn the seed draws a counting pass over `n_edges` edges makes (one per
+/// non-root edge of its join tree), so a count obtained another way leaves
+/// every later seed unchanged.
+pub(crate) fn burn_count_draws(n_edges: usize, seed: &mut u64) {
+    for _ in 1..n_edges {
+        next_seed(seed);
+    }
 }
 
 /// Per-key degrees of a distributed relation on `key_attrs`, plus a tagging
@@ -182,40 +363,33 @@ pub fn split_by_degree(
     threshold: u64,
     seed: u64,
 ) -> (DistRelation, DistRelation) {
+    let degrees = degrees_of(net, &rel, key_attrs, &rel, key_attrs, seed);
+    partition_by(net, rel, key_attrs, degrees, |d| d > threshold)
+}
+
+/// Split `rel` into `(heavy, light)` by whether `heavy` holds for the
+/// per-server answer to each tuple's key (0 when absent). Free.
+pub(crate) fn partition_by(
+    net: &mut Net,
+    rel: DistRelation,
+    key_attrs: &[Attr],
+    answers: Vec<FxHashMap<Tuple, u64>>,
+    heavy: impl Fn(u64) -> bool + Sync,
+) -> (DistRelation, DistRelation) {
     let pos = rel.positions_of(key_attrs);
-    let keyed = Partitioned::from_parts(net.run_each(|s| {
-        rel.parts[s]
-            .iter()
-            .map(|t| (t.project(&pos), 1u64))
-            .collect::<Vec<_>>()
-    }));
-    let degrees = sum_by_key(net, keyed, seed, |a, b| a + b);
-    let requests = Partitioned::from_parts(net.run_each(|s| {
-        rel.parts[s]
-            .iter()
-            .map(|t| t.project(&pos))
-            .collect::<Vec<Tuple>>()
-    }));
-    let answers = lookup(net, &degrees, &requests);
-    let attrs = rel.attrs.clone();
     let split: Vec<(Vec<Tuple>, Vec<Tuple>)> = net.run_local(
         rel.parts.into_parts().into_iter().zip(answers).collect(),
-        |_, (part, ans): (Vec<Tuple>, aj_primitives::FxHashMap<Tuple, u64>)| {
+        |_, (part, ans): (Vec<Tuple>, FxHashMap<Tuple, u64>)| {
             part.into_iter()
-                .partition(|t| ans.get(&t.project(&pos)).copied().unwrap_or(0) > threshold)
+                .partition(|t| heavy(ans.get(&t.project(&pos)).copied().unwrap_or(0)))
         },
     );
     let (heavy, light): (Vec<Vec<Tuple>>, Vec<Vec<Tuple>>) = split.into_iter().unzip();
-    (
-        DistRelation {
-            attrs: attrs.clone(),
-            parts: Partitioned::from_parts(heavy),
-        },
-        DistRelation {
-            attrs,
-            parts: Partitioned::from_parts(light),
-        },
-    )
+    let half = |parts| DistRelation {
+        attrs: rel.attrs.clone(),
+        parts: Partitioned::from_parts(parts),
+    };
+    (half(heavy), half(light))
 }
 
 /// Degrees of key values of `of` within `rel` (`|σ_{key=v} rel|` for each
@@ -229,7 +403,7 @@ pub fn degrees_of(
     of: &DistRelation,
     of_key_attrs: &[Attr],
     seed: u64,
-) -> Vec<aj_primitives::FxHashMap<Tuple, u64>> {
+) -> Vec<FxHashMap<Tuple, u64>> {
     let rpos = rel.positions_of(rel_key_attrs);
     let keyed = Partitioned::from_parts(net.run_each(|s| {
         rel.parts[s]
@@ -339,6 +513,150 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b);
         }
+    }
+
+    /// The semi-join primitive over projected keys (an empty or Cartesian
+    /// right side decides alone), independent of the weighted step.
+    fn reference_semi_join(
+        net: &mut Net,
+        left: DistRelation,
+        right: &DistRelation,
+        seed: u64,
+    ) -> DistRelation {
+        let shared = left.shared_attrs(right);
+        if left.total_len() == 0 || right.total_len() == 0 || shared.is_empty() {
+            let empty = right.total_len() == 0;
+            return if empty {
+                DistRelation::empty(left.attrs, left.parts.p())
+            } else {
+                left
+            };
+        }
+        let (lpos, rpos) = (left.positions_of(&shared), right.positions_of(&shared));
+        let keys = right.parts.clone().map(|_, t| t.project(&rpos));
+        let key_of = |t: &Tuple| t.project(&lpos);
+        let parts = aj_primitives::semi_join(net, left.parts, key_of, keys, seed);
+        DistRelation {
+            attrs: left.attrs,
+            parts,
+        }
+    }
+
+    /// The full reducer as two semi-join sweeps, seeds `seed + i·0x9e37`.
+    fn reference_reduce(net: &mut Net, q: &Query, db: DistDatabase, seed: u64) -> DistDatabase {
+        let tree = q.join_tree().unwrap();
+        let mut rels = db;
+        let mut s = seed;
+        let edges = tree.order.iter().map(|&e| (e, tree.parent[e]));
+        let up: Vec<(usize, usize)> = edges.filter_map(|(e, p)| Some((p?, e))).collect();
+        let down = up.iter().rev().map(|&(p, e)| (e, p));
+        for (to, from) in up.iter().copied().chain(down) {
+            rels[to] = reference_semi_join(net, rels[to].clone(), &rels[from], s);
+            s = s.wrapping_add(0x9e37);
+        }
+        rels
+    }
+
+    fn sorted(mut v: Vec<(Tuple, u64)>) -> Vec<(Tuple, u64)> {
+        v.sort_unstable();
+        v
+    }
+
+    /// The counted reducer against the semi-join sweeps and the RAM count:
+    /// the same tuples on every server in the same order, `OUT` equal to
+    /// `ram::count`, root counts grouped by an attribute of every edge equal
+    /// to `count_by_group`, and no more communication than the reference
+    /// reduce plus one prefix sum. `extra` appends an annotation column.
+    fn check_counted_reducer(q: &Query, db: &Database, extra: bool, label: &str) {
+        let p = 4;
+        let mut dist = distribute_db(db, p);
+        if extra {
+            for rel in &mut dist {
+                rel.parts = rel.parts.clone().map(|_, t| t.extend(&[7]));
+            }
+        }
+        let mut reference = Cluster::new(p);
+        let want = reference_reduce(&mut reference.net(), q, dist.clone(), 11);
+        let mut cluster = Cluster::new(p);
+        let (got, out) = {
+            let mut net = cluster.net();
+            let got = dist_full_reduce_counted(&mut net, q, dist.clone(), 11);
+            let out = got.out(&mut net);
+            (got, out)
+        };
+        for (e, (g, w)) in got.db.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.parts, w.parts,
+                "{label}: edge {e} differs from the semi-joins"
+            );
+        }
+        assert_eq!(out, ram::count(q, db), "{label}: OUT");
+        let (r, c) = (reference.stats(), cluster.stats());
+        assert!(c.exchanges <= r.exchanges + 2, "{label}: rounds");
+        assert!(
+            c.total_messages <= r.total_messages + 2 * p as u64,
+            "{label}: units"
+        );
+        assert!(c.max_load <= r.max_load.max(p as u64), "{label}: load");
+        let Some(a) = (0..q.n_attrs()).find(|&a| q.edges_containing(a).len() == q.n_edges()) else {
+            return;
+        };
+        let mut net = cluster.net();
+        let grouped =
+            crate::aggregate::sum_by_group(&mut net, &got.db[got.root], &got.counts, &[a], 3);
+        let by_group = crate::aggregate::count_by_group(&mut net, q, &dist, &[a], 3, &mut 5);
+        assert_eq!(
+            sorted(grouped.parts.gather_free()),
+            sorted(by_group.parts.gather_free()),
+            "{label}: grouped counts"
+        );
+    }
+
+    #[test]
+    fn counted_reducer_matches_semi_joins_and_count() {
+        use aj_instancegen::{randquery, shapes};
+        for seed in 0u64..48 {
+            let q = randquery::random_connected_query(seed);
+            let q = if q.is_acyclic() {
+                q
+            } else {
+                randquery::random_tree_query(seed)
+            };
+            let db = if seed % 2 == 0 {
+                randquery::uniform_instance(&q, 24, 6, seed ^ 0xdb)
+            } else {
+                randquery::zipf_instance(&q, 24, 8, 1.2, seed ^ 0xdb)
+            };
+            check_counted_reducer(&q, &db, false, &format!("seed {seed}"));
+        }
+        let q = line3();
+        let mut empty = db(&q);
+        empty.relations[2].tuples.clear();
+        check_counted_reducer(&q, &empty, false, "empty relation");
+        check_counted_reducer(&q, &db(&q), true, "annotated");
+        let mut b = QueryBuilder::new();
+        b.relation("R1", &["A", "B"]);
+        b.relation("R2", &["B", "C"]);
+        b.relation("R3", &["D"]);
+        b.relation("R4", &["D", "E"]);
+        let cart = b.build();
+        let rows = |n: u64, m: u64| (0..n).map(|i| vec![i % m, i % 3]).collect::<Vec<_>>();
+        let mut cart_db = database_from_rows(
+            &cart,
+            &[rows(9, 4), rows(6, 5), vec![vec![1], vec![2]], rows(5, 2)],
+        );
+        cart_db.dedup_all();
+        check_counted_reducer(&cart, &cart_db, false, "disconnected");
+        let rh = shapes::rh_example_query();
+        let mut rh_db = database_from_rows(
+            &rh,
+            &[vec![vec![0], vec![1]], rows(8, 3), vec![vec![1], vec![2]]],
+        );
+        rh_db.dedup_all();
+        check_counted_reducer(&rh, &rh_db, false, "contained edge");
+        let star = shapes::star_query(3);
+        let star_db = aj_instancegen::randquery::zipf_instance(&star, 32, 6, 1.2, 9);
+        check_counted_reducer(&star, &star_db, false, "star");
     }
 
     #[test]

@@ -2,16 +2,18 @@
 //! (Theorem 3, Section 3.2): deterministic, O(1) rounds, load
 //! `O(IN/p + L_instance(p, R))`.
 //!
-//! After removing dangling tuples and reducing the hypergraph, the attribute
-//! forest drives a two-case recursion. Each level first needs the subset
-//! join sizes `|Q(R,S)|` for its load `L = IN/p + L_instance`, and each
-//! case counts them once:
+//! After removing dangling tuples (one counted full reduce) and reducing the
+//! hypergraph, the attribute forest drives a two-case recursion. Each level
+//! first needs the subset join sizes `|Q(R,S)|` for its load
+//! `L = IN/p + L_instance`, and each case counts them once:
 //!
 //! * **Case 1** (one tree): group the instance by the root attribute(s),
 //!   which lie in every edge. One grouped count per edge subset gives the
 //!   per-value sizes `|Q_x(R_a,S)|`, and one coordinator call sums them into
-//!   `|Q(R,S)|`. Sub-instances lighter than `L` are parallel-packed onto
-//!   single servers; heavy sub-instances get
+//!   `|Q(R,S)|`; at the top level the full set's count only groups the
+//!   reducer's root counts (when the hypergraph reduce kept every edge).
+//!   Sub-instances lighter than `L` are parallel-packed onto single
+//!   servers; heavy sub-instances get
 //!   `p_a = max_S ⌈|Q_x(R_a,S)|/L^{|S|}⌉` servers and recurse on the
 //!   residual query.
 //! * **Case 2** (`k` trees = a Cartesian product of `k` joins): subsets
@@ -34,17 +36,15 @@
 //! heavy) read owner-side metadata that a real deployment would broadcast in
 //! O(1) control messages.
 
-use aj_primitives::FxHashMap;
-
 use aj_mpc::{Net, Partitioned, ServerId, Wire, WireReader};
-use aj_primitives::{
-    coordinate, lookup, parallel_packing, prefix_sum, sum_by_key, Key, OwnedTable,
-};
+use aj_primitives::{lookup, parallel_packing, prefix_sum, sum_by_key, FxHashMap, Key, OwnedTable};
 use aj_relation::classify::AttributeForest;
 use aj_relation::{Attr, EdgeSet, Query, Tuple};
 
-use crate::aggregate::{count_by_group, output_size};
-use crate::dist::{dist_full_reduce, next_seed, DistDatabase, DistRelation};
+use crate::aggregate::{count_by_group, output_size, sum_by_group};
+use crate::dist::{
+    burn_count_draws, column_sums, next_seed, reduce_for_solver, DistDatabase, DistRelation,
+};
 use crate::local::{multiway_join, normalize, LocalRel};
 
 /// Solve an r-hierarchical join instance-optimally (Theorem 3).
@@ -52,41 +52,22 @@ use crate::local::{multiway_join, normalize, LocalRel};
 /// # Panics
 /// Panics if the reduced query is not hierarchical.
 pub fn solve(net: &mut Net, q: &Query, db: DistDatabase, seed: &mut u64) -> DistRelation {
-    // Preprocessing: remove dangling tuples, reduce the hypergraph.
-    let db = dist_full_reduce(net, q, db, next_seed(seed));
-    // Structural reduce drops a contained relation entirely; that is only
-    // sound when tuples carry no extra (annotation) columns — annotated
-    // callers must pre-reduce with the ⊗-folding annotated reduce.
-    let (qr, db) = if has_extras(&db) {
-        let (qr, kept) = q.reduce();
-        assert_eq!(
-            kept.len(),
-            q.n_edges(),
-            "annotated input must be pre-reduced (use aggregate::join_aggregate)"
-        );
-        (qr, db)
-    } else {
-        let (qr, kept) = q.reduce();
-        (qr, kept.into_iter().map(|e| db[e].clone()).collect())
-    };
+    let (qr, counted, all_kept) = reduce_for_solver(net, q, db, next_seed(seed));
     assert!(
         aj_relation::classify::is_hierarchical(&qr),
         "Theorem 3 requires an r-hierarchical query, got {q}"
     );
-    rec(net, &qr, db, seed)
+    let root_counts = all_kept.then_some((counted.root, counted.counts));
+    rec(net, &qr, counted.db, root_counts, seed)
 }
 
-/// Do any tuples carry extra trailing columns beyond their schema?
-pub(crate) fn has_extras(db: &DistDatabase) -> bool {
-    db.iter().any(|rel| {
-        rel.parts
-            .iter()
-            .flat_map(|p| p.first())
-            .any(|t| t.arity() > rel.attrs.len())
-    })
-}
-
-fn rec(net: &mut Net, q: &Query, db: DistDatabase, seed: &mut u64) -> DistRelation {
+fn rec(
+    net: &mut Net,
+    q: &Query,
+    db: DistDatabase,
+    root_counts: Option<(usize, Vec<Vec<u64>>)>,
+    seed: &mut u64,
+) -> DistRelation {
     if q.n_edges() == 1 {
         return db.into_iter().next().unwrap().normalized_keep_extras();
     }
@@ -97,7 +78,7 @@ fn rec(net: &mut Net, q: &Query, db: DistDatabase, seed: &mut u64) -> DistRelati
     }
     let forest = AttributeForest::build(q).expect("recursion keeps the query hierarchical");
     if forest.n_trees() == 1 {
-        case1(net, q, db, &forest, in_size, seed)
+        case1(net, q, db, &forest, in_size, root_counts, seed)
     } else {
         case2(net, q, db, &forest, in_size, seed)
     }
@@ -116,15 +97,6 @@ fn load_from_counts(
         l_inst = l_inst.max((c as f64 / p as f64).powf(1.0 / s.len() as f64));
     }
     ((in_size as u64).div_ceil(p as u64) + l_inst.ceil() as u64).max(1)
-}
-
-/// Burn the seed draws an [`output_size`] pass over the edge subset `s`
-/// would make (one per non-root edge of its join tree), so that a count
-/// obtained another way leaves every later seed unchanged.
-fn burn_count_draws(s: EdgeSet, seed: &mut u64) {
-    for _ in 1..s.len() {
-        next_seed(seed);
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -153,13 +125,15 @@ impl Wire for Directive {
 }
 
 /// Case 1: the attribute forest is a single tree; recurse on the root
-/// attribute group.
+/// attribute group. `root_counts`, when given, are the reducer's per-tuple
+/// subtree counts of `db[root]` over `q`'s join tree.
 fn case1(
     net: &mut Net,
     q: &Query,
     db: DistDatabase,
     forest: &AttributeForest,
     in_size: usize,
+    root_counts: Option<(usize, Vec<Vec<u64>>)>,
     seed: &mut u64,
 ) -> DistRelation {
     let p = net.p();
@@ -172,7 +146,7 @@ fn case1(
     // the per-root-value counts |Q_x(R_a,S)| below and needs no pass of its
     // own; that pass's seed draws are still burnt (see the module docs).
     for s in EdgeSet::all(m).subsets() {
-        burn_count_draws(s, seed);
+        burn_count_draws(s.len(), seed);
     }
     let kd = next_seed(seed);
     // Per-value subset counts |Q_x(R_a, S)| co-located at the degree owner
@@ -182,9 +156,18 @@ fn case1(
         if s.is_empty() {
             continue;
         }
-        let (sub_q, kept) = q.restrict(s);
-        let sub_db: DistDatabase = kept.iter().map(|&e| db[e].clone()).collect();
-        let table = count_by_group(net, &sub_q, &sub_db, &root_attrs, kd, seed);
+        let table = match &root_counts {
+            // The full set's sweep already ran inside the reducer.
+            Some((e, counts)) if s.len() == m => {
+                burn_count_draws(m, seed);
+                sum_by_group(net, &db[*e], counts, &root_attrs, kd)
+            }
+            _ => {
+                let (sub_q, kept) = q.restrict(s);
+                let sub_db: DistDatabase = kept.iter().map(|&e| db[e].clone()).collect();
+                count_by_group(net, &sub_q, &sub_db, &root_attrs, kd, seed)
+            }
+        };
         per_subset.push((
             s,
             table
@@ -204,16 +187,7 @@ fn case1(
                 .collect()
         })
         .collect();
-    let totals = coordinate(net, partials, |parts| {
-        let mut sums = vec![0u64; parts[0].len()];
-        for part in &parts {
-            for (sum, c) in sums.iter_mut().zip(part) {
-                *sum = sum.saturating_add(*c);
-            }
-        }
-        vec![sums; parts.len()]
-    })
-    .swap_remove(0);
+    let totals = column_sums(net, partials);
     let load = load_from_counts(in_size, per_subset.iter().map(|t| t.0).zip(totals), p);
 
     // IN_a per root value, across all relations.
@@ -462,7 +436,7 @@ fn case1(
             .collect();
         let sub_out = {
             let mut sub_net = net.sub(start as usize, len as usize);
-            rec(&mut sub_net, &residual_q, sub_db, seed)
+            rec(&mut sub_net, &residual_q, sub_db, None, seed)
         };
         // Re-attach the root value columns and place into the global output.
         for (local, part) in sub_out.parts.into_parts().into_iter().enumerate() {
@@ -508,7 +482,7 @@ fn case2(
             let sub_db: DistDatabase = kept.iter().map(|&e| db[e].clone()).collect();
             cnt.insert(s, output_size(net, &sub_q, &sub_db, seed));
         } else {
-            burn_count_draws(s, seed);
+            burn_count_draws(s.len(), seed);
         }
     }
     for s in EdgeSet::all(q.n_edges()).subsets() {
@@ -623,7 +597,7 @@ fn case2(
                 .collect();
             let sub_out = {
                 let mut group_net = net.sub_strided(base, stride[i], dims[i]);
-                rec(&mut group_net, &sub_q, sub_db, seed)
+                rec(&mut group_net, &sub_q, sub_db, None, seed)
             };
             out_attrs_i[i] = sub_out.attrs.clone();
             for (ci, part) in sub_out.parts.into_parts().into_iter().enumerate() {
@@ -665,7 +639,7 @@ fn case2(
 }
 
 /// All attributes occurring in the query, ascending — the output schema.
-fn occurring_attrs(q: &Query) -> Vec<Attr> {
+pub(crate) fn occurring_attrs(q: &Query) -> Vec<Attr> {
     (0..q.n_attrs())
         .filter(|&a| !q.edges_containing(a).is_empty())
         .collect()
@@ -706,7 +680,7 @@ fn merge_rows(attrs_a: &[Attr], ta: &Tuple, attrs_b: &[Attr], tb: &Tuple) -> (Ve
     (attrs, Tuple::new(vals))
 }
 
-fn empty_output(q: &Query, p: usize) -> DistRelation {
+pub(crate) fn empty_output(q: &Query, p: usize) -> DistRelation {
     DistRelation {
         attrs: occurring_attrs(q),
         parts: Partitioned::empty(p),

@@ -1,9 +1,10 @@
 //! The **line-3 join** algorithm (Theorem 5, Section 4.2):
 //! `R1(A,B) ⋈ R2(B,C) ⋈ R3(C,D)` with load `O(IN/p + √(IN·OUT)/p)`.
 //!
-//! After removing dangling tuples and computing `OUT` (Corollary 4), `B`
-//! values with degree > `τ = √(OUT/IN)` in `R1` are *heavy*. The join is
-//! decomposed into
+//! One counted full reduce removes the dangling tuples and yields `OUT`
+//! (Corollary 4: its bottom-up sweep is the counting sweep, so `OUT` costs
+//! one coordinator call on top). `B` values with degree > `τ = √(OUT/IN)`
+//! in `R1` are *heavy*. The join is decomposed into
 //!
 //! ```text
 //! Q1 = R1^H ⋈ (R2^H ⋈ R3)      // heavy B: |R2^H ⋈ R3| ≤ OUT/τ
@@ -16,9 +17,11 @@
 
 use aj_relation::{Attr, Query};
 
-use crate::aggregate::output_size;
 use crate::binary::binary_join;
-use crate::dist::{dist_full_reduce, next_seed, split_by_degree, DistDatabase, DistRelation};
+use crate::dist::{
+    burn_count_draws, degrees_of, dist_full_reduce_counted, next_seed, partition_by,
+    split_by_degree, DistDatabase, DistRelation,
+};
 
 /// The heavy/light threshold `τ = max(1, ⌈√(OUT/IN)⌉)`.
 pub fn tau(in_size: u64, out_size: u64) -> u64 {
@@ -37,48 +40,23 @@ pub fn solve(net: &mut Net, q: &Query, db: DistDatabase, seed: &mut u64) -> Dist
         "relations must be given in chain order R1–R2–R3"
     );
     // Step 0: preprocessing.
-    let db = dist_full_reduce(net, q, db, next_seed(seed));
-    let in_size: u64 = db.iter().map(|r| r.total_len() as u64).sum();
+    let counted = dist_full_reduce_counted(net, q, db, next_seed(seed));
+    let in_size: u64 = counted.db.iter().map(|r| r.total_len() as u64).sum();
     if in_size == 0 {
-        let mut attrs: Vec<Attr> = db.iter().flat_map(|r| r.attrs.clone()).collect();
-        attrs.sort_unstable();
-        attrs.dedup();
-        return DistRelation::empty(attrs, net.p());
+        return crate::hierarchical::empty_output(q, net.p());
     }
-    let out_size = output_size(net, q, &db, seed);
+    let out_size = counted.out(net);
+    burn_count_draws(q.n_edges(), seed);
     let threshold = tau(in_size, out_size);
 
-    let [r1, r2, r3]: [DistRelation; 3] = db.try_into().ok().unwrap();
+    let [r1, r2, r3]: [DistRelation; 3] = counted.db.try_into().ok().unwrap();
 
     // Step 1: classify B values by their degree in R1.
     let (r1_heavy, r1_light) = split_by_degree(net, r1, &shared_01, threshold, next_seed(seed));
     // R2 splits by the same heavy-B set: a B value is heavy iff its degree in
     // R1 exceeds τ, so split R2 against R1's degrees.
-    let (r2_heavy, r2_light) = {
-        let maps =
-            crate::dist::degrees_of(net, &r1_heavy, &shared_01, &r2, &shared_01, next_seed(seed));
-        let pos = r2.positions_of(&shared_01);
-        let attrs = r2.attrs.clone();
-        let mut heavy = Vec::with_capacity(r2.parts.p());
-        let mut light = Vec::with_capacity(r2.parts.p());
-        for (part, map) in r2.parts.into_parts().into_iter().zip(maps) {
-            let (h, l): (Vec<_>, Vec<_>) = part
-                .into_iter()
-                .partition(|t| map.get(&t.project(&pos)).copied().unwrap_or(0) > 0);
-            heavy.push(h);
-            light.push(l);
-        }
-        (
-            DistRelation {
-                attrs: attrs.clone(),
-                parts: aj_mpc::Partitioned::from_parts(heavy),
-            },
-            DistRelation {
-                attrs,
-                parts: aj_mpc::Partitioned::from_parts(light),
-            },
-        )
-    };
+    let maps = degrees_of(net, &r1_heavy, &shared_01, &r2, &shared_01, next_seed(seed));
+    let (r2_heavy, r2_light) = partition_by(net, r2, &shared_01, maps, |d| d > 0);
 
     // Step 2, part Q1 = R1^H ⋈ (R2^H ⋈ R3).
     let r23 = binary_join(net, r2_heavy, r3.clone(), seed);
