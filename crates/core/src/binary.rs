@@ -1,18 +1,25 @@
 //! The output-optimal **binary join**, load `O(IN/p + √(OUT/p))`
 //! (Beame–Koutris–Suciu \[8\], Hu–Tao–Yi \[18\]).
 //!
-//! Deterministic skew-handling scheme:
+//! Deterministic skew-handling scheme, in 12 rounds:
 //!
-//! * per-key degrees `d1(k), d2(k)` via sum-by-key (co-located at the key
-//!   owner);
-//! * `OUT = Σ_k d1·d2` via one coordinator gather and scatter;
-//!   `L = max(IN/p, √(OUT/p))`;
-//! * **light keys** (`d1, d2 ≤ L`) are parallel-packed into groups of `O(L)`
-//!   input and `O(L²)` output each, one (virtual) server per group;
-//! * **heavy keys** get a `⌈d1/L⌉ × ⌈d2/L⌉` grid of virtual servers; the
-//!   left side is sliced over rows (replicated across columns), the right
-//!   over columns. Each grid cell receives ≤ `2L` tuples and owns a unique
-//!   rectangle of output pairs.
+//! 1. per-key degrees `d1(k), d2(k)` by one [`tally`] per side — sum-by-key
+//!    that remembers which servers hold each key — co-located at the key
+//!    owner (2 rounds);
+//! 2. `OUT = Σ_k d1·d2` via one coordinator gather and scatter (2 rounds);
+//!    `L = max(IN/p, √(OUT/p))`;
+//! 3. **light keys** (`d1, d2 ≤ L`) are parallel-packed into groups of
+//!    `O(L)` input and `O(L²)` output each, one (virtual) server per group
+//!    (2 rounds);
+//! 4. **heavy keys** get a `⌈d1/L⌉ × ⌈d2/L⌉` grid of virtual servers, their
+//!    ranges placed by one prefix sum (2 rounds); the left side is sliced
+//!    over rows (replicated across columns), the right over columns. Each
+//!    grid cell receives ≤ `2L` tuples and owns a unique rectangle of output
+//!    pairs;
+//! 5. per side, the key owner [`answer`]s every holder its tally heard from
+//!    with the key's directive and the holder's numbering offset — the
+//!    multi-numbering of the paper, without an ask round — and one
+//!    exchange routes the tuples (4 rounds).
 //!
 //! Virtual servers fold onto the `p` physical ones round-robin; the paper's
 //! accounting shows the number of virtual servers is `O(p)`, so folding
@@ -23,7 +30,7 @@
 //! through and the output layout is `[left attrs][right new attrs][left
 //! extras][right extras]`.
 //!
-//! All per-server phases (degree counting, directive lookup, grid routing,
+//! All per-server phases (degree counting, directive answers, grid routing,
 //! the final local hash join) are expressed through the round API of
 //! [`aj_mpc`], so they run concurrently under a parallel executor.
 //!
@@ -50,9 +57,7 @@ use aj_mpc::{
     detect_heavy_hitters, hash_mix, hash_to_server, HashKey, Net, Partitioned, RowOutbox, ServerId,
     TupleBlock, Wire, WireReader,
 };
-use aj_primitives::{
-    lookup, multi_numbering, parallel_packing, prefix_sum, sum_by_key, OwnedTable,
-};
+use aj_primitives::{answer, parallel_packing, prefix_offsets, prefix_sum, tally, Tally};
 use aj_relation::skew::{grid_split, target_cell_load, JoinSkew};
 use aj_relation::{Attr, Tuple};
 
@@ -110,24 +115,16 @@ pub fn binary_join(
     let layout = JoinLayout::of(&left, &right, &shared);
     let (lkey, rkey) = (layout.lkey.clone(), layout.rkey.clone());
 
-    // --- Degrees, co-located per key --------------------------------------
+    // --- Degrees, co-located per key, holders remembered ------------------
     let kd = next_seed(seed);
-    let d1 = sum_by_key(
-        net,
-        keyed_units(net, &left.parts, &lkey),
-        kd,
-        |a: u64, b| a + b,
-    );
-    let d2 = sum_by_key(
-        net,
-        keyed_units(net, &right.parts, &rkey),
-        kd,
-        |a: u64, b| a + b,
-    );
+    let left = pair_with_key(net, left.parts, &lkey);
+    let right = pair_with_key(net, right.parts, &rkey);
+    let d1 = tally(net, keyed_units(net, &left), kd, |a: u64, b| a + b);
+    let d2 = tally(net, keyed_units(net, &right), kd, |a: u64, b| a + b);
     // Per owner: joinable keys with both degrees.
     let joinable: Vec<Vec<(Tuple, u64, u64)>> = net.run_each(|s| {
-        let m2: FxHashMap<&Tuple, u64> = d2.parts[s].iter().map(|(k, c)| (k, *c)).collect();
-        d1.parts[s]
+        let m2: FxHashMap<&Tuple, u64> = d2.totals.parts[s].iter().map(|(k, c)| (k, *c)).collect();
+        d1.totals.parts[s]
             .iter()
             .filter_map(|(k, c1)| m2.get(k).map(|&c2| (k.clone(), *c1, c2)))
             .collect()
@@ -171,61 +168,42 @@ pub fn binary_join(
         .map(|keys| keys.iter().map(|k| k.3).sum())
         .collect();
     let (heavy_bases, _n_heavy_cells) = prefix_sum(net, &heavy_totals);
-    // Directive table, assembled in place at the key owners (seed kd).
-    let directive_parts: Vec<Vec<(Tuple, Directive)>> = packing
+    // Directives, assembled in place at the key owners (seed kd).
+    let directives: Vec<FxHashMap<Tuple, Directive>> = packing
         .items
         .into_parts()
         .into_iter()
         .zip(heavy_demand)
         .enumerate()
         .map(|(s, (light, heavy))| {
-            let mut v: Vec<(Tuple, Directive)> = light
+            let mut v: FxHashMap<Tuple, Directive> = light
                 .into_iter()
                 .map(|(k, g)| (k, Directive::Light { group: g }))
                 .collect();
             let mut run = heavy_bases[s];
             for (k, rows, cols, cells) in heavy {
-                v.push((
+                v.insert(
                     k,
                     Directive::Heavy {
                         start: run,
                         rows,
                         cols,
                     },
-                ));
+                );
                 run += cells;
             }
             v
         })
         .collect();
-    let directives = OwnedTable {
-        seed: kd,
-        parts: Partitioned::from_parts(directive_parts),
-    };
-    // --- Number tuples within keys (for grid slicing) ---------------------
-    let n1 = next_seed(seed);
-    let left_nb = multi_numbering(net, pair_with_key(net, left.parts, &lkey), n1);
-    let n2 = next_seed(seed);
-    let right_nb = multi_numbering(net, pair_with_key(net, right.parts, &rkey), n2);
+    // The two multi-numbering seeds the tallies replace (later seeds stay).
+    next_seed(seed);
+    next_seed(seed);
     // --- Route both sides (columnar: cell-tagged rows in TupleBlocks) -----
-    let left_routed = route_side(
-        net,
-        &directives,
-        left_nb,
-        n_groups,
-        p,
-        Side::Left,
-        layout.left_arity,
-    );
-    let right_routed = route_side(
-        net,
-        &directives,
-        right_nb,
-        n_groups,
-        p,
-        Side::Right,
-        layout.right_arity,
-    );
+    let route = |net: &mut Net, side, pairs, degrees: &Tally<Tuple, u64>, arity| {
+        route_side(net, &directives, degrees, pairs, n_groups, side, arity)
+    };
+    let left_routed = route(net, Side::Left, left, &d1, layout.left_arity);
+    let right_routed = route(net, Side::Right, right, &d2, layout.right_arity);
     // --- Local join per physical server ------------------------------------
     let sides: Vec<(TupleBlock, TupleBlock)> = left_routed.into_iter().zip(right_routed).collect();
     let out_parts: Vec<Vec<Tuple>> = net.run_local(sides, |_, (lblock, rblock)| {
@@ -650,17 +628,10 @@ enum Side {
     Right,
 }
 
-fn keyed_units(
-    net: &Net,
-    parts: &Partitioned<Tuple>,
-    key_pos: &[usize],
-) -> Partitioned<(Tuple, u64)> {
-    Partitioned::from_parts(net.run_each(|s| {
-        parts[s]
-            .iter()
-            .map(|t| (t.project(key_pos), 1u64))
-            .collect()
-    }))
+fn keyed_units(net: &Net, pairs: &Partitioned<(Tuple, Tuple)>) -> Partitioned<(Tuple, u64)> {
+    Partitioned::from_parts(
+        net.run_each(|s| pairs[s].iter().map(|(k, _)| (k.clone(), 1u64)).collect()),
+    )
 }
 
 fn pair_with_key(
@@ -673,9 +644,14 @@ fn pair_with_key(
     }))
 }
 
-/// Look up directives and ship tuples to their (virtual-cell-tagged)
-/// physical destinations. Tuples whose key has no directive (no match on the
-/// other side) are dropped locally.
+/// Answer one side's holders with their keys' directives and numbering
+/// offsets, then ship tuples to their (virtual-cell-tagged) physical
+/// destinations. A key's holders are the servers its degree tally heard
+/// from, so one answer round replaces a directive lookup's ask and answer
+/// rounds, and the offset is the per-server prefix of the key's degree in
+/// server order — the number multi-numbering assigns a server's first tuple
+/// of that key. Keys without a directive (no match on the other side) get
+/// no answer and their tuples are dropped locally.
 ///
 /// Movement is columnar: each sender stages rows `[cell, values…]` in a flat
 /// [`aj_mpc::RowOutbox`] (heavy tuples once per replica cell) and the radix
@@ -684,25 +660,23 @@ fn pair_with_key(
 /// exchange: one unit per delivered row.
 fn route_side(
     net: &mut Net,
-    directives: &OwnedTable<Tuple, Directive>,
-    numbered: Partitioned<(Tuple, Tuple, u64)>,
+    directives: &[FxHashMap<Tuple, Directive>],
+    degrees: &Tally<Tuple, u64>,
+    pairs: Partitioned<(Tuple, Tuple)>,
     n_groups: u64,
-    p: usize,
     side: Side,
     tuple_arity: usize,
 ) -> Vec<TupleBlock> {
-    let requests = Partitioned::from_parts(net.run_each(|s| {
-        numbered[s]
-            .iter()
-            .map(|(k, _, _)| k.clone())
-            .collect::<Vec<Tuple>>()
-    }));
-    let answers = lookup(net, directives, &requests);
+    let answers = answer(net, degrees, |owner, k, _, holders, out| {
+        if let Some(&d) = directives[owner].get(k) {
+            out.extend(prefix_offsets(holders).map(|at| (d, at)));
+        }
+    });
+    let p = net.p();
     let row_arity = tuple_arity + 1;
-    let inputs: Vec<_> = numbered.into_parts().into_iter().zip(answers).collect();
-    let outbox: Vec<RowOutbox> = net.run_local(inputs, |_, (part, ans)| {
-        let part: Vec<(Tuple, Tuple, u64)> = part;
-        let ans: FxHashMap<Tuple, Directive> = ans;
+    let inputs: Vec<_> = pairs.into_parts().into_iter().zip(answers).collect();
+    type Answers = FxHashMap<Tuple, (Directive, u64)>;
+    let outbox: Vec<RowOutbox> = net.run_local(inputs, |_, (part, mut ans): (Vec<_>, Answers)| {
         let mut ob = RowOutbox::with_capacity(row_arity, part.len());
         let mut row = Vec::with_capacity(row_arity);
         let stage = |ob: &mut RowOutbox, row: &mut Vec<u64>, cell: u64, t: &Tuple| {
@@ -711,20 +685,25 @@ fn route_side(
             row.extend_from_slice(t.values());
             ob.push((cell % p as u64) as usize, row);
         };
-        for (k, t, idx) in &part {
-            match ans.get(k) {
-                None => {} // dangling for this join: drop
-                Some(Directive::Light { group }) => stage(&mut ob, &mut row, *group, t),
-                Some(Directive::Heavy { start, rows, cols }) => match side {
+        for (k, t) in &part {
+            // `next` numbers this server's tuples of `k` consecutively.
+            let Some((d, next)) = ans.get_mut(k) else {
+                continue; // dangling for this join: drop
+            };
+            let idx = *next;
+            *next += 1;
+            match *d {
+                Directive::Light { group } => stage(&mut ob, &mut row, group, t),
+                Directive::Heavy { start, rows, cols } => match side {
                     Side::Left => {
                         let r = idx % rows;
-                        for c in 0..*cols {
+                        for c in 0..cols {
                             stage(&mut ob, &mut row, n_groups + start + r * cols + c, t);
                         }
                     }
                     Side::Right => {
                         let c = idx % cols;
-                        for r in 0..*rows {
+                        for r in 0..rows {
                             stage(&mut ob, &mut row, n_groups + start + r * cols + c, t);
                         }
                     }
@@ -1097,5 +1076,40 @@ mod tests {
             load < yannakakis_like,
             "load {load} should beat OUT/p = {yannakakis_like}"
         );
+    }
+
+    /// The binary join's control plane is pinned on the `scaling`
+    /// experiment's instance (fanout 12 per side, `IN = 96000`,
+    /// `OUT = 576000`) at p = 8: 12 exchanges at `L = 18456` — two degree
+    /// tallies, two prefix sums, the packing, one answer and one routing
+    /// exchange per side. `L` is a max over rounds and cannot see an added
+    /// round; this can. Before the tallies' owners answered their holders
+    /// directly (multi-numbering and a directive lookup per side), the join
+    /// took 18 exchanges at the same `L`.
+    #[test]
+    fn scaling_instance_rounds_are_pinned() {
+        let (p, n, keys) = (8, 48_000u64, 4_000u64);
+        let r1 = Relation::new(
+            vec![0, 1],
+            (0..n).map(|i| Tuple::from([i, i % keys])).collect(),
+        );
+        let r2 = Relation::new(
+            vec![1, 2],
+            (0..n)
+                .map(|i| Tuple::from([i % keys, 10_000_000 + i]))
+                .collect(),
+        );
+        let mut cluster = Cluster::new(p);
+        let out = {
+            let mut net = cluster.net();
+            let (left, right) = (
+                DistRelation::distribute(&r1, p),
+                DistRelation::distribute(&r2, p),
+            );
+            binary_join(&mut net, left, right, &mut 7).total_len()
+        };
+        assert_eq!(out, 576_000);
+        let stats = cluster.stats();
+        assert_eq!((stats.exchanges, stats.max_load), (12, 18_456));
     }
 }

@@ -7,7 +7,7 @@
 //! own reduce, and `output_size` and `count_by_group` run the sweep alone.
 
 use aj_mpc::{Net, Partitioned};
-use aj_primitives::{coordinate, lookup, sum_by_key, FxHashMap, DEFAULT_SEED};
+use aj_primitives::{answer, coordinate, lookup, sum_by_key, tally, FxHashMap, DEFAULT_SEED};
 use aj_relation::{Attr, Database, JoinTree, Query, Relation, Tuple};
 
 /// A relation partitioned over the servers of a [`Net`].
@@ -355,7 +355,9 @@ pub(crate) fn burn_count_draws(n_edges: usize, seed: &mut u64) {
 
 /// Per-key degrees of a distributed relation on `key_attrs`, plus a tagging
 /// pass: returns `(heavy, light)` split of the relation by whether the key's
-/// degree exceeds `threshold`. Linear load, O(1) rounds.
+/// degree exceeds `threshold`. Linear load, two rounds: the degree
+/// [`tally`] already heard from every server holding a key, so its owner
+/// [`answer`]s those holders directly instead of being asked.
 pub fn split_by_degree(
     net: &mut Net,
     rel: DistRelation,
@@ -363,8 +365,22 @@ pub fn split_by_degree(
     threshold: u64,
     seed: u64,
 ) -> (DistRelation, DistRelation) {
-    let degrees = degrees_of(net, &rel, key_attrs, &rel, key_attrs, seed);
-    partition_by(net, rel, key_attrs, degrees, |d| d > threshold)
+    let degrees = tally(net, key_units(net, &rel, key_attrs), seed, |a, b| a + b);
+    let answers = answer(net, &degrees, |_, _, &d, holders, out| {
+        out.extend(holders.iter().map(|_| d));
+    });
+    partition_by(net, rel, key_attrs, answers, |d| d > threshold)
+}
+
+/// One `(key, 1)` pair per tuple of `rel`, keyed on `key_attrs`. Free.
+fn key_units(net: &Net, rel: &DistRelation, key_attrs: &[Attr]) -> Partitioned<(Tuple, u64)> {
+    let pos = rel.positions_of(key_attrs);
+    Partitioned::from_parts(net.run_each(|s| {
+        rel.parts[s]
+            .iter()
+            .map(|t| (t.project(&pos), 1u64))
+            .collect::<Vec<_>>()
+    }))
 }
 
 /// Split `rel` into `(heavy, light)` by whether `heavy` holds for the
@@ -404,14 +420,7 @@ pub fn degrees_of(
     of_key_attrs: &[Attr],
     seed: u64,
 ) -> Vec<FxHashMap<Tuple, u64>> {
-    let rpos = rel.positions_of(rel_key_attrs);
-    let keyed = Partitioned::from_parts(net.run_each(|s| {
-        rel.parts[s]
-            .iter()
-            .map(|t| (t.project(&rpos), 1u64))
-            .collect::<Vec<_>>()
-    }));
-    let degrees = sum_by_key(net, keyed, seed, |a, b| a + b);
+    let degrees = sum_by_key(net, key_units(net, rel, rel_key_attrs), seed, |a, b| a + b);
     let opos = of.positions_of(of_key_attrs);
     let requests = Partitioned::from_parts(net.run_each(|s| {
         of.parts[s]

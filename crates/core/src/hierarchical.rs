@@ -37,7 +37,7 @@
 //! O(1) control messages.
 
 use aj_mpc::{Net, Partitioned, ServerId, Wire, WireReader};
-use aj_primitives::{lookup, parallel_packing, prefix_sum, sum_by_key, FxHashMap, Key, OwnedTable};
+use aj_primitives::{answer, parallel_packing, prefix_sum, tally, FxHashMap, Key};
 use aj_relation::classify::AttributeForest;
 use aj_relation::{Attr, EdgeSet, Query, Tuple};
 
@@ -203,11 +203,12 @@ fn case1(
             })
             .collect(),
     );
-    let degrees = sum_by_key(net, pairs, kd, |a, b| a + b);
+    let degrees = tally(net, pairs, kd, |a, b| a + b);
 
     // Light keys → parallel packing.
     let light_items = Partitioned::from_parts(
         degrees
+            .totals
             .parts
             .iter()
             .map(|part| {
@@ -227,7 +228,7 @@ fn case1(
 
     // Heavy keys: demands at the owners.
     let mut heavy_demand: Vec<Vec<(Tuple, u64)>> = Vec::with_capacity(p);
-    for (s, part) in degrees.parts.iter().enumerate() {
+    for (s, part) in degrees.totals.parts.iter().enumerate() {
         let mut v = Vec::new();
         for (k, d) in part {
             if *d <= load {
@@ -284,23 +285,18 @@ fn case1(
             v
         })
         .collect();
-    let directives = OwnedTable {
-        seed: kd,
-        parts: Partitioned::from_parts(directive_parts),
-    };
 
-    // Look up each relation's directive answers.
-    let mut answers: Vec<Vec<FxHashMap<Tuple, Directive>>> = Vec::with_capacity(m);
-    for rel in &db {
-        let pos = rel.positions_of(&root_attrs);
-        let requests = Partitioned::from_parts(
-            rel.parts
-                .iter()
-                .map(|part| part.iter().map(|t| t.project(&pos)).collect())
-                .collect(),
-        );
-        answers.push(lookup(net, &directives, &requests));
-    }
+    // The degree tally heard from every server holding a root value in any
+    // relation: answer each holder its directive once, for all relations.
+    let answers: Vec<FxHashMap<Tuple, Directive>> = {
+        let by_key: Vec<FxHashMap<&Tuple, Directive>> = directive_parts
+            .iter()
+            .map(|part| part.iter().map(|(k, d)| (k, *d)).collect())
+            .collect();
+        answer(net, &degrees, |owner, k, _, holders, out| {
+            out.extend(holders.iter().map(|_| by_key[owner][k]));
+        })
+    };
 
     // ---- Light sub-instances: one exchange, local multiway joins ---------
     // Per-server routing closures (one round), then per-server local joins —
@@ -311,7 +307,7 @@ fn case1(
         for (e, rel) in db.iter().enumerate() {
             let pos = &positions[e];
             for t in &rel.parts[s] {
-                if let Some(Directive::Light { group }) = answers[e][s].get(&t.project(pos)) {
+                if let Some(Directive::Light { group }) = answers[s].get(&t.project(pos)) {
                     msgs.push(((*group % p as u64) as usize, (*group, e as u8, t.clone())));
                 }
             }
@@ -352,8 +348,7 @@ fn case1(
 
     // ---- Heavy sub-instances: recurse on the residual query --------------
     // Driver-level introspection of the heavy directives (control metadata).
-    let mut heavies: Vec<(Tuple, u64, u64)> = directives
-        .parts
+    let mut heavies: Vec<(Tuple, u64, u64)> = directive_parts
         .iter()
         .flatten()
         .filter_map(|(k, d)| match d {

@@ -17,7 +17,10 @@
 //! * [`sum_by_key`] — per-key aggregation;
 //! * [`own_by_key`] / [`lookup`] — build and query a distributed hash table
 //!   (the workhorse behind multi-search and semi-join);
-//! * [`multi_numbering`] — consecutive numbering `1,2,3,…` within each key;
+//! * [`tally`] / [`answer`] — sum-by-key that remembers each key's holders,
+//!   and one round answering exactly those holders (no ask round);
+//! * [`multi_numbering`] — consecutive numbering `0,1,2,…` within each key
+//!   (a tally plus an answer of [`prefix_offsets`]);
 //! * [`semi_join`] — `R1 ⋉ R2` on a key extractor;
 //! * [`coordinate`] — one control item per server gathered, answered, scattered;
 //! * [`prefix_sum`] — exclusive per-server prefix sums;
@@ -58,10 +61,10 @@ pub use aj_relation::fxhash::{
 };
 pub use alloc::{allocate_servers, Allocation};
 pub use key::Key;
-pub use numbering::multi_numbering;
+pub use numbering::{multi_numbering, prefix_offsets};
 pub use packing::{parallel_packing, Packing};
 pub use prefix::{coordinate, prefix_sum};
-pub use table::{lookup, own_by_key, semi_join, sum_by_key, OwnedTable};
+pub use table::{answer, lookup, own_by_key, semi_join, sum_by_key, tally, OwnedTable, Tally};
 
 /// Routing seed namespace for this crate's primitives; callers that need
 /// uncorrelated placements pass their own seeds.

@@ -2,58 +2,36 @@
 //! pairs, assign consecutive numbers `0, 1, 2, …` to the pairs within each
 //! key (the paper numbers from 1; zero-based is more convenient in code).
 
+use aj_mpc::{Net, Partitioned, Wire};
+
 use crate::fxhash::FxHashMap;
-
-use aj_mpc::{Net, Partitioned, ServerId, Wire};
-
 use crate::key::Key;
+use crate::table::{answer, tally};
 
-/// Number items within each key. Three rounds, linear load: each server
-/// reports one `(key, count)` per *distinct local* key; owners assign
-/// disjoint offset ranges back; numbering finishes locally. All per-server
-/// phases run through the round API, so a parallel executor overlaps them
-/// across servers.
+/// Number items within each key. Two exchanges, linear load: a [`tally`] of
+/// one count per *distinct local* key per server, then an [`answer`] giving
+/// each holder the count of the servers before it (its disjoint offset
+/// range); numbering finishes locally. All per-server phases run through
+/// the round API, so a parallel executor overlaps them across servers.
 pub fn multi_numbering<K: Key + Wire, T: Send + Sync>(
     net: &mut Net,
     items: Partitioned<(K, T)>,
     seed: u64,
 ) -> Partitioned<(K, T, u64)> {
-    let p = net.p();
-    let parts = items.into_parts();
-    // Round 1: (key, server, count) → key owner.
-    let at_owner = net.round(|s| {
-        let mut m: FxHashMap<&K, u64> = FxHashMap::default();
-        for (k, _) in &parts[s] {
-            *m.entry(k).or_insert(0) += 1;
-        }
-        m.into_iter()
-            .map(|(k, c)| (k.owner(seed, p), (k.clone(), s, c)))
-            .collect()
-    });
-    // Round 2: owner prefix-sums per key over server order, replies offsets.
-    let offsets = net.round_map(at_owner, |_, mut entries: Vec<(K, ServerId, u64)>| {
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut replies = Vec::with_capacity(entries.len());
-        let mut i = 0;
-        while i < entries.len() {
-            let mut j = i;
-            let mut running = 0u64;
-            while j < entries.len() && entries[j].0 == entries[i].0 {
-                replies.push((entries[j].1, (entries[j].0.clone(), running)));
-                running += entries[j].2;
-                j += 1;
-            }
-            i = j;
-        }
-        replies
+    let counts = Partitioned::from_parts(net.run_each(|s| {
+        items[s]
+            .iter()
+            .map(|(k, _)| (k.clone(), 1u64))
+            .collect::<Vec<_>>()
+    }));
+    let counts = tally(net, counts, seed, |a, b| a + b);
+    let offsets = answer(net, &counts, |_, _, _, holders, out| {
+        out.extend(prefix_offsets(holders));
     });
     // Local numbering: offset + local running index per key.
     let out = net.run_local(
-        parts.into_iter().zip(offsets).collect::<Vec<_>>(),
-        |_, (part, offs)| {
-            let offs: Vec<(K, u64)> = offs;
-            let part: Vec<(K, T)> = part;
-            let mut base: FxHashMap<K, u64> = offs.into_iter().collect();
+        items.into_parts().into_iter().zip(offsets).collect(),
+        |_, (part, mut base): (Vec<(K, T)>, FxHashMap<K, u64>)| {
             let mut numbered = Vec::with_capacity(part.len());
             for (k, t) in part {
                 let n = base.get_mut(&k).expect("owner answered every local key");
@@ -64,6 +42,16 @@ pub fn multi_numbering<K: Key + Wire, T: Send + Sync>(
         },
     );
     Partitioned::from_parts(out)
+}
+
+/// Each holder's exclusive prefix of the holders' counts, in holder (server)
+/// order: the first number of that holder's share of the key.
+pub fn prefix_offsets<S>(holders: &[(S, u64)]) -> impl Iterator<Item = u64> + '_ {
+    holders.iter().scan(0u64, |run, &(_, c)| {
+        let at = *run;
+        *run += c;
+        Some(at)
+    })
 }
 
 #[cfg(test)]

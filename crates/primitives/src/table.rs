@@ -9,6 +9,14 @@
 //! the querying collection is balanced — which the initial MPC placement
 //! guarantees.
 //!
+//! When the servers that need a key's answer are exactly the servers that
+//! sent it in a preceding sum-by-key, the ask round is redundant: the owner
+//! already heard from every holder. [`tally`] is sum-by-key's round with the
+//! sender id in each item, so the owner keeps each key's holders beside its
+//! total, and [`answer`] pushes one item per `(key, holder)` back in one
+//! round — the units of a lookup's answer round, without its ask round.
+//! Multi-numbering is a tally and an answer of per-holder prefix offsets.
+//!
 //! All per-server phases (local pre-aggregation, owner-side aggregation,
 //! answer assembly) run through the round API ([`Net::round_map`],
 //! [`Net::run_local`]), so a parallel executor runs them concurrently across
@@ -42,42 +50,15 @@ pub fn sum_by_key<K: Key + Wire, V: Clone + Send + Wire>(
     seed: u64,
     combine: impl Fn(V, V) -> V + Sync,
 ) -> OwnedTable<K, V> {
-    use std::collections::hash_map::Entry;
     let p = net.p();
-    // Local pre-aggregation bounds traffic per key at one unit per server.
-    // Entry-based merge: one hash probe per pair instead of remove+insert.
     let received = net.round_map(pairs.into_parts(), |_, part: Vec<(K, V)>| {
-        let mut local: FxHashMap<K, V> = fx_map_with_capacity(part.len());
-        for (k, v) in part {
-            match local.entry(k) {
-                Entry::Occupied(mut e) => {
-                    let merged = combine(e.get().clone(), v);
-                    e.insert(merged);
-                }
-                Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-        local
+        pre_aggregate(part, &combine)
             .into_iter()
             .map(|(k, v)| (k.owner(seed, p), (k, v)))
             .collect()
     });
     let parts = net.run_local(received, |_, entries: Vec<(K, V)>| {
-        let mut m: FxHashMap<K, V> = fx_map_with_capacity(entries.len());
-        for (k, v) in entries {
-            match m.entry(k) {
-                Entry::Occupied(mut e) => {
-                    let merged = combine(e.get().clone(), v);
-                    e.insert(merged);
-                }
-                Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-        let mut v: Vec<(K, V)> = m.into_iter().collect();
+        let mut v: Vec<(K, V)> = pre_aggregate(entries, &combine).into_iter().collect();
         v.sort_by(|a, b| a.0.cmp(&b.0)); // determinism
         v
     });
@@ -85,6 +66,134 @@ pub fn sum_by_key<K: Key + Wire, V: Clone + Send + Wire>(
         seed,
         parts: Partitioned::from_parts(parts),
     }
+}
+
+/// Merge one server's pairs per key, folding values in arrival order. Local
+/// pre-aggregation bounds traffic per key at one unit per server.
+fn pre_aggregate<K: Key, V: Clone>(
+    part: Vec<(K, V)>,
+    combine: &impl Fn(V, V) -> V,
+) -> FxHashMap<K, V> {
+    use std::collections::hash_map::Entry;
+    // Entry-based merge: one hash probe per pair instead of remove+insert.
+    let mut local: FxHashMap<K, V> = fx_map_with_capacity(part.len());
+    for (k, v) in part {
+        match local.entry(k) {
+            Entry::Occupied(mut e) => {
+                let merged = combine(e.get().clone(), v);
+                e.insert(merged);
+            }
+            Entry::Vacant(e) => {
+                e.insert(v);
+            }
+        }
+    }
+    local
+}
+
+/// The owner-side record of a [`tally`]: each key's total, exactly the table
+/// [`sum_by_key`] builds, and the servers that sent the key — its
+/// *holders* — with their partial sums, in server order.
+#[derive(Debug, Clone)]
+pub struct Tally<K: Key, V> {
+    /// Each key's total, key-sorted per owner.
+    pub totals: OwnedTable<K, V>,
+    /// Per owner: every key's `(sender, partial)` run, runs in key order.
+    holders: Vec<Vec<(ServerId, V)>>,
+    /// Per owner, aligned with `totals.parts[owner]`: where each run ends.
+    ends: Vec<Vec<usize>>,
+}
+
+impl<K: Key, V> Tally<K, V> {
+    /// Owner `s`'s keys in key order, each with its total and its holders.
+    fn entries(&self, s: ServerId) -> impl Iterator<Item = (&K, &V, &[(ServerId, V)])> {
+        let holders = &self.holders[s];
+        let starts = std::iter::once(0).chain(self.ends[s].iter().copied());
+        self.totals.parts[s]
+            .iter()
+            .zip(starts.zip(&self.ends[s]))
+            .map(move |((k, total), (lo, &hi))| (k, total, &holders[lo..hi]))
+    }
+}
+
+/// **Sum-by-key that remembers its senders**: [`sum_by_key`]'s single round
+/// with the sender id in each item, so each key's owner keeps the key's
+/// holders and their partials beside its total. Same units as
+/// [`sum_by_key`]: one per distinct local key per server.
+pub fn tally<K: Key + Wire, V: Clone + Send + Sync + Wire>(
+    net: &mut Net,
+    pairs: Partitioned<(K, V)>,
+    seed: u64,
+    combine: impl Fn(V, V) -> V + Sync,
+) -> Tally<K, V> {
+    let p = net.p();
+    let received = net.round_map(pairs.into_parts(), |s, part: Vec<(K, V)>| {
+        pre_aggregate(part, &combine)
+            .into_iter()
+            .map(|(k, v)| (k.owner(seed, p), (k, s, v)))
+            .collect()
+    });
+    let runs = net.run_local(received, |_, mut entries: Vec<(K, ServerId, V)>| {
+        // Each sender pre-aggregated, so (key, sender) is unique.
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut totals: Vec<(K, V)> = Vec::new();
+        let mut holders = Vec::with_capacity(entries.len());
+        let mut ends = Vec::new();
+        for (k, s, v) in entries {
+            match totals.last_mut() {
+                Some((last, total)) if *last == k => *total = combine(total.clone(), v.clone()),
+                _ => {
+                    totals.push((k, v.clone()));
+                    ends.push(0);
+                }
+            }
+            holders.push((s, v));
+            *ends.last_mut().expect("a run per key") = holders.len();
+        }
+        (totals, (holders, ends))
+    });
+    let (totals, (holders, ends)): (Vec<_>, (Vec<_>, Vec<_>)) = runs.into_iter().unzip();
+    Tally {
+        totals: OwnedTable {
+            seed,
+            parts: Partitioned::from_parts(totals),
+        },
+        holders,
+        ends,
+    }
+}
+
+/// Answer a [`tally`]'s holders in one round, with no ask round: for each
+/// key its owner calls `reply(owner, key, total, holders, out)`, which
+/// pushes at most one answer per holder onto `out`, in holder order; the
+/// `i`-th answer goes back to `holders[i]`'s server (pushing fewer leaves
+/// the rest unanswered). Each server receives at most one item per distinct
+/// key it sent — the units of [`lookup`]'s answer round — as a local map.
+pub fn answer<K, V, A>(
+    net: &mut Net,
+    tally: &Tally<K, V>,
+    reply: impl Fn(ServerId, &K, &V, &[(ServerId, V)], &mut Vec<A>) + Sync,
+) -> Vec<FxHashMap<K, A>>
+where
+    K: Key + Wire,
+    V: Sync,
+    A: Send + Wire,
+{
+    let answers = net.round(|owner| {
+        let mut out = Vec::with_capacity(tally.holders[owner].len());
+        let mut replies = Vec::new();
+        for (k, total, holders) in tally.entries(owner) {
+            reply(owner, k, total, holders, &mut replies);
+            debug_assert!(replies.len() <= holders.len(), "one answer per holder");
+            for (&(to, _), a) in holders.iter().zip(replies.drain(..)) {
+                out.push((to, (k.clone(), a)));
+            }
+        }
+        out
+    });
+    net.run_local(answers, |_, entries: Vec<(K, A)>| {
+        entries.into_iter().collect()
+    })
 }
 
 /// Build an [`OwnedTable`] from `(key, value)` pairs assumed to have globally

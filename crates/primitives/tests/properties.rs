@@ -5,11 +5,87 @@
 
 use std::collections::HashMap;
 
-use aj_mpc::{Cluster, Partitioned};
+use aj_mpc::{Cluster, Net, Partitioned, ServerId, Wire};
 use aj_primitives::{
-    allocate_servers, lookup, multi_numbering, parallel_packing, prefix_sum, sum_by_key,
+    allocate_servers, answer, lookup, multi_numbering, parallel_packing, prefix_sum, sum_by_key,
+    tally, FxHashMap, FxHashSet, Key,
 };
 use proptest::prelude::*;
+
+/// Place raw `(r, server, value)` draws on `p` servers with skewed keys and
+/// some servers left empty: half the draws land on key 0, a quarter on key
+/// 1, the rest spread over 40 keys; bit `s` of `empty` empties server `s`
+/// (its items move to a live server).
+fn skewed_placement(draws: &[(u64, u64, u64)], p: usize, empty: u64) -> Partitioned<(u64, u64)> {
+    let mut live: Vec<usize> = (0..p).filter(|s| empty >> s & 1 == 0).collect();
+    if live.is_empty() {
+        live.push(p - 1);
+    }
+    let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
+    for &(r, srv, v) in draws {
+        let key = match r {
+            0..=499 => 0,
+            500..=749 => 1,
+            _ => r % 40,
+        };
+        parts[live[srv as usize % live.len()]].push((key, v));
+    }
+    Partitioned::from_parts(parts)
+}
+
+/// Multi-numbering as it was before it became a tally plus an answer: the
+/// owner receives `(key, server, count)`, prefix-sums each key's counts in
+/// server order and replies the offsets. The rebuilt primitive must number
+/// every item exactly as this does.
+fn reference_multi_numbering<K: Key + Wire, T: Send + Sync>(
+    net: &mut Net,
+    items: Partitioned<(K, T)>,
+    seed: u64,
+) -> Partitioned<(K, T, u64)> {
+    let p = net.p();
+    let parts = items.into_parts();
+    let at_owner = net.round(|s| {
+        let mut m: FxHashMap<&K, u64> = FxHashMap::default();
+        for (k, _) in &parts[s] {
+            *m.entry(k).or_insert(0) += 1;
+        }
+        m.into_iter()
+            .map(|(k, c)| (k.owner(seed, p), (k.clone(), s, c)))
+            .collect()
+    });
+    let offsets = net.round_map(at_owner, |_, mut entries: Vec<(K, ServerId, u64)>| {
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut replies = Vec::with_capacity(entries.len());
+        let mut i = 0;
+        while i < entries.len() {
+            let mut j = i;
+            let mut running = 0u64;
+            while j < entries.len() && entries[j].0 == entries[i].0 {
+                replies.push((entries[j].1, (entries[j].0.clone(), running)));
+                running += entries[j].2;
+                j += 1;
+            }
+            i = j;
+        }
+        replies
+    });
+    let out = parts
+        .into_iter()
+        .zip(offsets)
+        .map(|(part, offs)| {
+            let mut base: FxHashMap<K, u64> = offs.into_iter().collect();
+            part.into_iter()
+                .map(|(k, t)| {
+                    let n = base.get_mut(&k).expect("owner answered every local key");
+                    let numbered = (k, t, *n);
+                    *n += 1;
+                    numbered
+                })
+                .collect()
+        })
+        .collect();
+    Partitioned::from_parts(out)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -74,6 +150,66 @@ proptest! {
             let want: Vec<u64> = (0..nums.len() as u64).collect();
             prop_assert_eq!(&nums, &want, "key {} numbering broken", k);
         }
+    }
+
+    #[test]
+    fn tally_totals_equal_sum_by_key(
+        draws in prop::collection::vec((0u64..1000, 0u64..8, 1u64..100), 0..300),
+        p in 1usize..=8,
+        empty in 0u64..256,
+        seed in 0u64..1000,
+    ) {
+        let pairs = skewed_placement(&draws, p, empty);
+        let mut cluster = Cluster::new(p);
+        let mut net = cluster.net();
+        let want = sum_by_key(&mut net, pairs.clone(), seed, |a, b| a + b);
+        let got = tally(&mut net, pairs, seed, |a, b| a + b);
+        prop_assert_eq!(got.totals.seed, want.seed);
+        // Entry for entry, per owner, in the same key-sorted order.
+        prop_assert_eq!(got.totals.parts.into_parts(), want.parts.into_parts());
+    }
+
+    #[test]
+    fn answer_delivers_what_lookup_returns(
+        draws in prop::collection::vec((0u64..1000, 0u64..8, 1u64..100), 0..300),
+        p in 1usize..=8,
+        empty in 0u64..256,
+        seed in 0u64..1000,
+    ) {
+        let pairs = skewed_placement(&draws, p, empty);
+        let requests = pairs.clone().map(|_, (k, _)| k);
+        let mut cluster = Cluster::new(p);
+        let mut net = cluster.net();
+        let table = sum_by_key(&mut net, pairs.clone(), seed, |a, b| a + b);
+        let want = lookup(&mut net, &table, &requests);
+        let counted = tally(&mut net, pairs, seed, |a, b| a + b);
+        let before = net.stats().clone();
+        let got = answer(&mut net, &counted, |_, _, &total, holders, out| {
+            out.extend(holders.iter().map(|_| total));
+        });
+        let after = net.stats();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(after.exchanges - before.exchanges, 1);
+        let distinct: usize = requests
+            .iter()
+            .map(|part| part.iter().collect::<FxHashSet<_>>().len())
+            .sum();
+        prop_assert_eq!(after.total_messages - before.total_messages, distinct as u64);
+    }
+
+    #[test]
+    fn multi_numbering_matches_the_reference(
+        draws in prop::collection::vec((0u64..1000, 0u64..8, 0u64..1000), 0..300),
+        p in 1usize..=8,
+        empty in 0u64..256,
+        seed in 0u64..1000,
+    ) {
+        let items = skewed_placement(&draws, p, empty);
+        let mut cluster = Cluster::new(p);
+        let mut net = cluster.net();
+        let want = reference_multi_numbering(&mut net, items.clone(), seed);
+        let got = multi_numbering(&mut net, items, seed);
+        prop_assert_eq!(got.into_parts(), want.into_parts());
     }
 
     #[test]
