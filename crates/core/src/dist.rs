@@ -5,9 +5,15 @@
 //! bottom-up sweep is also the Corollary-4 counting sweep: the solvers of
 //! Theorems 3, 5 and 7 read `OUT` (or the root's per-tuple counts) off their
 //! own reduce, and `output_size` and `count_by_group` run the sweep alone.
+//! The sweep's key owners stay resident for the reducer's top-down half,
+//! which tells each server only what changed in between (two rounds of
+//! subset reports per edge instead of a fresh three-round semi-join).
 
 use aj_mpc::{Net, Partitioned};
-use aj_primitives::{answer, coordinate, lookup, sum_by_key, tally, FxHashMap, DEFAULT_SEED};
+use aj_primitives::{
+    answer, coordinate, lookup, lookup_recording, report_subsets, sum_by_key, tally, values_owner,
+    FxHashMap, FxHashSet, Hits, Key, Reports, Tally, DEFAULT_SEED,
+};
 use aj_relation::{Attr, Database, JoinTree, Query, Relation, Tuple};
 
 /// A relation partitioned over the servers of a [`Net`].
@@ -141,28 +147,54 @@ fn weighted(rel: DistRelation) -> Weighted {
     (rel, w)
 }
 
-/// `parent ⋉ child` carrying weights: the child's weights are summed per
-/// join key (one sum-by-key round seeded `seed`), the parent looks its keys
-/// up (two rounds) and keeps each matching tuple, its weight times the
-/// key's sum. Emptiness is driver-visible metadata: an empty side empties
-/// the parent without an exchange. A Cartesian child is free too: its
-/// per-server weight sums come back as a factor of every parent weight.
+/// How a [`semi_join_step`] went.
+enum Step {
+    /// An empty side: the parent emptied without an exchange.
+    Empty,
+    /// A Cartesian child: its per-server weight sums, a factor of every
+    /// parent weight.
+    Cartesian(Vec<u64>),
+    /// Keyed: the step's key owners, resident for the edge's top-down step.
+    Keyed(Owners),
+}
+
+/// What a keyed [`semi_join_step`] leaves behind: at each key owner, the
+/// child's tally (each key's child holders) and the `(entry, parent server)`
+/// pair of every hit; at each parent server, the keys its answer hit.
+struct Owners {
+    seed: u64,
+    child: Tally<Tuple, u64>,
+    askers: Hits,
+    hits: Vec<FxHashMap<Tuple, u64>>,
+}
+
+/// `parent ⋉ child` carrying weights, three rounds under `seed`: the
+/// child's weights are tallied per join key (one round), the parent looks
+/// its keys up in the totals at the same owners (two rounds), and each
+/// matching parent tuple is kept, its weight times the key's sum. The
+/// owners keep who held and who hit each key. Emptiness is driver-visible
+/// metadata: an empty side empties the parent without an exchange. A
+/// Cartesian child is free too: its per-server weight sums come back as a
+/// factor of every parent weight.
 fn semi_join_step(
     net: &mut Net,
     (parent, parent_w): Weighted,
     child: &DistRelation,
     child_w: &[Vec<u64>],
     seed: u64,
-) -> (Weighted, Option<Vec<u64>>) {
+) -> (Weighted, Step) {
     if parent.total_len() == 0 || child.total_len() == 0 {
-        return (weighted(DistRelation::empty(parent.attrs, net.p())), None);
+        return (
+            weighted(DistRelation::empty(parent.attrs, net.p())),
+            Step::Empty,
+        );
     }
     let shared = parent.shared_attrs(child);
     if shared.is_empty() {
         let sums = child_w
             .iter()
             .map(|w| w.iter().copied().fold(0, u64::saturating_add));
-        return ((parent, parent_w), Some(sums.collect()));
+        return ((parent, parent_w), Step::Cartesian(sums.collect()));
     }
     let (cpos, ppos) = (child.positions_of(&shared), parent.positions_of(&shared));
     let pairs = Partitioned::from_parts(net.run_each(|s| {
@@ -170,18 +202,18 @@ fn semi_join_step(
             .map(|(t, &w)| (t.project(&cpos), w))
             .collect::<Vec<_>>()
     }));
-    let table = sum_by_key(net, pairs, seed, u64::saturating_add);
+    let child_tally = tally(net, pairs, seed, u64::saturating_add);
     let requests = Partitioned::from_parts(net.run_each(|s| {
         parent.parts[s]
             .iter()
             .map(|t| t.project(&ppos))
             .collect::<Vec<Tuple>>()
     }));
-    let answers = lookup(net, &table, &requests);
-    let shards = (parent.parts.into_parts().into_iter().zip(parent_w)).zip(answers);
+    let (hits, askers) = lookup_recording(net, &child_tally.totals, &requests);
+    let shards = (parent.parts.into_parts().into_iter().zip(parent_w)).zip(&hits);
     let kept: Vec<(Vec<Tuple>, Vec<u64>)> = net.run_local(
         shards.collect(),
-        |_, ((mut part, mut w), ans): ((Vec<Tuple>, Vec<u64>), FxHashMap<Tuple, u64>)| {
+        |_, ((mut part, mut w), ans): ((Vec<Tuple>, Vec<u64>), _)| {
             // In place, probing by bare value slice: no per-tuple allocation.
             let (mut key, mut i, mut n) = (Vec::with_capacity(ppos.len()), 0, 0);
             part.retain(|t| {
@@ -201,7 +233,79 @@ fn semi_join_step(
     let (parts, w): (Vec<Vec<Tuple>>, Vec<Vec<u64>>) = kept.into_iter().unzip();
     let attrs = parent.attrs;
     let parts = Partitioned::from_parts(parts);
-    ((DistRelation { attrs, parts }, w), None)
+    let owners = Owners {
+        seed,
+        child: child_tally,
+        askers,
+        hits,
+    };
+    ((DistRelation { attrs, parts }, w), Step::Keyed(owners))
+}
+
+/// `child ⋉ parent` for an edge whose bottom-up step was keyed, against
+/// that step's resident [`Owners`]: two rounds of [`report_subsets`], and
+/// no key travels unless something changed. The child is unchanged since
+/// its tally, the parent has only shrunk in place since its lookup.
+/// - (D1) Each parent server reports to each owner which of its hit keys
+///   it still holds — at most the keys it asked that owner for in the
+///   step's lookup.
+/// - (D2) An owner marks a key alive if any of its parent holders still
+///   holds it, and reports to each child holder which of that holder's keys
+///   are alive — at most one unit per alive key, what a fresh semi-join's
+///   answer round delivers. The child keeps exactly the alive keys' tuples.
+fn semi_join_down(
+    net: &mut Net,
+    child: DistRelation,
+    parent: &DistRelation,
+    owners: &Owners,
+) -> DistRelation {
+    let (p, seed) = (net.p(), owners.seed);
+    let shared = parent.shared_attrs(&child); // the step's key layout
+    let (cpos, ppos) = (child.positions_of(&shared), parent.positions_of(&shared));
+    let held: Vec<FxHashSet<&Tuple>> = net.run_each(|s| {
+        let (mut key, mut held) = (Vec::with_capacity(ppos.len()), FxHashSet::default());
+        for t in &parent.parts[s] {
+            t.project_into(&ppos, &mut key);
+            held.extend(owners.hits[s].get_key_value(key.as_slice()).map(|(k, _)| k));
+        }
+        held
+    });
+    let still_held = report_subsets(net, |s| {
+        let held = &held[s];
+        owners.hits[s]
+            .keys()
+            .map(move |k| (k.owner(seed, p), k, held.contains(k)))
+    });
+    let alive: Vec<Vec<bool>> = net.run_each(|o| {
+        let keys = &owners.child.totals.parts[o];
+        let mut alive = vec![false; keys.len()];
+        for &(i, s) in &owners.askers[o] {
+            alive[i] = alive[i] || still_held[o].is_in(s, &keys[i].0);
+        }
+        alive
+    });
+    let verdicts = report_subsets(net, |o| {
+        owners
+            .child
+            .entries(o)
+            .zip(&alive[o])
+            .flat_map(|((k, _, holders), &alive)| holders.iter().map(move |&(c, _)| (c, k, alive)))
+    });
+    let kept = net.run_local(
+        child.parts.into_parts().into_iter().zip(verdicts).collect(),
+        |_, (mut part, alive): (Vec<Tuple>, Reports<Tuple>)| {
+            let mut key = Vec::with_capacity(cpos.len());
+            part.retain(|t| {
+                t.project_into(&cpos, &mut key);
+                alive.is_in(values_owner(&key, seed, p), key.as_slice())
+            });
+            part
+        },
+    );
+    DistRelation {
+        attrs: child.attrs,
+        parts: Partitioned::from_parts(kept),
+    }
 }
 
 /// A database after a counting sweep: each root tuple's subtree count is
@@ -253,39 +357,64 @@ pub(crate) fn count_sweep(
     net: &mut Net,
     tree: &JoinTree,
     db: DistDatabase,
-    mut seeds: impl FnMut() -> u64,
+    seeds: impl FnMut() -> u64,
 ) -> Counted {
+    sweep_up(net, tree, db, seeds, false).0
+}
+
+/// [`count_sweep`], also returning each keyed step's [`Owners`] by child
+/// edge if `keep`.
+fn sweep_up(
+    net: &mut Net,
+    tree: &JoinTree,
+    db: DistDatabase,
+    mut seeds: impl FnMut() -> u64,
+    keep: bool,
+) -> (Counted, Vec<Option<Owners>>) {
     let mut rels: Vec<Weighted> = db.into_iter().map(weighted).collect();
     let mut factors = Vec::new();
+    let mut owners: Vec<Option<Owners>> = rels.iter().map(|_| None).collect();
     for &e in &tree.order {
         let Some(pr) = tree.parent[e] else { continue };
         let placeholder = weighted(DistRelation::empty(Vec::new(), net.p()));
         let parent = std::mem::replace(&mut rels[pr], placeholder);
         let (child, child_w) = &rels[e];
-        let (stepped, factor) = semi_join_step(net, parent, child, child_w, seeds());
+        let (stepped, step) = semi_join_step(net, parent, child, child_w, seeds());
         rels[pr] = stepped;
-        factors.extend(factor);
+        match step {
+            Step::Empty => {}
+            Step::Cartesian(factor) => factors.push(factor),
+            Step::Keyed(o) => owners[e] = keep.then_some(o),
+        }
     }
     let (db, mut w): (DistDatabase, Vec<_>) = rels.into_iter().unzip();
     let root = tree.root();
     let counts = std::mem::take(&mut w[root]);
-    Counted {
+    let counted = Counted {
         db,
         root,
         counts,
         factors,
-    }
+    };
+    (counted, owners)
 }
 
 /// Remove all dangling tuples of an acyclic join: two semi-join sweeps along
 /// the join tree (the distributed full reducer; `O(m)` rounds, linear load).
+/// A keyed edge costs 3 rounds bottom-up and 2 top-down
+/// (resident key owners); an empty or Cartesian one costs none.
 pub fn dist_full_reduce(net: &mut Net, q: &Query, db: DistDatabase, seed: u64) -> DistDatabase {
     dist_full_reduce_counted(net, q, db, seed).db
 }
 
 /// [`dist_full_reduce`] with the root's counts: the bottom-up half is the
-/// counting sweep, the top-down half semi-joins every child with its parent.
-/// Step `i` is seeded `seed + i·0x9e37`.
+/// counting sweep, 3 rounds per keyed edge. Its key owners stay resident,
+/// so the top-down half semi-joins each child with its parent in 2 rounds
+/// of subset reports that send only what changed in between
+/// ([`semi_join_down`]); an empty or Cartesian edge keeps the plain
+/// [`dist_semi_join`], which decides without an exchange. Bottom-up step
+/// `i` is seeded `seed + i·0x9e37`; the top-down steps' draws follow and
+/// are burnt.
 pub(crate) fn dist_full_reduce_counted(
     net: &mut Net,
     q: &Query,
@@ -301,12 +430,15 @@ pub(crate) fn dist_full_reduce_counted(
         s = s.wrapping_add(0x9e37);
         s
     };
-    let mut c = count_sweep(net, &tree, db, &mut step_seed);
+    let (mut c, mut owners) = sweep_up(net, &tree, db, &mut step_seed, true);
     for &e in tree.order.iter().rev() {
-        if let Some(pr) = tree.parent[e] {
-            let child = std::mem::replace(&mut c.db[e], DistRelation::empty(Vec::new(), p));
-            c.db[e] = dist_semi_join(net, child, &c.db[pr], step_seed());
-        }
+        let Some(pr) = tree.parent[e] else { continue };
+        let seed = step_seed();
+        let child = std::mem::replace(&mut c.db[e], DistRelation::empty(Vec::new(), p));
+        c.db[e] = match owners[e].take() {
+            Some(o) if c.db[pr].total_len() > 0 => semi_join_down(net, child, &c.db[pr], &o),
+            _ => dist_semi_join(net, child, &c.db[pr], seed),
+        };
     }
     c
 }
@@ -551,19 +683,30 @@ mod tests {
         }
     }
 
-    /// The full reducer as two semi-join sweeps, seeds `seed + i·0x9e37`.
-    fn reference_reduce(net: &mut Net, q: &Query, db: DistDatabase, seed: u64) -> DistDatabase {
+    /// The full reducer as two semi-join sweeps, seeds `seed + i·0x9e37`,
+    /// and how many top-down semi-joins exchanged.
+    fn reference_reduce(
+        net: &mut Net,
+        q: &Query,
+        db: DistDatabase,
+        seed: u64,
+    ) -> (DistDatabase, u64) {
         let tree = q.join_tree().unwrap();
         let mut rels = db;
         let mut s = seed;
         let edges = tree.order.iter().map(|&e| (e, tree.parent[e]));
         let up: Vec<(usize, usize)> = edges.filter_map(|(e, p)| Some((p?, e))).collect();
         let down = up.iter().rev().map(|&(p, e)| (e, p));
-        for (to, from) in up.iter().copied().chain(down) {
+        let mut keyed_down = 0;
+        for (i, (to, from)) in up.iter().copied().chain(down).enumerate() {
+            let before = net.stats().exchanges;
             rels[to] = reference_semi_join(net, rels[to].clone(), &rels[from], s);
             s = s.wrapping_add(0x9e37);
+            if i >= up.len() && net.stats().exchanges > before {
+                keyed_down += 1;
+            }
         }
-        rels
+        (rels, keyed_down)
     }
 
     fn sorted(mut v: Vec<(Tuple, u64)>) -> Vec<(Tuple, u64)> {
@@ -575,7 +718,8 @@ mod tests {
     /// the same tuples on every server in the same order, `OUT` equal to
     /// `ram::count`, root counts grouped by an attribute of every edge equal
     /// to `count_by_group`, and no more communication than the reference
-    /// reduce plus one prefix sum. `extra` appends an annotation column.
+    /// reduce plus one prefix sum — less by a round per top-down semi-join
+    /// the reference exchanged in. `extra` appends an annotation column.
     fn check_counted_reducer(q: &Query, db: &Database, extra: bool, label: &str) {
         let p = 4;
         let mut dist = distribute_db(db, p);
@@ -585,7 +729,7 @@ mod tests {
             }
         }
         let mut reference = Cluster::new(p);
-        let want = reference_reduce(&mut reference.net(), q, dist.clone(), 11);
+        let (want, keyed_down) = reference_reduce(&mut reference.net(), q, dist.clone(), 11);
         let mut cluster = Cluster::new(p);
         let (got, out) = {
             let mut net = cluster.net();
@@ -601,7 +745,10 @@ mod tests {
         }
         assert_eq!(out, ram::count(q, db), "{label}: OUT");
         let (r, c) = (reference.stats(), cluster.stats());
-        assert!(c.exchanges <= r.exchanges + 2, "{label}: rounds");
+        assert!(
+            c.exchanges + keyed_down <= r.exchanges + 2,
+            "{label}: rounds"
+        );
         assert!(
             c.total_messages <= r.total_messages + 2 * p as u64,
             "{label}: units"
@@ -666,6 +813,66 @@ mod tests {
         let star = shapes::star_query(3);
         let star_db = aj_instancegen::randquery::zipf_instance(&star, 32, 6, 1.2, 9);
         check_counted_reducer(&star, &star_db, false, "star");
+    }
+
+    /// Every non-root relation sits on server 0 and most of its keys have
+    /// no partner in its parent: the top-down reports to that one server
+    /// must not outweigh the alive keys a fresh semi-join would answer.
+    #[test]
+    fn skewed_child_with_orphaned_keys_reduces_like_the_semi_joins() {
+        let q = line3();
+        let root = q.join_tree().unwrap().root();
+        let diag = |n: u64, step: u64| (0..n).map(|i| vec![i * step, i * step]).collect();
+        let d = database_from_rows(&q, &[diag(160, 1), diag(16, 10), diag(160, 1)]);
+        let p = 8;
+        let mut dist = distribute_db(&d, p);
+        for (e, rel) in dist.iter_mut().enumerate() {
+            if e != root {
+                let mut parts = vec![Vec::new(); p];
+                parts[0] = rel.parts.clone().gather_free();
+                rel.parts = Partitioned::from_parts(parts);
+            }
+        }
+        let mut reference = Cluster::new(p);
+        let (want, _) = reference_reduce(&mut reference.net(), &q, dist.clone(), 11);
+        let mut cluster = Cluster::new(p);
+        let got = dist_full_reduce(&mut cluster.net(), &q, dist, 11);
+        for (e, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.parts, w.parts, "edge {e}");
+        }
+        assert!(want[0].total_len() < 20 && want[2].total_len() < 20);
+        assert!(cluster.stats().max_load <= reference.stats().max_load);
+    }
+
+    /// On a dangling-free instance nothing changes between the sweeps, so
+    /// each keyed edge's top-down step is 2 exchanges of at most one unit
+    /// per (sender, receiver) pair each.
+    #[test]
+    fn dangling_free_top_down_sends_one_unit_per_pair() {
+        let q = line3();
+        let rows = |n: u64| (0..n).map(|i| vec![i % 37, i % 41]).collect::<Vec<_>>();
+        let mut d = database_from_rows(&q, &[rows(400), rows(1517), rows(400)]);
+        d.dedup_all();
+        let d = ram::full_reduce(&q, &d);
+        let p = 8u64;
+        let dist = distribute_db(&d, p as usize);
+        let tree = q.join_tree().unwrap();
+        let mut up = Cluster::new(p as usize);
+        let mut s = 11u64.wrapping_sub(0x9e37);
+        count_sweep(&mut up.net(), &tree, dist.clone(), || {
+            s = s.wrapping_add(0x9e37);
+            s
+        });
+        let mut full = Cluster::new(p as usize);
+        let got = dist_full_reduce(&mut full.net(), &q, dist.clone(), 11);
+        for (g, w) in got.iter().zip(&dist) {
+            assert_eq!(g.parts, w.parts);
+        }
+        let (u, f) = (up.stats(), full.stats());
+        let edges = q.n_edges() as u64 - 1;
+        assert_eq!(u.exchanges, 3 * edges);
+        assert_eq!(f.exchanges - u.exchanges, 2 * edges);
+        assert!(f.total_messages - u.total_messages <= 2 * p * p * edges);
     }
 
     #[test]

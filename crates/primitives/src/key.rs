@@ -14,8 +14,26 @@ pub trait Key: Eq + std::hash::Hash + Clone + Ord + std::fmt::Debug + Send + Syn
 
     /// The server in `0..p` that owns this key under `seed`.
     fn owner(&self, seed: u64, p: usize) -> usize {
-        ((self.route_hash(seed) as u128 * p as u128) >> 64) as usize
+        owner_of_hash(self.route_hash(seed), p)
     }
+}
+
+fn owner_of_hash(h: u64, p: usize) -> usize {
+    ((h as u128 * p as u128) >> 64) as usize
+}
+
+/// The owner of the `Tuple` (or `Vec<u64>`) holding `values`, without
+/// building it: for a key projected into a scratch buffer.
+pub fn values_owner(values: &[u64], seed: u64, p: usize) -> usize {
+    owner_of_hash(values_route_hash(values, seed), p)
+}
+
+fn values_route_hash(values: &[u64], seed: u64) -> u64 {
+    let mut h = hash_mix(seed ^ (values.len() as u64).wrapping_mul(0xa076_1d64_78bd_642f));
+    for &v in values {
+        h = hash_mix(h ^ v);
+    }
+    h
 }
 
 impl Key for u64 {
@@ -32,21 +50,13 @@ impl Key for (u64, u64) {
 
 impl Key for Tuple {
     fn route_hash(&self, seed: u64) -> u64 {
-        let mut h = hash_mix(seed ^ (self.arity() as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-        for &v in self.values() {
-            h = hash_mix(h ^ v);
-        }
-        h
+        values_route_hash(self.values(), seed)
     }
 }
 
 impl Key for Vec<u64> {
     fn route_hash(&self, seed: u64) -> u64 {
-        let mut h = hash_mix(seed ^ (self.len() as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-        for &v in self {
-            h = hash_mix(h ^ v);
-        }
-        h
+        values_route_hash(self, seed)
     }
 }
 
@@ -68,6 +78,7 @@ mod tests {
         let t = Tuple::from([3, 4, 5]);
         let v = vec![3u64, 4, 5];
         assert_eq!(t.route_hash(9), v.route_hash(9));
+        assert_eq!(t.owner(9, 7), values_owner(&v, 9, 7));
     }
 
     #[test]

@@ -16,9 +16,13 @@
 //!
 //! * [`sum_by_key`] — per-key aggregation;
 //! * [`own_by_key`] / [`lookup`] — build and query a distributed hash table
-//!   (the workhorse behind multi-search and semi-join);
+//!   (the workhorse behind multi-search and semi-join); [`lookup_recording`]
+//!   also leaves each owner the requesters it answered;
 //! * [`tally`] / [`answer`] — sum-by-key that remembers each key's holders,
 //!   and one round answering exactly those holders (no ask round);
+//! * [`report_subsets`] — tell each receiver which keys of a set the two
+//!   already share are in, at most one unit per in-key per pair
+//!   ([`encode_subset`]; one unit in all when nothing is out);
 //! * [`multi_numbering`] — consecutive numbering `0,1,2,…` within each key
 //!   (a tally plus an answer of [`prefix_offsets`]);
 //! * [`semi_join`] — `R1 ⋉ R2` on a key extractor;
@@ -60,11 +64,14 @@ pub use aj_relation::fxhash::{
     fx_map_with_capacity, fx_set_with_capacity, FxBuildHasher, FxHashMap, FxHashSet, FxHasher,
 };
 pub use alloc::{allocate_servers, Allocation};
-pub use key::Key;
+pub use key::{values_owner, Key};
 pub use numbering::{multi_numbering, prefix_offsets};
 pub use packing::{parallel_packing, Packing};
 pub use prefix::{coordinate, prefix_sum};
-pub use table::{answer, lookup, own_by_key, semi_join, sum_by_key, tally, OwnedTable, Tally};
+pub use table::{
+    answer, encode_subset, lookup, lookup_recording, own_by_key, report_subsets, semi_join,
+    sum_by_key, tally, Hits, OwnedTable, Reports, Tally,
+};
 
 /// Routing seed namespace for this crate's primitives; callers that need
 /// uncorrelated placements pass their own seeds.

@@ -5,9 +5,9 @@
 //!
 //! Loads: building is one exchange of the table (linear). A lookup costs two
 //! exchanges: requesters send each *distinct local* key once (≤ local input),
-//! owners reply once per request. Both directions are `O(IN/p)` as long as
-//! the querying collection is balanced — which the initial MPC placement
-//! guarantees.
+//! owners reply only to the requests that hit. Both directions are
+//! `O(IN/p)` as long as the querying collection is balanced — which the
+//! initial MPC placement guarantees.
 //!
 //! When the servers that need a key's answer are exactly the servers that
 //! sent it in a preceding sum-by-key, the ask round is redundant: the owner
@@ -16,6 +16,15 @@
 //! total, and [`answer`] pushes one item per `(key, holder)` back in one
 //! round — the units of a lookup's answer round, without its ask round.
 //! Multi-numbering is a tally and an answer of per-holder prefix offsets.
+//!
+//! Once a tally (or a [`lookup_recording`], whose owners keep who hit) has
+//! made owners and holders share key sets, later rounds between them need
+//! not resend keys: [`report_subsets`] tells each receiver which shared
+//! keys are *in* ([`encode_subset`]: nothing if none is, one marker if all
+//! are, else the shorter of the in-list and the out-list). A pair never
+//! costs more units than answering each in-key, and "nothing changed"
+//! costs one unit per pair. The full reducer's top-down sweep is two such
+//! rounds against the bottom-up sweep's resident owners.
 //!
 //! All per-server phases (local pre-aggregation, owner-side aggregation,
 //! answer assembly) run through the round API ([`Net::round_map`],
@@ -106,7 +115,7 @@ pub struct Tally<K: Key, V> {
 
 impl<K: Key, V> Tally<K, V> {
     /// Owner `s`'s keys in key order, each with its total and its holders.
-    fn entries(&self, s: ServerId) -> impl Iterator<Item = (&K, &V, &[(ServerId, V)])> {
+    pub fn entries(&self, s: ServerId) -> impl Iterator<Item = (&K, &V, &[(ServerId, V)])> {
         let holders = &self.holders[s];
         let starts = std::iter::once(0).chain(self.ends[s].iter().copied());
         self.totals.parts[s]
@@ -196,6 +205,126 @@ where
     })
 }
 
+/// One item of a [`report_subsets`] round: the sender, then the report
+/// proper — `(true, None)` "all are in", `(true, Some(k))` "`k` is in" or
+/// `(false, Some(k))` "`k` is out".
+type ReportItem<K> = (ServerId, bool, Option<K>);
+
+/// A **subset report** from one sender to one receiver about the keys the
+/// two already share, split into the `ins` and the `outs`: no item when
+/// none is in, one `(true, None)` when all are, else the shorter of the
+/// in-list and the out-list (the in-list on a tie). So it costs at most one
+/// unit per in-key, and one unit in all when nothing is out.
+pub fn encode_subset<K: Clone>(ins: &[&K], outs: &[&K]) -> Vec<(bool, Option<K>)> {
+    let list = |keys: &[&K], tag: bool| keys.iter().map(|&k| (tag, Some(k.clone()))).collect();
+    match (ins.len(), outs.len()) {
+        (0, _) => Vec::new(),
+        (_, 0) => vec![(true, None)],
+        (i, o) if o < i => list(outs, false),
+        _ => list(ins, true),
+    }
+}
+
+/// One sender's decoded [`encode_subset`] report.
+#[derive(Debug, Clone)]
+struct Report<K> {
+    /// Out-list mode: every shared key not in `outs` is in.
+    complement: bool,
+    ins: FxHashSet<K>,
+    outs: FxHashSet<K>,
+}
+
+impl<K> Default for Report<K> {
+    fn default() -> Self {
+        Report {
+            complement: false,
+            ins: FxHashSet::default(),
+            outs: FxHashSet::default(),
+        }
+    }
+}
+
+/// What one receiver heard in a [`report_subsets`] round: per sender, which
+/// of their shared keys are in.
+#[derive(Debug, Clone)]
+pub struct Reports<K> {
+    from: Vec<Report<K>>,
+}
+
+impl<K: Key> Reports<K> {
+    /// Decode a receiver's items. Every item decodes: an out-key or an
+    /// all-marker (`(false, None)` included) puts its sender in out-list
+    /// mode, where in-keys are ignored; items from a sender outside the
+    /// view are dropped.
+    fn decode(p: usize, items: Vec<ReportItem<K>>) -> Self {
+        let mut from: Vec<Report<K>> = (0..p).map(|_| Report::default()).collect();
+        for (s, is_in, k) in items {
+            let Some(r) = from.get_mut(s) else { continue };
+            match (is_in, k) {
+                (true, Some(k)) => {
+                    r.ins.insert(k);
+                }
+                (false, Some(k)) => {
+                    r.complement = true;
+                    r.outs.insert(k);
+                }
+                (_, None) => r.complement = true,
+            }
+        }
+        Reports { from }
+    }
+
+    /// Is `k`, a key this receiver shares with `sender`, in? (Keys it does
+    /// not share read as out unless `sender` reported in out-list mode.)
+    pub fn is_in<Q>(&self, sender: ServerId, k: &Q) -> bool
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: std::hash::Hash + Eq + ?Sized,
+    {
+        let Some(r) = self.from.get(sender) else {
+            return false;
+        };
+        if r.complement {
+            r.outs.is_empty() || !r.outs.contains(k)
+        } else {
+            !r.ins.is_empty() && r.ins.contains(k)
+        }
+    }
+}
+
+/// **Subset reports**: one round in which every sender tells each receiver
+/// which keys of a set the two already share are in. `shared(s)` yields
+/// sender `s`'s shared keys as `(receiver, key, in)`; each pair is sent as
+/// [`encode_subset`], so a receiver gets at most one unit per in-key from
+/// each sender — and one per sender when nothing changed. Returns each
+/// receiver's decoded [`Reports`].
+pub fn report_subsets<'a, K, I>(
+    net: &mut Net,
+    shared: impl Fn(ServerId) -> I + Sync,
+) -> Vec<Reports<K>>
+where
+    K: Key + Wire + 'a,
+    I: IntoIterator<Item = (ServerId, &'a K, bool)>,
+{
+    let p = net.p();
+    let items = net.round(|s| {
+        let mut halves: Vec<[Vec<&K>; 2]> = (0..p).map(|_| [Vec::new(), Vec::new()]).collect();
+        for (to, k, is_in) in shared(s) {
+            halves[to][usize::from(!is_in)].push(k);
+        }
+        let mut out = Vec::new();
+        for (to, [ins, outs]) in halves.into_iter().enumerate() {
+            out.extend(
+                encode_subset(&ins, &outs)
+                    .into_iter()
+                    .map(|(is_in, k)| (to, (s, is_in, k))),
+            );
+        }
+        out
+    });
+    net.run_local(items, |_, items| Reports::decode(p, items))
+}
+
 /// Build an [`OwnedTable`] from `(key, value)` pairs assumed to have globally
 /// distinct keys (one exchange; panics in debug if duplicates collide).
 pub fn own_by_key<K: Key + Wire, V: Send + Wire>(
@@ -232,6 +361,22 @@ pub fn lookup<K: Key + Wire, V: Clone + Send + Sync + Wire>(
     table: &OwnedTable<K, V>,
     requests: &Partitioned<K>,
 ) -> Vec<FxHashMap<K, V>> {
+    lookup_recording(net, table, requests).0
+}
+
+/// Per owner, one `(entry, requester)` pair per request a
+/// [`lookup_recording`] answered: `entry` indexes the owner's table part.
+pub type Hits = Vec<Vec<(usize, ServerId)>>;
+
+/// [`lookup`] whose owners keep a record of every hit: besides the answers,
+/// returns per owner one `(entry, requester)` pair per answered request,
+/// `entry` indexing `table.parts[owner]`, in arrival order. A later round
+/// between an owner and its requesters can then name keys they share.
+pub fn lookup_recording<K: Key + Wire, V: Clone + Send + Sync + Wire>(
+    net: &mut Net,
+    table: &OwnedTable<K, V>,
+    requests: &Partitioned<K>,
+) -> (Vec<FxHashMap<K, V>>, Hits) {
     let p = net.p();
     assert_eq!(requests.p(), p, "requests must span the same servers");
     // Phase 1: distinct local keys → owner, tagged with requester id.
@@ -243,19 +388,28 @@ pub fn lookup<K: Key + Wire, V: Clone + Send + Sync + Wire>(
             .collect()
     });
     // Phase 2: owner answers (only hits; misses are implied).
-    let answers = net.round_map(asks, |owner, asks: Vec<(K, ServerId)>| {
-        let local: FxHashMap<&K, &V> = table.parts[owner].iter().map(|(k, v)| (k, v)).collect();
+    let hits = net.run_local(asks, |owner, asks: Vec<(K, ServerId)>| {
+        let entries = &table.parts[owner];
+        let index: FxHashMap<&K, usize> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, (k, _))| (k, i))
+            .collect();
         asks.into_iter()
-            .filter_map(|(k, requester)| {
-                local
-                    .get(&k)
-                    .map(|v| (requester, (k.clone(), (*v).clone())))
-            })
+            .filter_map(|(k, requester)| Some((*index.get(&k)?, requester)))
+            .collect::<Vec<_>>()
+    });
+    let answers = net.round(|owner| {
+        let entries = &table.parts[owner];
+        hits[owner]
+            .iter()
+            .map(|&(i, requester)| (requester, entries[i].clone()))
             .collect()
     });
-    net.run_local(answers, |_, entries: Vec<(K, V)>| {
+    let answers = net.run_local(answers, |_, entries: Vec<(K, V)>| {
         entries.into_iter().collect()
-    })
+    });
+    (answers, hits)
 }
 
 /// The **semi-join** primitive: keep the items of `items` whose key occurs in

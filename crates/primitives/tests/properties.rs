@@ -3,12 +3,12 @@
 //! (consecutive numbering, packing feasibility, allocation disjointness)
 //! must hold for all weights/keys/cluster sizes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use aj_mpc::{Cluster, Net, Partitioned, ServerId, Wire};
 use aj_primitives::{
-    allocate_servers, answer, lookup, multi_numbering, parallel_packing, prefix_sum, sum_by_key,
-    tally, FxHashMap, FxHashSet, Key,
+    allocate_servers, answer, encode_subset, lookup, multi_numbering, parallel_packing, prefix_sum,
+    report_subsets, sum_by_key, tally, FxHashMap, FxHashSet, Key,
 };
 use proptest::prelude::*;
 
@@ -210,6 +210,58 @@ proptest! {
         let want = reference_multi_numbering(&mut net, items.clone(), seed);
         let got = multi_numbering(&mut net, items, seed);
         prop_assert_eq!(got.into_parts(), want.into_parts());
+    }
+
+    /// Draws `(sender, receiver, key, bit)` build each pair's shared set;
+    /// two bits of `modes` per pair make it all-in, none-in or split by the
+    /// drawn bits, and bit `s` of `silent` leaves sender `s` sharing nothing.
+    #[test]
+    fn subset_reports_decode_the_in_set_within_the_in_count(
+        draws in prop::collection::vec((0u64..8, 0u64..8, 0u64..40, 0u64..2), 0..300),
+        p in 1usize..=8,
+        silent in 0u64..256,
+        modes in 0u64..65536,
+    ) {
+        let mut shared: Vec<Vec<BTreeMap<u64, bool>>> = vec![vec![BTreeMap::new(); p]; p];
+        for &(s, r, k, bit) in &draws {
+            let (s, r) = (s as usize % p, r as usize % p);
+            if silent >> s & 1 == 1 {
+                continue;
+            }
+            let is_in = match modes >> (2 * ((s * p + r) % 8)) & 3 {
+                0 => true,
+                1 => false,
+                _ => bit == 1,
+            };
+            shared[s][r].entry(k).or_insert(is_in);
+        }
+        let mut cluster = Cluster::new(p);
+        let mut net = cluster.net();
+        let got = report_subsets(&mut net, |s| {
+            shared[s].iter().enumerate().flat_map(|(r, keys)| {
+                keys.iter().map(move |(k, &is_in)| (r, k, is_in))
+            })
+        });
+        let mut units = 0;
+        for (s, row) in shared.iter().enumerate() {
+            for (r, keys) in row.iter().enumerate() {
+                let (ins, outs): (Vec<&u64>, Vec<&u64>) = keys.keys().partition(|k| keys[k]);
+                let want = match (ins.len(), outs.len()) {
+                    (0, _) => 0,
+                    (_, 0) => 1,
+                    (i, o) => i.min(o),
+                };
+                let pair = encode_subset(&ins, &outs).len();
+                prop_assert_eq!(pair, want, "pair ({}, {}) units", s, r);
+                prop_assert!(pair <= ins.len());
+                units += pair as u64;
+                for (k, &is_in) in keys {
+                    prop_assert_eq!(got[r].is_in(s, k), is_in, "pair ({}, {}) key {}", s, r, k);
+                }
+            }
+        }
+        prop_assert_eq!(net.stats().exchanges, 1);
+        prop_assert_eq!(net.stats().total_messages, units);
     }
 
     #[test]

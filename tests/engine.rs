@@ -314,14 +314,19 @@ fn plan_decisions_are_pinned() {
 /// recount). Before key owners answered the servers their degree tallies
 /// had heard from (no ask round for multi-numbering or directives), star3
 /// was `[168, 2141, 932, 13947, 26]`, tall_flat `[357, 4853, 2028, 12108,
-/// 10]` and line3 `[168, 3564, 1268, 25777, 18]`.
+/// 10]` and line3 `[168, 3564, 1268, 25777, 18]`. Before the full
+/// reducer's top-down sweep reported to resident key owners instead of
+/// semi-joining afresh, star3 was `[168, 2141, 827, 12652, 26]`, rh
+/// `[168, 1982, 252, 3626, 16]`, tall_flat `[357, 4853, 1568, 11015, 10]`
+/// and line3 `[168, 3564, 996, 18966, 18]` (rh's and line3's peak rounds
+/// were a top-down semi-join's).
 #[test]
 fn mixed_batch_rounds_are_pinned() {
     const PINNED: [(&str, [u64; 5]); 5] = [
-        ("star3", [168, 2141, 827, 12652, 26]),
-        ("rh", [168, 1982, 252, 3626, 16]),
-        ("tall_flat", [357, 4853, 1568, 11015, 10]),
-        ("line3", [168, 3564, 996, 18966, 18]),
+        ("star3", [168, 2141, 785, 11979, 26]),
+        ("rh", [168, 1982, 210, 2762, 10]),
+        ("tall_flat", [357, 4853, 1483, 9999, 10]),
+        ("line3", [168, 3564, 934, 16825, 16]),
         ("triangle", [0, 0, 21, 2976, 45]),
     ];
     let mut engine = QueryEngine::new(8);
