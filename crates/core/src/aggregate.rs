@@ -3,18 +3,25 @@
 //! (Lemma 3), the full Theorem-9 pipeline, out-hierarchical queries
 //! (Lemma 4 / Theorem 10), and the output-size primitive (Corollary 4).
 //!
-//! Annotations travel through the MPC join algorithms as one extra trailing
-//! tuple column per relation (encoded via [`Semiring::to_u64`]); the
-//! algorithms address columns only through their schema, so the extras ride
-//! along and are ⊗-combined when results are emitted.
+//! Annotations are the weights of the reducer's weighted semi-join step
+//! (`dist::sweep_up`), and counts are its `CountRing` case. Lemma 3's fold
+//! is that sweep along the join tree of `Q ∪ {ŷ}` rooted at ŷ; the input
+//! needs no reduce first, because the step drops every tuple that misses and
+//! folds a contained edge like any other. Only the residual query's solvers
+//! get the annotations as one extra trailing tuple column per relation
+//! (encoded via [`Semiring::to_u64`]): they address columns only through
+//! their schema, so the extras ride along and are ⊗-combined when results
+//! are emitted.
 
 use aj_mpc::{Net, Partitioned, Wire};
-use aj_primitives::{lookup, sum_by_key, FxHashMap, OwnedTable};
+use aj_primitives::{sum_by_key, OwnedTable};
 use aj_relation::classify::is_hierarchical;
-use aj_relation::semiring::{AnnRelation, Semiring};
-use aj_relation::{Attr, AttrSet, Edge, Query, Tuple};
+use aj_relation::semiring::{AnnRelation, CountRing, Semiring};
+use aj_relation::{Attr, AttrSet, Edge, JoinTree, Query, Tuple};
 
-use crate::dist::{count_sweep, dist_full_reduce, next_seed, DistDatabase, DistRelation};
+use crate::dist::{
+    column_sums, count_sweep, next_seed, sweep_up, DistDatabase, DistRelation, Factors, Weighted,
+};
 
 /// Errors of the join-aggregate pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +30,22 @@ pub enum AggregateError {
     NotAcyclic,
     /// The query is not free-connex w.r.t. the requested output attributes.
     NotFreeConnex,
+    /// The database holds a different number of relations than the query
+    /// has edges.
+    RelationCount {
+        /// Edges of the query.
+        edges: usize,
+        /// Relations given.
+        relations: usize,
+    },
+    /// A relation's attributes are not its edge's attributes, or one of its
+    /// tuples has another arity.
+    SchemaMismatch {
+        /// The offending edge.
+        edge: usize,
+    },
+    /// An output attribute is not an attribute of the query.
+    UnknownAttr(Attr),
 }
 
 impl std::fmt::Display for AggregateError {
@@ -30,6 +53,13 @@ impl std::fmt::Display for AggregateError {
         match self {
             AggregateError::NotAcyclic => write!(f, "query is not acyclic"),
             AggregateError::NotFreeConnex => write!(f, "query is not free-connex"),
+            AggregateError::RelationCount { edges, relations } => {
+                write!(f, "{relations} relations for a query of {edges} edges")
+            }
+            AggregateError::SchemaMismatch { edge } => {
+                write!(f, "relation {edge}'s attributes are not its edge's")
+            }
+            AggregateError::UnknownAttr(a) => write!(f, "output attribute {a} is not in the query"),
         }
     }
 }
@@ -161,27 +191,28 @@ pub fn count_by_group(
     }
     let c = count_sweep(net, &tree, db.to_vec(), || next_seed(seed));
     debug_assert!(c.factors.is_empty(), "group in every edge: not Cartesian");
-    sum_by_group(net, &c.db[c.root], &c.counts, group_attrs, final_seed)
+    sum_by_group::<CountRing>(net, &c.db[c.root], &c.counts, group_attrs, final_seed)
 }
 
-/// Sum the per-tuple `counts` of `root` per value of `group_attrs` (one
-/// sum-by-key round seeded `final_seed`).
-pub(crate) fn sum_by_group(
+/// ⊕-sum the per-tuple `weights` of `root` per value of `group_attrs` (one
+/// sum-by-key round seeded `final_seed`): the one step that groups a
+/// weighted relation onto some of its attributes.
+pub(crate) fn sum_by_group<S: Semiring<T: Wire>>(
     net: &mut Net,
     root: &DistRelation,
-    counts: &[Vec<u64>],
+    weights: &[Vec<S::T>],
     group_attrs: &[Attr],
     final_seed: u64,
-) -> OwnedTable<Tuple, u64> {
+) -> OwnedTable<Tuple, S::T> {
     let gpos = root.positions_of(group_attrs);
     let grouped = Partitioned::from_parts(net.run_each(|s| {
         root.parts[s]
             .iter()
-            .zip(&counts[s])
+            .zip(&weights[s])
             .map(|(t, &w)| (t.project(&gpos), w))
             .collect::<Vec<_>>()
     }));
-    sum_by_key(net, grouped, final_seed, |a: u64, b| a.saturating_add(b))
+    sum_by_key(net, grouped, final_seed, S::add)
 }
 
 // ---------------------------------------------------------------------------
@@ -192,6 +223,10 @@ pub(crate) fn sum_by_group(
 /// rounds with load `O(IN/p + √(IN·OUT)/p)` (Theorem 9); when the residual
 /// output query is r-hierarchical, the instance-optimal Theorem-3 algorithm
 /// takes over (Theorem 10).
+///
+/// Misuse is an error, detected before any round: `db` must hold one
+/// relation per edge over that edge's attributes (every tuple of that
+/// arity), and `y` only attributes of `q`.
 pub fn join_aggregate<S: Semiring<T: Wire>>(
     net: &mut Net,
     q: &Query,
@@ -200,284 +235,179 @@ pub fn join_aggregate<S: Semiring<T: Wire>>(
     seed: &mut u64,
 ) -> Result<AnnOutput<S>, AggregateError> {
     let p = net.p();
+    if db.len() != q.n_edges() {
+        let (edges, relations) = (q.n_edges(), db.len());
+        return Err(AggregateError::RelationCount { edges, relations });
+    }
+    let schema_ok = |(r, e): (&AnnRelation<S>, &Edge)| {
+        r.attrs.len() == e.attrs.len()
+            && AttrSet::from_iter(r.attrs.iter().copied()) == e.attr_set()
+            && r.tuples.iter().all(|(t, _)| t.arity() == e.attrs.len())
+    };
+    if let Some(edge) = db.iter().zip(q.edges()).position(|re| !schema_ok(re)) {
+        return Err(AggregateError::SchemaMismatch { edge });
+    }
+    if let Some(&a) = y.iter().find(|&&a| a >= q.n_attrs()) {
+        return Err(AggregateError::UnknownAttr(a));
+    }
     if !q.is_acyclic() {
         return Err(AggregateError::NotAcyclic);
     }
     if !is_free_connex(q, y) {
         return Err(AggregateError::NotFreeConnex);
     }
-    assert_eq!(db.len(), q.n_edges());
-    // Distribute with the encoded annotation as an extra trailing column.
-    let dist: DistDatabase = db
+    // The annotations are the fold's weights.
+    let mut rels: Vec<Weighted<S>> = db
         .iter()
-        .map(|r| DistRelation {
-            attrs: r.attrs.clone(),
-            parts: Partitioned::distribute(
-                r.tuples
-                    .iter()
-                    .map(|(t, w)| t.extend(&[S::to_u64(*w)]))
-                    .collect(),
-                p,
-            ),
+        .map(|r| {
+            from_pairs::<S>(
+                r.attrs.clone(),
+                Partitioned::distribute(r.tuples.clone(), p),
+            )
         })
         .collect();
-    // Dangling removal (annotation-oblivious, Lemma-3 preprocessing).
-    let dist = dist_full_reduce(net, q, dist, next_seed(seed));
-    // Annotated reduce: fold contained edges multiplicatively.
-    let (qr, dist) = ann_reduce::<S>(net, q.clone(), dist, seed);
-
-    // Join tree of E_r ∪ {ŷ}, rooted at ŷ.
-    let qplus = with_output_edge(&qr, y);
-    let tree = qplus.join_tree().ok_or(AggregateError::NotFreeConnex)?;
-    let y_node = qr.n_edges();
-    let (parents, bfs) = re_root(&tree, y_node, qplus.n_edges());
-    // TOP(x): the highest node containing x (excluding ŷ).
-    let yset = AttrSet::from_iter(y.iter().copied());
-    let mut top: FxHashMap<Attr, usize> = FxHashMap::default();
-    for &u in &bfs {
-        if u == y_node {
-            continue;
-        }
-        for &a in &qplus.edge(u).attrs {
-            top.entry(a).or_insert(u);
-        }
+    // The fold drops every tuple that misses and folds contained edges like
+    // any other, so neither a dangling-tuple reduce nor an annotated reduce
+    // runs on the input first; their seed draws (one, plus one per contained
+    // edge) are burnt.
+    for _ in q.reduce().1.len()..=q.n_edges() {
+        next_seed(seed);
     }
 
-    // Bottom-up fold.
-    let mut rels: Vec<Option<DistRelation>> = dist.into_iter().map(Some).collect();
-    let mut residual: Vec<DistRelation> = Vec::new();
-    for &u in bfs.iter().rev() {
-        if u == y_node {
-            continue;
-        }
-        let rel = rels[u].take().expect("each node folded once");
-        // Aggregate away finished non-output attributes.
-        let remaining: Vec<Attr> = rel
+    // Lemma 3: fold each subtree below ŷ into ŷ's child. A node keeps exactly
+    // the attributes it shares with its parent, so each child of ŷ is then
+    // grouped onto its attributes in y: one residual relation each.
+    let tree = with_output_edge(q, y).join_tree().expect("free-connex");
+    let forest = below(&tree, q.n_edges());
+    let (mut factors, _) = sweep_up::<S>(net, &forest, &mut rels, || next_seed(seed), false);
+    let mut residual: Vec<Weighted<S>> = Vec::new();
+    for &u in forest.order.iter().filter(|&&u| forest.parent[u].is_none()) {
+        let (rel, w) = &rels[u];
+        let group: Vec<Attr> = rel
             .attrs
             .iter()
             .copied()
-            .filter(|a| yset.contains(*a) || top.get(a) != Some(&u))
+            .filter(|a| y.contains(a))
             .collect();
-        let table = sum_annotations::<S>(net, &rel, &remaining, next_seed(seed));
-        let folded = DistRelation {
-            attrs: remaining.clone(),
-            parts: Partitioned::from_parts(
-                table
-                    .parts
-                    .iter()
-                    .map(|part| {
-                        part.iter()
-                            .map(|(k, w)| k.extend(&[S::to_u64(*w)]))
-                            .collect()
-                    })
-                    .collect(),
-            ),
-        };
-        let pr = parents[u].expect("non-root node has a parent");
-        if pr == y_node {
-            residual.push(folded);
-            continue;
-        }
-        // Fold into the parent: multiply annotations, drop misses.
-        let parent = rels[pr].as_mut().expect("parent still pending");
-        multiply_or_drop::<S>(net, parent, &remaining, &table);
+        let table = sum_by_group::<S>(net, rel, w, &group, next_seed(seed));
+        residual.push(from_pairs::<S>(group, table.parts));
     }
 
-    // Residual evaluation.
-    if y.is_empty() {
-        // Every residual relation is 0-ary: a scalar (or empty ⇒ ⊕-zero).
-        let mut scalar = S::one();
-        for rel in &residual {
-            let entries = rel.gather_free();
-            match entries.tuples.first() {
-                None => {
-                    return Ok(AnnOutput {
-                        attrs: Vec::new(),
-                        parts: (0..p).map(|_| Vec::new()).collect(),
-                    })
-                }
-                Some(t) => scalar = S::mul(scalar, S::from_u64(t.get(0))),
-            }
-        }
-        let mut parts: Vec<Vec<(Tuple, S::T)>> = (0..p).map(|_| Vec::new()).collect();
-        parts[0].push((Tuple::unit(), scalar));
-        return Ok(AnnOutput {
-            attrs: Vec::new(),
-            parts,
-        });
-    }
-    let edges: Vec<Edge> = residual
-        .iter()
-        .enumerate()
-        .map(|(i, r)| Edge {
-            name: format!("T'{i}"),
-            attrs: r.attrs.clone(),
-        })
-        .collect();
-    let qy = Query::from_parts(q.attr_names().to_vec(), edges);
-    // Pre-reduce annotated (so the solvers' structural reduce is a no-op).
-    let (qy, residual) = ann_reduce::<S>(net, qy, residual, seed);
-    let out = if residual.len() == 1 {
-        residual
-            .into_iter()
-            .next()
-            .unwrap()
-            .normalized_keep_extras()
-    } else if is_hierarchical(&qy) {
+    // The residual query over y (0-ary edges when y = ∅), whose solvers
+    // carry each weight as a trailing tuple column.
+    let edges = residual.iter().enumerate().map(|(i, (r, _))| Edge {
+        name: format!("T'{i}"),
+        attrs: r.attrs.clone(),
+    });
+    let qy = Query::from_parts(q.attr_names().to_vec(), edges.collect());
+    let (qy, residual, more) = ann_reduce::<S>(net, &qy, residual, seed);
+    factors.extend(more);
+    let residual = residual.into_iter().map(with_column::<S>).collect();
+    let out = if is_hierarchical(&qy) {
         crate::hierarchical::solve(net, &qy, residual, seed)
     } else {
         crate::acyclic::solve(net, &qy, residual, seed)
     };
-    // Decode: ⊗-fold the extra columns, strip them.
+    // Each Cartesian step's child ⊗-multiplies its ⊕-total into every result.
+    let mut factor = S::one();
+    if !factors.is_empty() {
+        let partials = (0..p).map(|s| factors.iter().map(|f| f[s]).collect());
+        let totals = column_sums::<S>(net, partials.collect());
+        factor = totals.into_iter().fold(factor, S::mul);
+    }
+    // Decode: ⊗-fold the trailing columns into the factor, strip them.
     let n_attr = out.attrs.len();
-    let parts = out
-        .parts
-        .iter()
-        .map(|part| {
-            part.iter()
-                .map(|t| {
-                    let mut w = S::one();
-                    for c in n_attr..t.arity() {
-                        w = S::mul(w, S::from_u64(t.get(c)));
-                    }
-                    (t.project(&(0..n_attr).collect::<Vec<_>>()), w)
-                })
-                .collect()
-        })
-        .collect();
+    let keep: Vec<usize> = (0..n_attr).collect();
+    let parts = out.parts.iter().map(|part| {
+        let decode = |t: &Tuple| {
+            let extras = (n_attr..t.arity()).map(|c| S::from_u64(t.get(c)));
+            (t.project(&keep), extras.fold(factor, S::mul))
+        };
+        part.iter().map(decode).collect()
+    });
+    let attrs = out.attrs;
     Ok(AnnOutput {
-        attrs: out.attrs,
-        parts,
+        attrs,
+        parts: parts.collect(),
     })
 }
 
-/// The annotated **reduce** procedure (Section 6): while some edge `e` is
-/// contained in another `e'`, replace `R(e')` by `R(e) ⋈ R(e')`
-/// (⊗-multiplying annotations) and discard `R(e)`.
+/// The annotated **reduce** procedure (Section 6) on weighted relations:
+/// every edge contained in another folds into a kept edge containing it
+/// (one [`sweep_up`] step each, in edge order), ⊗-multiplying its ⊕-sums
+/// into the matching tuples. Returns the reduced query, its relations and
+/// the Cartesian steps' factors (the sums of 0-ary edges).
 fn ann_reduce<S: Semiring<T: Wire>>(
     net: &mut Net,
-    q: Query,
-    db: DistDatabase,
+    q: &Query,
+    mut rels: Vec<Weighted<S>>,
     seed: &mut u64,
-) -> (Query, DistDatabase) {
-    let mut alive: Vec<bool> = vec![true; q.n_edges()];
-    let mut rels: Vec<Option<DistRelation>> = db.into_iter().map(Some).collect();
-    loop {
-        let mut victim: Option<(usize, usize)> = None;
-        'outer: for e in 0..q.n_edges() {
-            if !alive[e] {
-                continue;
-            }
-            for (o, &o_alive) in alive.iter().enumerate() {
-                if o == e || !o_alive {
-                    continue;
-                }
-                let se = q.edge(e).attr_set();
-                let so = q.edge(o).attr_set();
-                if (se.is_subset(so) && se != so) || (se == so && e > o) {
-                    victim = Some((e, o));
-                    break 'outer;
-                }
-            }
-        }
-        let Some((e, o)) = victim else { break };
-        let small = rels[e].take().expect("alive edge has a relation");
-        let table = sum_annotations::<S>(net, &small, &small.attrs, next_seed(seed));
-        let big = rels[o].as_mut().expect("container edge alive");
-        multiply_or_drop::<S>(net, big, &small.attrs, &table);
-        alive[e] = false;
-    }
-    let kept: Vec<usize> = (0..q.n_edges()).filter(|&e| alive[e]).collect();
-    let edges = kept.iter().map(|&e| q.edge(e).clone()).collect();
-    (
-        Query::from_parts(q.attr_names().to_vec(), edges),
-        kept.into_iter().map(|e| rels[e].take().unwrap()).collect(),
-    )
-}
-
-/// ⊕-sum the trailing annotation column of `rel` per projection onto `key`
-/// (one sum-by-key round).
-fn sum_annotations<S: Semiring<T: Wire>>(
-    net: &mut Net,
-    rel: &DistRelation,
-    key: &[Attr],
-    seed: u64,
-) -> OwnedTable<Tuple, S::T> {
-    let pos = rel.positions_of(key);
-    let ann = rel.attrs.len();
-    let pairs = rel.parts.iter().map(|part| {
-        part.iter()
-            .map(|t| (t.project(&pos), S::from_u64(t.get(ann))))
-            .collect()
+) -> (Query, Vec<Weighted<S>>, Factors<S>) {
+    let (qr, kept) = q.reduce();
+    let parent = (0..q.n_edges()).map(|e| {
+        let se = q.edge(e).attr_set();
+        let contains = |&o: &usize| o != e && se.is_subset(q.edge(o).attr_set());
+        kept.iter().copied().find(contains)
     });
-    sum_by_key(net, Partitioned::from_parts(pairs.collect()), seed, S::add)
+    let forest = JoinTree {
+        parent: parent.collect(),
+        order: (0..q.n_edges()).collect(),
+    };
+    let (factors, _) = sweep_up::<S>(net, &forest, &mut rels, || next_seed(seed), false);
+    let rels = rels
+        .into_iter()
+        .enumerate()
+        .filter(|(e, _)| kept.contains(e));
+    (qr, rels.map(|(_, r)| r).collect(), factors)
 }
 
-/// Look up each tuple of `rel` in `table` by its projection onto `key`
-/// (one lookup): a hit ⊗-multiplies the entry into the tuple's trailing
-/// annotation column, a miss drops the tuple.
-fn multiply_or_drop<S: Semiring<T: Wire>>(
-    net: &mut Net,
-    rel: &mut DistRelation,
-    key: &[Attr],
-    table: &OwnedTable<Tuple, S::T>,
-) {
-    let pos = rel.positions_of(key);
-    let ann = rel.attrs.len();
-    let requests = Partitioned::from_parts(
-        rel.parts
-            .iter()
-            .map(|part| part.iter().map(|t| t.project(&pos)).collect())
-            .collect(),
-    );
-    let answers = lookup(net, table, &requests);
-    let mut probe = Vec::with_capacity(pos.len());
-    for (part, ans) in rel.parts.parts_mut().iter_mut().zip(answers) {
-        let mut next = Vec::with_capacity(part.len());
-        for t in part.drain(..) {
-            t.project_into(&pos, &mut probe);
-            if let Some(&m) = ans.get(probe.as_slice()) {
-                let mut vals = t.values().to_vec();
-                vals[ann] = S::to_u64(S::mul(S::from_u64(t.get(ann)), m));
-                next.push(Tuple::new(vals));
-            }
-        }
-        *part = next;
+/// A weighted relation over `attrs` from `(tuple, weight)` shards.
+fn from_pairs<S: Semiring>(attrs: Vec<Attr>, pairs: Partitioned<(Tuple, S::T)>) -> Weighted<S> {
+    let split = pairs
+        .into_parts()
+        .into_iter()
+        .map(|part| part.into_iter().unzip());
+    let (parts, w): (Vec<_>, _) = split.unzip();
+    let parts = Partitioned::from_parts(parts);
+    (DistRelation { attrs, parts }, w)
+}
+
+/// Attach each weight to its tuple as one trailing column.
+fn with_column<S: Semiring>((rel, w): Weighted<S>) -> DistRelation {
+    let parts = rel.parts.into_parts().into_iter().zip(w).map(|(part, w)| {
+        let tuples = part.iter().zip(w);
+        tuples.map(|(t, w)| t.extend(&[S::to_u64(w)])).collect()
+    });
+    DistRelation {
+        attrs: rel.attrs,
+        parts: Partitioned::from_parts(parts.collect()),
     }
 }
 
-/// Re-root a join tree at `new_root`: returns the new parent array and a
-/// BFS (top-down) order.
-fn re_root(
-    tree: &aj_relation::JoinTree,
-    new_root: usize,
-    n: usize,
-) -> (Vec<Option<usize>>, Vec<usize>) {
-    // Build adjacency.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (e, p) in tree.parent.iter().enumerate() {
-        if let Some(p) = p {
-            adj[e].push(*p);
-            adj[*p].push(e);
-        }
-    }
-    let mut parents: Vec<Option<usize>> = vec![None; n];
-    let mut bfs = vec![new_root];
-    let mut seen = vec![false; n];
-    seen[new_root] = true;
+/// `tree`, a join tree of `Q ∪ {ŷ}` with ŷ its last edge `y_node`, re-rooted
+/// at ŷ and cut below it: a forest over `Q`'s edges whose roots are ŷ's
+/// children, in reverse BFS order from ŷ (leaves first, those roots last).
+fn below(tree: &JoinTree, y_node: usize) -> JoinTree {
+    let mut parent: Vec<Option<usize>> = vec![None; y_node];
+    let mut bfs = vec![y_node];
     let mut i = 0;
-    while i < bfs.len() {
-        let u = bfs[i];
+    while let Some(&u) = bfs.get(i) {
         i += 1;
-        for &v in &adj[u] {
-            if !seen[v] {
-                seen[v] = true;
-                parents[v] = Some(u);
+        for (v, pv) in parent.iter_mut().enumerate() {
+            let adjacent = tree.parent[v] == Some(u) || tree.parent[u] == Some(v);
+            if adjacent && pv.is_none() {
+                *pv = Some(u);
                 bfs.push(v);
             }
         }
     }
-    (parents, bfs)
+    let parent = parent.into_iter().map(|p| p.filter(|&p| p != y_node));
+    bfs.reverse();
+    bfs.pop(); // ŷ
+    JoinTree {
+        parent: parent.collect(),
+        order: bfs,
+    }
 }
 
 impl DistRelation {
@@ -512,7 +442,7 @@ mod tests {
     use super::*;
     use crate::dist::distribute_db;
     use aj_mpc::Cluster;
-    use aj_relation::semiring::CountRing;
+    use aj_primitives::FxHashMap;
     use aj_relation::{database_from_rows, ram, Database, QueryBuilder};
 
     fn line3() -> Query {
@@ -694,6 +624,62 @@ mod tests {
         let mut seed = 9;
         let err = join_aggregate::<CountRing>(&mut net, &q, &ann, &[a, d], &mut seed);
         assert_eq!(err.unwrap_err(), AggregateError::NotFreeConnex);
+    }
+
+    /// Runs a misused `join_aggregate` on line-3: it must fail before any
+    /// round.
+    fn misuse(db: &[AnnRelation<CountRing>], y: &[Attr]) -> AggregateError {
+        let mut cluster = Cluster::new(2);
+        let got = join_aggregate::<CountRing>(&mut cluster.net(), &line3(), db, y, &mut 9);
+        let err = got.unwrap_err();
+        assert_eq!(cluster.stats().exchanges, 0, "{err}: a round ran first");
+        err
+    }
+
+    fn line3_ann() -> Vec<AnnRelation<CountRing>> {
+        let db = line3_db(&line3());
+        db.relations
+            .iter()
+            .map(AnnRelation::from_relation)
+            .collect()
+    }
+
+    #[test]
+    fn missing_relation_is_an_error() {
+        let mut db = line3_ann();
+        db.pop();
+        let want = AggregateError::RelationCount {
+            edges: 3,
+            relations: 2,
+        };
+        assert_eq!(misuse(&db, &[0]), want);
+    }
+
+    #[test]
+    fn output_attr_outside_the_query_is_an_error() {
+        let db = line3_ann();
+        assert_eq!(misuse(&db, &[0, 4]), AggregateError::UnknownAttr(4));
+        assert_eq!(misuse(&db, &[70]), AggregateError::UnknownAttr(70));
+    }
+
+    #[test]
+    fn relation_over_other_attrs_is_an_error() {
+        let mut db = line3_ann();
+        db[2].attrs = vec![0, 1]; // edge 2 is (C, D)
+        let want = AggregateError::SchemaMismatch { edge: 2 };
+        assert_eq!(misuse(&db, &[0]), want);
+        db[2].attrs = vec![2, 3, 0];
+        assert_eq!(misuse(&db, &[0]), want);
+        db[2].attrs = vec![3, 2]; // the edge's attributes in another order
+        db[1].tuples.push((Tuple::new(vec![1]), 1));
+        assert_eq!(
+            misuse(&db, &[0]),
+            AggregateError::SchemaMismatch { edge: 1 }
+        );
+        db[1].tuples.pop();
+        let mut cluster = Cluster::new(2);
+        let got = join_aggregate::<CountRing>(&mut cluster.net(), &line3(), &db, &[0], &mut 9);
+        assert!(got.is_ok());
     }
 
     #[test]

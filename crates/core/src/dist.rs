@@ -1,19 +1,24 @@
 //! Distributed relations: the unit of data the MPC algorithms operate on,
 //! and the full reducer that removes their dangling tuples.
 //!
-//! Every semi-join carries a count beside each tuple, so the reducer's
-//! bottom-up sweep is also the Corollary-4 counting sweep: the solvers of
-//! Theorems 3, 5 and 7 read `OUT` (or the root's per-tuple counts) off their
-//! own reduce, and `output_size` and `count_by_group` run the sweep alone.
+//! Every semi-join is one weighted step over a semiring: the child's weights
+//! are ⊕-summed per join key, and each parent tuple that hits is kept, its
+//! weight ⊗ the key's sum. Under `CountRing` the weights are counts, so the
+//! reducer's bottom-up sweep is also the Corollary-4 counting sweep: the
+//! solvers of Theorems 3, 5 and 7 read `OUT` (or the root's per-tuple counts)
+//! off their own reduce, and `output_size` and `count_by_group` run the sweep
+//! alone. Under any semiring the same sweep is Lemma 3's fold in
+//! `aggregate::join_aggregate`, its weights the tuples' annotations.
 //! The sweep's key owners stay resident for the reducer's top-down half,
 //! which tells each server only what changed in between (two rounds of
 //! subset reports per edge instead of a fresh three-round semi-join).
 
-use aj_mpc::{Net, Partitioned};
+use aj_mpc::{Net, Partitioned, Wire};
 use aj_primitives::{
     answer, coordinate, lookup, lookup_recording, report_subsets, sum_by_key, tally, values_owner,
     FxHashMap, FxHashSet, Hits, Key, Reports, Tally, DEFAULT_SEED,
 };
+use aj_relation::semiring::{CountRing, Semiring};
 use aj_relation::{Attr, Database, JoinTree, Query, Relation, Tuple};
 
 /// A relation partitioned over the servers of a [`Net`].
@@ -132,60 +137,75 @@ pub fn dist_semi_join(
     right: &DistRelation,
     seed: u64,
 ) -> DistRelation {
-    (semi_join_step(net, weighted(left), right, &ones(right), seed).0).0
+    let right_w = ones::<CountRing>(right);
+    (semi_join_step::<CountRing>(net, weighted::<CountRing>(left), right, &right_w, seed).0).0
 }
 
-/// A relation and its tuples' weights (`w[s][i]` goes with `parts[s][i]`).
-type Weighted = (DistRelation, Vec<Vec<u64>>);
+/// A relation and its tuples' weights in the semiring `S` (`w[s][i]` goes
+/// with `parts[s][i]`).
+pub(crate) type Weighted<S> = (DistRelation, Vec<Vec<<S as Semiring>::T>>);
 
-fn ones(rel: &DistRelation) -> Vec<Vec<u64>> {
-    rel.parts.iter().map(|part| vec![1; part.len()]).collect()
+/// Per Cartesian step of a sweep, the child's per-server ⊕-sums: together
+/// a ⊗-factor of every result.
+pub(crate) type Factors<S> = Vec<Vec<<S as Semiring>::T>>;
+
+fn ones<S: Semiring>(rel: &DistRelation) -> Vec<Vec<S::T>> {
+    rel.parts
+        .iter()
+        .map(|part| vec![S::one(); part.len()])
+        .collect()
 }
 
-fn weighted(rel: DistRelation) -> Weighted {
-    let w = ones(&rel);
+fn weighted<S: Semiring>(rel: DistRelation) -> Weighted<S> {
+    let w = ones::<S>(&rel);
     (rel, w)
 }
 
 /// How a [`semi_join_step`] went.
-enum Step {
+enum Step<S: Semiring> {
     /// An empty side: the parent emptied without an exchange.
     Empty,
-    /// A Cartesian child: its per-server weight sums, a factor of every
-    /// parent weight.
-    Cartesian(Vec<u64>),
+    /// A Cartesian child: its per-server ⊕-sums, a ⊗-factor of every parent
+    /// weight.
+    Cartesian(Vec<S::T>),
     /// Keyed: the step's key owners, resident for the edge's top-down step.
-    Keyed(Owners),
+    Keyed(Owners<S>),
 }
 
 /// What a keyed [`semi_join_step`] leaves behind: at each key owner, the
 /// child's tally (each key's child holders) and the `(entry, parent server)`
 /// pair of every hit; at each parent server, the keys its answer hit.
-struct Owners {
+pub(crate) struct Owners<S: Semiring> {
     seed: u64,
-    child: Tally<Tuple, u64>,
+    child: Tally<Tuple, S::T>,
     askers: Hits,
-    hits: Vec<FxHashMap<Tuple, u64>>,
+    hits: Vec<FxHashMap<Tuple, S::T>>,
 }
 
-/// `parent ⋉ child` carrying weights, three rounds under `seed`: the
-/// child's weights are tallied per join key (one round), the parent looks
+/// `parent ⋉ child` carrying weights in `S`, three rounds under `seed`: the
+/// child's weights are ⊕-tallied per join key (one round), the parent looks
 /// its keys up in the totals at the same owners (two rounds), and each
-/// matching parent tuple is kept, its weight times the key's sum. The
-/// owners keep who held and who hit each key. Emptiness is driver-visible
-/// metadata: an empty side empties the parent without an exchange. A
-/// Cartesian child is free too: its per-server weight sums come back as a
-/// factor of every parent weight.
-fn semi_join_step(
+/// matching parent tuple is kept, its weight ⊗ the key's sum; a parent tuple
+/// that misses is dropped. The owners keep who held and who hit each key.
+/// Emptiness is driver-visible metadata: an empty side empties the parent
+/// without an exchange. A Cartesian child is free too: its per-server
+/// ⊕-sums come back as a factor of every parent weight.
+///
+/// The one fold step of the crate, called only by [`sweep_up`] and
+/// [`dist_semi_join`]: under [`CountRing`] it is the reducer's and Corollary
+/// 4's counting step, under any semiring the step of Lemma 3's
+/// LinearAggroYannakakis fold and of the annotated reduce in
+/// `aggregate::join_aggregate`.
+fn semi_join_step<S: Semiring<T: Wire>>(
     net: &mut Net,
-    (parent, parent_w): Weighted,
+    (parent, parent_w): Weighted<S>,
     child: &DistRelation,
-    child_w: &[Vec<u64>],
+    child_w: &[Vec<S::T>],
     seed: u64,
-) -> (Weighted, Step) {
+) -> (Weighted<S>, Step<S>) {
     if parent.total_len() == 0 || child.total_len() == 0 {
         return (
-            weighted(DistRelation::empty(parent.attrs, net.p())),
+            weighted::<S>(DistRelation::empty(parent.attrs, net.p())),
             Step::Empty,
         );
     }
@@ -193,7 +213,7 @@ fn semi_join_step(
     if shared.is_empty() {
         let sums = child_w
             .iter()
-            .map(|w| w.iter().copied().fold(0, u64::saturating_add));
+            .map(|w| w.iter().copied().fold(S::zero(), S::add));
         return ((parent, parent_w), Step::Cartesian(sums.collect()));
     }
     let (cpos, ppos) = (child.positions_of(&shared), parent.positions_of(&shared));
@@ -202,7 +222,7 @@ fn semi_join_step(
             .map(|(t, &w)| (t.project(&cpos), w))
             .collect::<Vec<_>>()
     }));
-    let child_tally = tally(net, pairs, seed, u64::saturating_add);
+    let child_tally = tally(net, pairs, seed, S::add);
     let requests = Partitioned::from_parts(net.run_each(|s| {
         parent.parts[s]
             .iter()
@@ -211,16 +231,16 @@ fn semi_join_step(
     }));
     let (hits, askers) = lookup_recording(net, &child_tally.totals, &requests);
     let shards = (parent.parts.into_parts().into_iter().zip(parent_w)).zip(&hits);
-    let kept: Vec<(Vec<Tuple>, Vec<u64>)> = net.run_local(
+    let kept: Vec<(Vec<Tuple>, Vec<S::T>)> = net.run_local(
         shards.collect(),
-        |_, ((mut part, mut w), ans): ((Vec<Tuple>, Vec<u64>), _)| {
+        |_, ((mut part, mut w), ans): ((Vec<Tuple>, Vec<S::T>), _)| {
             // In place, probing by bare value slice: no per-tuple allocation.
             let (mut key, mut i, mut n) = (Vec::with_capacity(ppos.len()), 0, 0);
             part.retain(|t| {
                 t.project_into(&ppos, &mut key);
                 let hit = ans.get(key.as_slice());
                 if let Some(&m) = hit {
-                    w[n] = w[i].saturating_mul(m);
+                    w[n] = S::mul(w[i], m);
                     n += 1;
                 }
                 i += 1;
@@ -230,7 +250,7 @@ fn semi_join_step(
             (part, w)
         },
     );
-    let (parts, w): (Vec<Vec<Tuple>>, Vec<Vec<u64>>) = kept.into_iter().unzip();
+    let (parts, w): (Vec<Vec<Tuple>>, Vec<Vec<S::T>>) = kept.into_iter().unzip();
     let attrs = parent.attrs;
     let parts = Partitioned::from_parts(parts);
     let owners = Owners {
@@ -257,7 +277,7 @@ fn semi_join_down(
     net: &mut Net,
     child: DistRelation,
     parent: &DistRelation,
-    owners: &Owners,
+    owners: &Owners<CountRing>,
 ) -> DistRelation {
     let (p, seed) = (net.p(), owners.seed);
     let shared = parent.shared_attrs(&child); // the step's key layout
@@ -330,19 +350,22 @@ impl Counted {
             let factors = self.factors.iter().map(|f| f[s]);
             std::iter::once(root).chain(factors).collect()
         });
-        let sums = column_sums(net, partials.collect());
+        let sums = column_sums::<CountRing>(net, partials.collect());
         sums.into_iter().fold(1, u64::saturating_mul)
     }
 }
 
-/// The column sums of one `Vec<u64>` per server (all of one length), added
-/// up by one coordinator call: 2 rounds, 2p units.
-pub(crate) fn column_sums(net: &mut Net, partials: Vec<Vec<u64>>) -> Vec<u64> {
+/// The ⊕-column sums of one `Vec<S::T>` per server (all of one length),
+/// added up by one coordinator call: 2 rounds, 2p units.
+pub(crate) fn column_sums<S: Semiring<T: Wire>>(
+    net: &mut Net,
+    partials: Vec<Vec<S::T>>,
+) -> Vec<S::T> {
     coordinate(net, partials, |parts| {
-        let mut sums = vec![0u64; parts[0].len()];
+        let mut sums = vec![S::zero(); parts[0].len()];
         for part in &parts {
-            for (sum, c) in sums.iter_mut().zip(part) {
-                *sum = sum.saturating_add(*c);
+            for (sum, &c) in sums.iter_mut().zip(part) {
+                *sum = S::add(*sum, c);
             }
         }
         vec![sums; parts.len()]
@@ -359,34 +382,20 @@ pub(crate) fn count_sweep(
     db: DistDatabase,
     seeds: impl FnMut() -> u64,
 ) -> Counted {
-    sweep_up(net, tree, db, seeds, false).0
+    sweep_counts(net, tree, db, seeds, false).0
 }
 
 /// [`count_sweep`], also returning each keyed step's [`Owners`] by child
 /// edge if `keep`.
-fn sweep_up(
+fn sweep_counts(
     net: &mut Net,
     tree: &JoinTree,
     db: DistDatabase,
-    mut seeds: impl FnMut() -> u64,
+    seeds: impl FnMut() -> u64,
     keep: bool,
-) -> (Counted, Vec<Option<Owners>>) {
-    let mut rels: Vec<Weighted> = db.into_iter().map(weighted).collect();
-    let mut factors = Vec::new();
-    let mut owners: Vec<Option<Owners>> = rels.iter().map(|_| None).collect();
-    for &e in &tree.order {
-        let Some(pr) = tree.parent[e] else { continue };
-        let placeholder = weighted(DistRelation::empty(Vec::new(), net.p()));
-        let parent = std::mem::replace(&mut rels[pr], placeholder);
-        let (child, child_w) = &rels[e];
-        let (stepped, step) = semi_join_step(net, parent, child, child_w, seeds());
-        rels[pr] = stepped;
-        match step {
-            Step::Empty => {}
-            Step::Cartesian(factor) => factors.push(factor),
-            Step::Keyed(o) => owners[e] = keep.then_some(o),
-        }
-    }
+) -> (Counted, Vec<Option<Owners<CountRing>>>) {
+    let mut rels: Vec<Weighted<CountRing>> = db.into_iter().map(weighted::<CountRing>).collect();
+    let (factors, owners) = sweep_up::<CountRing>(net, tree, &mut rels, seeds, keep);
     let (db, mut w): (DistDatabase, Vec<_>) = rels.into_iter().unzip();
     let root = tree.root();
     let counts = std::mem::take(&mut w[root]);
@@ -397,6 +406,37 @@ fn sweep_up(
         factors,
     };
     (counted, owners)
+}
+
+/// The weighted bottom-up sweep along `tree`, in place: each child steps
+/// into its parent in elimination order ([`semi_join_step`]), seeded by one
+/// `seeds()` draw per edge that has a parent. `tree` may be a forest: each
+/// parentless edge ends with its subtree's weights. Returns each Cartesian
+/// step's per-server child sums (⊗-factors of the whole result) and, if
+/// `keep`, each keyed step's [`Owners`] by child edge.
+pub(crate) fn sweep_up<S: Semiring<T: Wire>>(
+    net: &mut Net,
+    tree: &JoinTree,
+    rels: &mut [Weighted<S>],
+    mut seeds: impl FnMut() -> u64,
+    keep: bool,
+) -> (Factors<S>, Vec<Option<Owners<S>>>) {
+    let mut factors = Vec::new();
+    let mut owners: Vec<Option<Owners<S>>> = rels.iter().map(|_| None).collect();
+    for &e in &tree.order {
+        let Some(pr) = tree.parent[e] else { continue };
+        let placeholder = weighted::<S>(DistRelation::empty(Vec::new(), net.p()));
+        let parent = std::mem::replace(&mut rels[pr], placeholder);
+        let (child, child_w) = &rels[e];
+        let (stepped, step) = semi_join_step::<S>(net, parent, child, child_w, seeds());
+        rels[pr] = stepped;
+        match step {
+            Step::Empty => {}
+            Step::Cartesian(factor) => factors.push(factor),
+            Step::Keyed(o) => owners[e] = keep.then_some(o),
+        }
+    }
+    (factors, owners)
 }
 
 /// Remove all dangling tuples of an acyclic join: two semi-join sweeps along
@@ -430,7 +470,7 @@ pub(crate) fn dist_full_reduce_counted(
         s = s.wrapping_add(0x9e37);
         s
     };
-    let (mut c, mut owners) = sweep_up(net, &tree, db, &mut step_seed, true);
+    let (mut c, mut owners) = sweep_counts(net, &tree, db, &mut step_seed, true);
     for &e in tree.order.iter().rev() {
         let Some(pr) = tree.parent[e] else { continue };
         let seed = step_seed();
@@ -444,9 +484,10 @@ pub(crate) fn dist_full_reduce_counted(
 }
 
 /// Theorems 3 and 7's preprocessing: the counted full reduce, then the
-/// hypergraph reduce, which drops contained relations (annotated input must
-/// come pre-reduced). Returns the reduced query, whose relations `db` now
-/// holds, and whether it kept every edge (else `root` is stale).
+/// hypergraph reduce, which drops contained relations (so relations with
+/// trailing columns must have none). Returns the reduced query, whose
+/// relations `db` now holds, and whether it kept every edge (else `root` is
+/// stale).
 pub(crate) fn reduce_for_solver(
     net: &mut Net,
     q: &Query,
@@ -458,7 +499,8 @@ pub(crate) fn reduce_for_solver(
     let all = kept.len() == q.n_edges();
     assert!(
         all || !has_extras(&counted.db),
-        "annotated input must be pre-reduced (use aggregate::join_aggregate)"
+        "trailing columns need a query without contained edges \
+         (join_aggregate's annotated reduce folds them first)"
     );
     if !all {
         counted.db = kept.iter().map(|&e| counted.db[e].clone()).collect();
@@ -758,8 +800,13 @@ mod tests {
             return;
         };
         let mut net = cluster.net();
-        let grouped =
-            crate::aggregate::sum_by_group(&mut net, &got.db[got.root], &got.counts, &[a], 3);
+        let grouped = crate::aggregate::sum_by_group::<CountRing>(
+            &mut net,
+            &got.db[got.root],
+            &got.counts,
+            &[a],
+            3,
+        );
         let by_group = crate::aggregate::count_by_group(&mut net, q, &dist, &[a], 3, &mut 5);
         assert_eq!(
             sorted(grouped.parts.gather_free()),

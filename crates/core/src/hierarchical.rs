@@ -39,6 +39,7 @@
 use aj_mpc::{Net, Partitioned, ServerId, Wire, WireReader};
 use aj_primitives::{answer, parallel_packing, prefix_sum, tally, FxHashMap, Key};
 use aj_relation::classify::AttributeForest;
+use aj_relation::semiring::CountRing;
 use aj_relation::{Attr, EdgeSet, Query, Tuple};
 
 use crate::aggregate::{count_by_group, output_size, sum_by_group};
@@ -160,7 +161,7 @@ fn case1(
             // The full set's sweep already ran inside the reducer.
             Some((e, counts)) if s.len() == m => {
                 burn_count_draws(m, seed);
-                sum_by_group(net, &db[*e], counts, &root_attrs, kd)
+                sum_by_group::<CountRing>(net, &db[*e], counts, &root_attrs, kd)
             }
             _ => {
                 let (sub_q, kept) = q.restrict(s);
@@ -187,7 +188,7 @@ fn case1(
                 .collect()
         })
         .collect();
-    let totals = column_sums(net, partials);
+    let totals = column_sums::<CountRing>(net, partials);
     let load = load_from_counts(in_size, per_subset.iter().map(|t| t.0).zip(totals), p);
 
     // IN_a per root value, across all relations.

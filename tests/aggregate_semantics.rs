@@ -102,11 +102,40 @@ fn free_connex_y(q: &Query, seed: u64) -> Vec<usize> {
     y
 }
 
+/// `db` with dangling tuples planted in every relation: per attribute, a
+/// copy of the relation's first tuple with that value made fresh (it misses
+/// exactly the joins on that attribute, at whatever tree level or residual
+/// they happen), plus one tuple of fresh values only. Fresh values differ
+/// per relation and lie outside every instance's domain.
+fn with_dangling(db: &Database) -> Database {
+    let mut db = db.clone();
+    for (e, r) in db.relations.iter_mut().enumerate() {
+        let fresh = |i: usize| 1_000_000 + 100 * e as u64 + i as u64;
+        let mut planted: Vec<Tuple> = Vec::new();
+        if let Some(t) = r.tuples.first() {
+            for i in 0..t.arity() {
+                let mut v = t.values().to_vec();
+                v[i] = fresh(i);
+                planted.push(Tuple::new(v));
+            }
+        }
+        planted.push(Tuple::new(
+            (0..r.attrs.len())
+                .map(|i| fresh(50 + i))
+                .collect::<Vec<_>>(),
+        ));
+        r.tuples.extend(planted);
+    }
+    db
+}
+
+/// The Theorem-9 pipeline against the reference on `db` with dangling
+/// tuples planted everywhere ([`with_dangling`]).
 fn check<S: Semiring>(q: &Query, db: &Database, y: &[usize], seed: u64, mk: impl Fn(u64) -> S::T)
 where
     S::T: std::fmt::Debug + PartialEq + aj_mpc::Wire,
 {
-    let ann = annotated::<S>(db, seed, mk);
+    let ann = annotated::<S>(&with_dangling(db), seed, mk);
     let want = reference::<S>(q, &ann, y);
     let mut cluster = Cluster::new(4);
     let got = {
@@ -161,11 +190,12 @@ proptest! {
         check::<MinPlus>(&q, &db, &y, seed, |s| s % 100);
     }
 
-    /// The scalar case (y = ∅) equals the oracle count under CountRing.
+    /// The scalar case (y = ∅), dangling tuples planted, equals the oracle
+    /// count under CountRing.
     #[test]
     fn scalar_count_matches_oracle(seed in 0u64..3000, m in 2usize..5) {
         let q = random::random_acyclic_query(m, seed);
-        let db = random::random_instance(&q, 20, 4, seed ^ 0x8888);
+        let db = with_dangling(&random::random_instance(&q, 20, 4, seed ^ 0x8888));
         let want = ram::count(&q, &db);
         let ann: Vec<AnnRelation<CountRing>> =
             db.relations.iter().map(AnnRelation::from_relation).collect();
