@@ -29,6 +29,7 @@
 //! `crates/analyze/lock_order.allow`.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod determinism;
 pub mod lexer;

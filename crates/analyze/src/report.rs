@@ -62,7 +62,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "stats-mutation",
-        "Stats load counters may only be mutated by the charged helpers in stats.rs (record_round/roll_epoch/trim_round_log)",
+        "Stats load counters may only be mutated by the charged helpers in stats.rs (record_round/roll_epoch)",
     ),
 ];
 

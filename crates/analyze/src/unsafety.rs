@@ -21,7 +21,17 @@ const SAFETY_WINDOW: u32 = 4;
 /// Crate directories (under `crates/`) that must carry
 /// `#![deny(unsafe_code)]`. Everything outside this list is allowed to have
 /// vetted unsafe sites.
-pub const UNSAFE_FREE_CRATES: &[&str] = &["core", "instancegen", "obs", "rand", "proptest"];
+pub const UNSAFE_FREE_CRATES: &[&str] = &[
+    "analyze",
+    "bench",
+    "core",
+    "instancegen",
+    "obs",
+    "primitives",
+    "proptest",
+    "rand",
+    "relation",
+];
 
 /// One `unsafe` occurrence in the workspace.
 #[derive(Debug, Clone)]

@@ -7,7 +7,7 @@
 //!   transport implementations/forwarders themselves and are exempt.
 //! * **`stats-mutation`** — the `Stats` load counters are the experiment
 //!   currency; only the charged helpers in `stats.rs`
-//!   (`record_round` / `roll_epoch` / `trim_round_log`) may mutate them.
+//!   (`record_round` / `roll_epoch`) may mutate them.
 //!   Everywhere else an assignment, compound assignment or mutating method
 //!   on a counter field is a violation.
 
@@ -16,15 +16,9 @@ use crate::report::Violation;
 use crate::source::SourceFile;
 
 /// The `Stats`/`EpochStats` counter fields owned by `stats.rs`.
-const COUNTER_FIELDS: &[&str] = &[
-    "exchanges",
-    "max_load",
-    "total_messages",
-    "per_server_peak",
-    "round_maxima",
-];
+const COUNTER_FIELDS: &[&str] = &["exchanges", "max_load", "total_messages", "per_server_peak"];
 
-/// Mutating container methods (for the `round_maxima` log).
+/// Mutating container methods (for the `per_server_peak` vectors).
 const MUTATING_METHODS: &[&str] = &[
     "push", "clear", "insert", "remove", "drain", "truncate", "pop",
 ];
@@ -142,7 +136,7 @@ pub fn stats_mutation(f: &SourceFile) -> Vec<Violation> {
                 line,
                 message: format!(
                     "mutation of Stats counter `{name}` outside stats.rs: go through the \
-                     charged helpers (record_round/roll_epoch/trim_round_log)"
+                     charged helpers (record_round/roll_epoch)"
                 ),
             });
         }

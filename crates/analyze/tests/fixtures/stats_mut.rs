@@ -4,7 +4,7 @@ impl W {
     fn cheat(&mut self, counts: &[u64]) {
         self.stats.max_load = 99;
         self.stats.exchanges += 1;
-        self.stats.round_maxima.push(3);
+        self.stats.per_server_peak.push(3);
     }
 
     fn legal(&mut self, counts: &[u64]) {

@@ -11,6 +11,8 @@
 //! result. Wall clocks belong to the `mpcbench` binary and the
 //! [`microbench`] harness.
 
+#![deny(unsafe_code)]
+
 pub mod experiments;
 pub mod jsonout;
 pub mod microbench;

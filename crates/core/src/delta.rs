@@ -342,7 +342,6 @@ pub(crate) fn register(
     cluster.begin_epoch();
     build(cluster, &mut view);
     view.registration = cluster.epoch();
-    cluster.trim_round_log();
     view
 }
 
@@ -796,7 +795,6 @@ pub(crate) fn apply_update(
         }
     }
     let maintenance = cluster.epoch();
-    cluster.trim_round_log();
     UpdateOutcome {
         view: id,
         strategy,
@@ -1349,9 +1347,7 @@ pub(crate) fn restore(
     view.mat = (0..p).map(|_| FxHashMap::default()).collect();
     let entries = ckpt.snapshot.iter().map(|(t, c)| (t, *c as i64));
     install_counts(cluster, view, &place_signed(entries, p), |(t, w)| (t, *w));
-    let stats = cluster.epoch();
-    cluster.trim_round_log();
-    stats
+    cluster.epoch()
 }
 
 /// Apply one signed row to a key-indexed shard (insert appends, delete

@@ -342,9 +342,6 @@ impl QueryEngine {
             execute(&mut net, plan, q, dist, &mut exec_seed)
         };
         let execution = self.cluster.epoch();
-        // Per-query attribution runs on epochs, not the round log; trimming
-        // it keeps a sustained-traffic engine's memory bounded.
-        self.cluster.trim_round_log();
 
         QueryOutcome {
             plan,
@@ -428,11 +425,6 @@ impl QueryEngine {
     /// Panics on an unknown [`ViewId`].
     pub fn view(&self, id: ViewId) -> &MaterializedView {
         &self.views[id.0]
-    }
-
-    /// Number of registered views.
-    pub fn n_views(&self) -> usize {
-        self.views.len()
     }
 
     /// Capture a crash-consistent checkpoint of a registered view (see

@@ -28,17 +28,6 @@ pub fn instance(sizes: &[u64]) -> (Query, Database) {
     (q, Database::new(rels))
 }
 
-/// The balanced 3-set instance: `(√IN, √IN, IN)` scaled so `OUT = IN²`.
-pub fn balanced_3set(in_size: u64) -> (Query, Database) {
-    let s = (in_size as f64).sqrt() as u64;
-    instance(&[s, s, in_size - 2 * s])
-}
-
-/// The skewed 3-set instance: `(1, IN/2, IN/2)`, also `OUT = Θ(IN²)`.
-pub fn skewed_3set(in_size: u64) -> (Query, Database) {
-    instance(&[1, in_size / 2, in_size / 2])
-}
-
 /// Eq. (1): the per-instance Cartesian lower bound
 /// `max_{S} (Π_{i∈S} N_i / p)^{1/|S|}`.
 pub fn cartesian_lower_bound(sizes: &[u64], p: usize) -> f64 {

@@ -67,15 +67,6 @@ pub fn generate(n: u64, out: u64, seed: u64) -> Fig6Instance {
     }
 }
 
-/// The Theorem-11 lower bound `Ω̃(min{IN/p + OUT/(p log N), IN/p^{2/3}})`.
-pub fn triangle_lower_bound(in_size: u64, out: u64, p: usize) -> f64 {
-    let n = (in_size as f64 / 3.0).max(2.0);
-    let pf = p as f64;
-    let a = in_size as f64 / pf + out as f64 / (pf * n.ln().max(1.0));
-    let b = in_size as f64 / pf.powf(2.0 / 3.0);
-    a.min(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,21 +90,6 @@ mod tests {
         assert!(r1 > n / 2 && r1 < 2 * n);
         let t = 1600f64;
         assert!((inst.out as f64) > 0.4 * t && (inst.out as f64) < 2.5 * t);
-    }
-
-    #[test]
-    fn lower_bound_switches_regimes() {
-        // Small OUT: the OUT/p term dominates the min; huge OUT: IN/p^{2/3}.
-        let in_size = 1 << 20;
-        let p = 64;
-        let small = triangle_lower_bound(in_size, in_size, p);
-        let large = triangle_lower_bound(in_size, in_size * 1000, p);
-        assert!(small < large);
-        assert_eq!(
-            large,
-            in_size as f64 / (p as f64).powf(2.0 / 3.0),
-            "large-OUT regime must clamp at the worst-case bound"
-        );
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl Cluster {
     }
 
     /// Reset all measurements (the data the caller holds is untouched).
-    /// Also clears the round log, discards the current epoch, and empties
+    /// Also clears the round digest, discards the current epoch, and empties
     /// the event trace (tracing stays enabled if it was).
     pub fn reset_stats(&mut self) {
         self.stats = Stats::new(self.p);
@@ -255,14 +255,10 @@ impl Cluster {
         self.epoch_index += 1;
     }
 
-    /// Discard the per-round log backing [`Stats::delta_since`] up to the
-    /// current exchange, keeping a long-lived cluster's memory bounded.
-    /// Cumulative counters and the current epoch are unaffected; deltas
-    /// against snapshots older than the trim point degrade to the
-    /// conservative cumulative max (see [`Stats::delta_since`]).
-    pub fn trim_round_log(&mut self) {
-        self.stats.trim_round_log();
-    }
+    /// Does nothing. Load intervals are epochs ([`Cluster::epoch`]), whose
+    /// accounting is O(1) in the number of rounds, so there is no round log
+    /// to trim. Kept only for callers written against the older API.
+    pub fn trim_round_log(&mut self) {}
 
     /// Record one communication round: `counts[s]` units received by absolute
     /// server `lo + s * stride`. Runs on the coordinating thread at the round
@@ -859,24 +855,6 @@ mod tests {
         assert_eq!(e1.exchanges + e2.exchanges, s.exchanges);
         assert_eq!(e1.max_load.max(e2.max_load), s.max_load);
         assert_eq!(s.per_server_peak, vec![7, 3]);
-    }
-
-    #[test]
-    fn delta_since_reports_interval_max() {
-        let mut cluster = Cluster::new(2);
-        {
-            let mut net = cluster.net();
-            net.exchange(vec![vec![(0, ()); 9], vec![]]);
-        }
-        let early = cluster.stats().clone();
-        {
-            let mut net = cluster.net();
-            net.exchange(vec![vec![(1, ()); 4], vec![]]);
-        }
-        let d = cluster.stats().delta_since(&early);
-        assert_eq!(d.max_load, 4, "interval max, not the global monotone max");
-        assert_eq!(d.total_messages, 4);
-        assert_eq!(d.exchanges, 1);
     }
 
     /// The three backends of the route tests below: `seq`, `par` on two

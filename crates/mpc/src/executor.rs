@@ -26,10 +26,9 @@
 //! one pass on the coordinating thread after the region's barrier, the same
 //! code under both executors — assembles every inbox in (sender, send-order)
 //! order and counts the received units into [`crate::Stats`], so both
-//! executors report **bit-identical** per-round maximum loads — a property
-//! the test suite asserts on random instances.
+//! executors report **bit-identical** per-server loads in every round — a
+//! property the test suite asserts on random instances.
 
-use std::cell::UnsafeCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -204,34 +203,19 @@ impl Execute for ParExecutor {
     }
 }
 
-/// A `Sync` vector of write-once result slots. Safety rests on the
-/// [`Execute`] contract: `task(i)` runs exactly once per index, so slot `i`
-/// has exactly one writer and no concurrent readers until the region's
-/// barrier has passed.
-struct SlotVec<T>(Vec<UnsafeCell<Option<T>>>);
-
-// SAFETY: disjoint slots are written by disjoint `task(i)` invocations
-// (exactly-once contract); reads happen only after the executor's region
-// barrier, on the coordinating thread.
-unsafe impl<T: Send> Sync for SlotVec<T> {}
-
-impl<T> SlotVec<T> {
-    /// Raw pointer to slot `i`. Going through `&self` (not the inner `Vec`)
-    /// keeps closures capturing the `Sync` wrapper, which is what makes
-    /// them shippable to worker threads.
-    #[inline]
-    fn slot(&self, i: usize) -> *mut Option<T> {
-        self.0[i].get()
-    }
+/// Take the value out of slot `i`, whether or not a panicking task poisoned
+/// its lock.
+fn take_slot<T>(slot: &Mutex<Option<T>>) -> Option<T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
 }
 
 /// Run `f(i)` for `i in 0..n` on `exec`, collecting results in index order;
 /// `abs(i)` names the absolute server whose work index `i` is (see
 /// [`Execute::run_at`]).
 ///
-/// Results are written through per-index `UnsafeCell` slots — no lock
-/// traffic on hot rounds; the exactly-once visit contract of [`Execute`]
-/// makes every slot single-writer (checked by a debug assertion).
+/// Results are written through per-index `Mutex` slots. The exactly-once
+/// visit contract of [`Execute`] makes every slot single-writer (checked by
+/// a debug assertion), so no lock is ever contended.
 pub(crate) fn run_indexed_at<T: Send>(
     exec: &dyn Execute,
     n: usize,
@@ -241,20 +225,16 @@ pub(crate) fn run_indexed_at<T: Send>(
     if !exec.is_parallel() {
         return (0..n).map(f).collect();
     }
-    let slots = SlotVec((0..n).map(|_| UnsafeCell::new(None)).collect());
-    let slots_ref = &slots;
-    exec.run_at(n, abs, &move |i| {
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    exec.run_at(n, abs, &|i| {
         let value = f(i);
-        // SAFETY: slot `i` is written exactly once (Execute contract), and
-        // nothing reads it before the region barrier.
-        let slot = unsafe { &mut *slots_ref.slot(i) };
+        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(slot.is_none(), "executor visited index {i} twice");
         *slot = Some(value);
     });
     slots
-        .0
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("executor must visit every index"))
+        .iter()
+        .map(|slot| take_slot(slot).expect("executor must visit every index"))
         .collect()
 }
 
@@ -274,20 +254,9 @@ pub(crate) fn run_consuming_at<S: Send, T: Send>(
             .map(|(i, s)| f(i, s))
             .collect();
     }
-    let cells = SlotVec(
-        inputs
-            .into_iter()
-            .map(|s| UnsafeCell::new(Some(s)))
-            .collect(),
-    );
-    let n = cells.0.len();
-    let cells_ref = &cells;
-    run_indexed_at(exec, n, abs, move |i| {
-        // SAFETY: cell `i` is consumed exactly once, by the unique task(i).
-        let input = unsafe { &mut *cells_ref.slot(i) }
-            .take()
-            .expect("each index consumed once");
-        f(i, input)
+    let cells: Vec<Mutex<Option<S>>> = inputs.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    run_indexed_at(exec, cells.len(), abs, |i| {
+        f(i, take_slot(&cells[i]).expect("each index consumed once"))
     })
 }
 

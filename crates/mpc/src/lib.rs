@@ -24,9 +24,9 @@
 //!   [`executor`]); both report bit-identical loads, only wall-clock differs.
 //! * [`Partitioned`] — a distributed collection: one `Vec` of items per
 //!   server of a `Net`.
-//! * [`Stats`] / [`LoadReport`] — snapshots of the measured load;
-//!   [`EpochStats`] — per-interval measurements ([`Cluster::epoch`]), used
-//!   to attribute load to individual queries on a long-lived cluster.
+//! * [`Stats`] — the cumulative measured load; [`EpochStats`] — the one
+//!   per-interval measurement ([`Cluster::epoch`]), used to attribute load
+//!   to individual queries on a long-lived cluster.
 //!
 //! # Fidelity notes
 //!
@@ -67,7 +67,7 @@ pub use net_executor::{FrameStats, NetExecutor, PeerAbort, WireBytes};
 pub use partitioned::Partitioned;
 pub use rows::{DeltaBlock, DeltaOutbox, RowOutbox};
 pub use skew::detect_heavy_hitters;
-pub use stats::{EpochStats, LoadReport, Stats};
+pub use stats::{EpochStats, Stats};
 #[cfg(all(unix, feature = "uds"))]
 pub use transport::UdsTransport;
 pub use transport::{uds_supported, ChanTransport, ShuffleTransport, Transport};

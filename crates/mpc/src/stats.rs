@@ -1,24 +1,24 @@
 //! Load accounting: the cost model of the MPC framework.
 
+use crate::hashing::hash_mix;
+
 /// Cumulative measurements of a [`crate::Cluster`].
 ///
 /// The central quantity is [`Stats::max_load`]: the paper's `L`, i.e. the
 /// maximum number of message units received by any server in any single
 /// communication round.
 ///
-/// Besides the monotone cumulative counters, a `Stats` keeps two pieces of
-/// interval bookkeeping:
+/// Load over an interval (one query, one view batch) is read off the
+/// current **epoch** ([`Stats::epoch`]): true per-interval max load,
+/// per-server peaks, messages and exchanges since the last epoch boundary.
+/// `Cluster::epoch` rolls the epoch, which is how a long-lived cluster
+/// (e.g. `aj_core`'s `QueryEngine`) attributes load to individual queries
+/// or phases.
 ///
-/// * a per-round log of round maxima ([`Stats::round_maxima`]), which makes
-///   [`Stats::delta_since`] exact for any earlier snapshot of the same run
-///   taken since the last trim (one `u64` per exchange; bounded by calling
-///   `Cluster::trim_round_log` periodically, cleared by
-///   `Cluster::reset_stats`);
-/// * the current **epoch** accumulators ([`Stats::epoch`]): true
-///   per-interval max load, per-server peaks, messages and exchanges since
-///   the last epoch boundary. `Cluster::epoch` rolls the epoch, which is how
-///   a long-lived cluster (e.g. `aj_core`'s `QueryEngine`) attributes load
-///   to individual queries or phases.
+/// Two `Stats` compare equal only if they recorded the same rounds: besides
+/// the public counters, a private one-word digest folds in every server's
+/// count in every round, in order. This is what lets the differential
+/// oracle compare whole `Stats` across backends in O(1) memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stats {
     /// Number of `exchange` calls performed. Note this over-counts the
@@ -31,13 +31,8 @@ pub struct Stats {
     pub total_messages: u64,
     /// Per absolute server: the maximum units received in one round.
     pub per_server_peak: Vec<u64>,
-    /// Max units received by any server, per retained round. Entry `i`
-    /// covers exchange `log_start + i`. Backs exact interval deltas;
-    /// trimmable ([`Stats::trim_round_log`]) so long-lived clusters stay
-    /// bounded.
-    round_maxima: Vec<u64>,
-    /// Exchange index of the first retained `round_maxima` entry.
-    log_start: u64,
+    /// Every recorded round's `(lo, stride, counts)`, folded in order.
+    rounds_digest: u64,
     /// Accumulators since the last epoch boundary.
     epoch: EpochStats,
 }
@@ -49,21 +44,22 @@ impl Stats {
             max_load: 0,
             total_messages: 0,
             per_server_peak: vec![0; p],
-            round_maxima: Vec::new(),
-            log_start: 0,
+            rounds_digest: 0,
             epoch: EpochStats::new(p),
         }
     }
 
     /// Record one communication round: `counts[s]` units received by absolute
     /// server `lo + s * stride`. Updates the cumulative counters, the round
-    /// log, and the current epoch.
+    /// digest, and the current epoch.
     pub(crate) fn record_round(&mut self, lo: usize, stride: usize, counts: &[u64]) {
         self.exchanges += 1;
         self.epoch.exchanges += 1;
+        let mut digest = hash_mix(hash_mix(self.rounds_digest ^ lo as u64) ^ stride as u64);
         let mut round_max = 0u64;
         for (s, &c) in counts.iter().enumerate() {
             let abs = lo + s * stride;
+            digest = hash_mix(digest ^ c);
             round_max = round_max.max(c);
             self.total_messages += c;
             self.epoch.total_messages += c;
@@ -74,7 +70,7 @@ impl Stats {
                 self.epoch.per_server_peak[abs] = c;
             }
         }
-        self.round_maxima.push(round_max);
+        self.rounds_digest = digest;
         if round_max > self.max_load {
             self.max_load = round_max;
         }
@@ -98,64 +94,6 @@ impl Stats {
     /// The measurements accumulated in the current (still-open) epoch.
     pub fn epoch(&self) -> &EpochStats {
         &self.epoch
-    }
-
-    /// Max units received by any server, per retained round (entry `i`
-    /// covers exchange [`Stats::round_log_start`]` + i`).
-    pub fn round_maxima(&self) -> &[u64] {
-        &self.round_maxima
-    }
-
-    /// Exchange index of the first retained round-log entry.
-    pub fn round_log_start(&self) -> u64 {
-        self.log_start
-    }
-
-    /// Discard the round log up to the current exchange. Long-lived callers
-    /// (e.g. a serving engine rolling per-query epochs) call this
-    /// periodically to keep memory bounded; afterwards,
-    /// [`Stats::delta_since`] is exact only for snapshots taken at or after
-    /// the trim point (older snapshots get the conservative cumulative max).
-    pub(crate) fn trim_round_log(&mut self) {
-        self.log_start = self.exchanges;
-        self.round_maxima.clear();
-    }
-
-    /// A compact report for experiment tables.
-    pub fn report(&self) -> LoadReport {
-        LoadReport {
-            p: self.p(),
-            exchanges: self.exchanges,
-            max_load: self.max_load,
-            total_messages: self.total_messages,
-        }
-    }
-
-    /// The difference between `self` (taken later) and an earlier snapshot of
-    /// the *same run*: loads measured strictly within the interval. The
-    /// interval's `max_load` is computed exactly from the per-round log, so
-    /// rounds before the snapshot never leak into the reported value.
-    ///
-    /// If the snapshot predates a [`Cluster::trim_round_log`][trim] call,
-    /// the interval max for the trimmed prefix is no longer known and the
-    /// conservative cumulative `max_load` is reported instead.
-    ///
-    /// [trim]: crate::Cluster::trim_round_log
-    pub fn delta_since(&self, earlier: &Stats) -> LoadReport {
-        let max_load = if earlier.exchanges < self.log_start {
-            // Part of the interval fell off the retained log.
-            self.max_load
-        } else {
-            let lo = ((earlier.exchanges - self.log_start) as usize).min(self.round_maxima.len());
-            let hi = ((self.exchanges - self.log_start) as usize).min(self.round_maxima.len());
-            self.round_maxima[lo..hi].iter().copied().max().unwrap_or(0)
-        };
-        LoadReport {
-            p: self.p(),
-            exchanges: self.exchanges - earlier.exchanges,
-            max_load,
-            total_messages: self.total_messages - earlier.total_messages,
-        }
     }
 }
 
@@ -191,99 +129,32 @@ impl EpochStats {
     pub fn p(&self) -> usize {
         self.per_server_peak.len()
     }
-
-    /// A compact report for experiment tables.
-    pub fn report(&self) -> LoadReport {
-        LoadReport {
-            p: self.p(),
-            exchanges: self.exchanges,
-            max_load: self.max_load,
-            total_messages: self.total_messages,
-        }
-    }
-}
-
-/// A snapshot of the headline numbers, used in experiment output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Number of servers.
-    pub p: usize,
-    /// Rounds performed in the reported interval.
-    pub exchanges: u64,
-    /// The load `L` of the interval: max units received by any server in
-    /// any round.
-    pub max_load: u64,
-    /// Units communicated in the interval.
-    pub total_messages: u64,
-}
-
-impl std::fmt::Display for LoadReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "p={} L={} msgs={} rounds~{}",
-            self.p, self.max_load, self.total_messages, self.exchanges
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The digest tells apart runs that every public counter (and a per-round
+    /// max log) would call equal: the same rounds in a different order.
     #[test]
-    fn report_and_display() {
-        let mut s = Stats::new(2);
-        s.record_round(0, 1, &[10, 0]);
-        s.record_round(0, 1, &[7, 8]);
-        let r = s.report();
-        assert_eq!(r.p, 2);
-        assert_eq!(format!("{r}"), "p=2 L=10 msgs=25 rounds~2");
-    }
-
-    #[test]
-    fn delta_is_interval_local() {
-        let mut s = Stats::new(1);
-        // Round 1: load 9. Snapshot. Rounds 2-3: loads 2 and 5.
-        s.record_round(0, 1, &[9]);
-        let early = s.clone();
-        s.record_round(0, 1, &[2]);
-        s.record_round(0, 1, &[5]);
-        let d = s.delta_since(&early);
-        assert_eq!(d.exchanges, 2);
-        assert_eq!(d.total_messages, 7);
-        // The interval never saw the pre-snapshot load 9.
-        assert_eq!(d.max_load, 5);
-        // The cumulative max is still monotone.
-        assert_eq!(s.max_load, 9);
-    }
-
-    #[test]
-    fn empty_delta_is_zero() {
-        let mut s = Stats::new(1);
-        s.record_round(0, 1, &[4]);
-        let d = s.delta_since(&s.clone());
-        assert_eq!(d.max_load, 0);
-        assert_eq!(d.exchanges, 0);
-        assert_eq!(d.total_messages, 0);
-    }
-
-    #[test]
-    fn trimmed_log_falls_back_conservatively() {
-        let mut s = Stats::new(1);
-        let at_start = s.clone();
-        s.record_round(0, 1, &[9]);
-        let at_trim = s.clone();
-        s.trim_round_log();
-        s.record_round(0, 1, &[3]);
-        // Snapshots at/after the trim point: still exact.
-        assert_eq!(s.delta_since(&at_trim).max_load, 3);
-        // Snapshot covering trimmed rounds: conservative cumulative max.
-        assert_eq!(s.delta_since(&at_start).max_load, 9);
-        // Counters are unaffected by trimming.
-        assert_eq!(s.total_messages, 12);
-        assert_eq!(s.exchanges, 2);
-        assert_eq!(s.max_load, 9);
+    fn digest_sees_every_count_of_every_round() {
+        let run = |rounds: &[[u64; 2]]| {
+            let mut s = Stats::new(2);
+            for r in rounds {
+                s.record_round(0, 1, r);
+            }
+            s
+        };
+        let public = |s: &Stats| {
+            let c = (s.exchanges, s.max_load, s.total_messages);
+            (c, s.per_server_peak.clone())
+        };
+        let a = run(&[[3, 1], [1, 3]]);
+        let b = run(&[[1, 3], [3, 1]]);
+        assert_eq!(public(&a), public(&b));
+        assert_ne!(a, b);
+        assert_eq!(a, run(&[[3, 1], [1, 3]]));
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl TupleBlock {
         &self.data
     }
 
-    /// Take the flat buffer out of the block.
-    pub fn into_values(self) -> Vec<Value> {
-        self.data
-    }
-
     /// Row `i` as a value slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[Value] {
@@ -203,20 +198,17 @@ impl TupleBlock {
     /// scratch buffer — peak extra memory is one row plus the permutation,
     /// never a second copy of the block.
     pub fn sort_rows(&mut self) {
-        fn sort_fixed<const N: usize>(data: &mut [Value], rows: usize) {
-            // SAFETY: `data` holds exactly `rows` back-to-back `[Value; N]`
-            // rows (block invariant), and `[u64; N]` has the same layout as
-            // `N` consecutive `u64`s.
-            let chunks: &mut [[Value; N]] =
-                unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr().cast(), rows) };
-            chunks.sort_unstable();
+        fn sort_fixed<const N: usize>(data: &mut [Value]) {
+            let (rows, rest) = data.as_chunks_mut::<N>();
+            debug_assert!(rest.is_empty(), "a block holds whole rows");
+            rows.sort_unstable();
         }
         match self.arity {
             0 => {}
             1 => self.data.sort_unstable(),
-            2 => sort_fixed::<2>(&mut self.data, self.rows),
-            3 => sort_fixed::<3>(&mut self.data, self.rows),
-            4 => sort_fixed::<4>(&mut self.data, self.rows),
+            2 => sort_fixed::<2>(&mut self.data),
+            3 => sort_fixed::<3>(&mut self.data),
+            4 => sort_fixed::<4>(&mut self.data),
             a => {
                 // order[i] = index of the row that belongs at position i.
                 let mut order: Vec<u32> = (0..self.rows as u32).collect();
@@ -440,7 +432,7 @@ mod tests {
     fn from_values_and_back() {
         let b = TupleBlock::from_values(2, vec![1, 2, 3, 4]);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.into_values(), vec![1, 2, 3, 4]);
+        assert_eq!(b.values(), [1, 2, 3, 4]);
     }
 
     #[test]

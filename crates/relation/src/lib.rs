@@ -43,6 +43,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod block;
 pub mod classify;

@@ -183,20 +183,6 @@ impl<S: Semiring> AnnRelation<S> {
             })
             .collect()
     }
-
-    /// ⊕-combine duplicate tuples (normalization under set semantics).
-    pub fn combine_duplicates(&mut self) {
-        use crate::fxhash::{fx_map_with_capacity, FxHashMap};
-        let mut agg: FxHashMap<Tuple, S::T> = fx_map_with_capacity(self.tuples.len());
-        for (t, w) in self.tuples.drain(..) {
-            agg.entry(t)
-                .and_modify(|acc| *acc = S::add(*acc, w))
-                .or_insert(w);
-        }
-        let mut out: Vec<(Tuple, S::T)> = agg.into_iter().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.tuples = out;
-    }
 }
 
 #[cfg(test)]
@@ -254,19 +240,5 @@ mod tests {
         let a = AnnRelation::<CountRing>::from_relation(&r);
         assert_eq!(a.len(), 2);
         assert!(a.tuples.iter().all(|&(_, w)| w == 1));
-    }
-
-    #[test]
-    fn combine_duplicates_sums() {
-        let mut a = AnnRelation::<CountRing>::new(
-            vec![0],
-            vec![
-                (Tuple::from([1]), 2),
-                (Tuple::from([1]), 3),
-                (Tuple::from([2]), 1),
-            ],
-        );
-        a.combine_duplicates();
-        assert_eq!(a.tuples, vec![(Tuple::from([1]), 5), (Tuple::from([2]), 1)]);
     }
 }

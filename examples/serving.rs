@@ -54,10 +54,12 @@ fn main() {
     // The per-query epochs reconcile with the cumulative cluster stats.
     let s = engine.stats();
     println!(
-        "engine: served={} shapes_cached={} cache_hits={} | global {}",
+        "engine: served={} shapes_cached={} cache_hits={} | global L={} msgs={} rounds={}",
         engine.served(),
         engine.cache_len(),
         engine.cache_hits(),
-        s.report(),
+        s.max_load,
+        s.total_messages,
+        s.exchanges,
     );
 }

@@ -209,13 +209,17 @@ fn persistent_pool_reuse_stays_bit_identical() {
         };
         let mut seq = Cluster::new(p);
         let seq_inbox = seq.net().exchange_rows(arity, build());
+        par.begin_epoch();
         let par_inbox = par.net().exchange_rows(arity, build());
         assert_eq!(seq_inbox, par_inbox, "round {round}");
-        // The long-lived cluster accumulates stats; compare the per-round
-        // increment instead of the totals.
+        // The long-lived cluster accumulates stats; compare its one-round
+        // epoch against the fresh cluster's totals.
+        let par_round = par.epoch();
+        assert_eq!(par_round.exchanges, 1, "round {round}");
+        assert_eq!(par_round.max_load, seq.stats().max_load, "round {round}");
         assert_eq!(
-            par.stats().round_maxima().last().copied(),
-            seq.stats().round_maxima().last().copied(),
+            par_round.per_server_peak,
+            seq.stats().per_server_peak,
             "round {round}"
         );
     }

@@ -129,7 +129,7 @@ fn persistent_pool_serves_many_queries_bit_identically() {
         let q = random::random_acyclic_query(3, round * 17 + 1);
         let db = random::random_instance(&q, 30, 5, round ^ 0x5eed);
         let run_on = |cluster: &mut Cluster| {
-            let before = cluster.stats().clone();
+            cluster.begin_epoch();
             let out = {
                 let mut net = cluster.net();
                 let dist = distribute_db(&db, p);
@@ -138,18 +138,18 @@ fn persistent_pool_serves_many_queries_bit_identically() {
             };
             let mut tuples = out.gather_free().tuples;
             tuples.sort_unstable();
-            (tuples, cluster.stats().delta_since(&before))
+            (tuples, cluster.epoch())
         };
         let mut seq = Cluster::new(p);
-        let (seq_out, seq_delta) = run_on(&mut seq);
+        let (seq_out, seq_epoch) = run_on(&mut seq);
         let which = if round % 2 == 0 {
             &mut par_a
         } else {
             &mut par_b
         };
-        let (par_out, par_delta) = run_on(which);
+        let (par_out, par_epoch) = run_on(which);
         assert_eq!(seq_out, par_out, "round {round}");
-        assert_eq!(seq_delta, par_delta, "round {round}");
+        assert_eq!(seq_epoch, par_epoch, "round {round}");
     }
 }
 

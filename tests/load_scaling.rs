@@ -199,8 +199,7 @@ fn hybrid_routing_halves_hash_load_on_zipf() {
 /// Broadcast-style replicas of the hybrid routing are charged to the
 /// receiving server's epoch exactly once: the epoch's total messages equal
 /// the number of delivered rows (each replica is one unit at its receiver,
-/// never double-counted), and `delta_since` over the same interval reports
-/// the identical exact max.
+/// never double-counted).
 #[test]
 fn hybrid_replicas_charged_once_per_receiver() {
     use acyclic_joins::core::binary::{detect_join_skew, hybrid_hash_join};
@@ -221,7 +220,6 @@ fn hybrid_replicas_charged_once_per_receiver() {
         detect_join_skew(&mut net, &l, &r, 8).significant(p)
     };
     cluster.begin_epoch();
-    let before = cluster.stats().clone();
     {
         let mut net = cluster.net();
         let l = acyclic_joins::core::DistRelation::distribute(&left, p);
@@ -243,13 +241,6 @@ fn hybrid_replicas_charged_once_per_receiver() {
     assert_eq!(
         epoch.total_messages, expected,
         "every replica charged exactly once at its receiver"
-    );
-    // Epoch peaks sum to the same totals a delta over the interval reports.
-    let delta = cluster.stats().delta_since(&before);
-    assert_eq!(delta.total_messages, expected);
-    assert_eq!(
-        delta.max_load, epoch.max_load,
-        "delta and epoch agree exactly"
     );
 }
 
