@@ -3,6 +3,8 @@
 //! matching the lower bound once `OUT ≥ IN·p^{1/3}`; below that regime the
 //! triangle is provably harder than any acyclic join by `Ω̃(√(OUT/IN))`.
 
+use aj_core::dist::distribute_db;
+use aj_core::hypercube::worst_case_join;
 use aj_core::triangle;
 use aj_instancegen::fig6;
 
@@ -27,7 +29,7 @@ pub fn run() -> Vec<ExpTable> {
         let inst = fig6::generate(n, n * tau, 13 + tau);
         let in_size = inst.db.input_size() as u64;
         let (cnt, load, cost) = measure(p, |net| {
-            aj_core::triangle::solve(net, &inst.query, &inst.db, 5).total_len()
+            worst_case_join(net, &inst.query, distribute_db(&inst.db, p), 5).total_len()
         });
         assert_eq!(cnt as u64, inst.out);
         let mut row = vec![

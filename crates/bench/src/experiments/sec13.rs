@@ -3,6 +3,7 @@
 //! OUT, but their per-instance lower bounds (Eq. (1)) differ — the paper's
 //! motivation for instance-optimal analysis.
 
+use aj_core::dist::distribute_db;
 use aj_core::hypercube::{cartesian_shares, hypercube_join};
 use aj_instancegen::cartesian;
 
@@ -33,7 +34,7 @@ pub fn run() -> Vec<ExpTable> {
         let lower = cartesian::cartesian_lower_bound(sizes, p);
         let (cnt, load, cost) = measure(p, |net| {
             let shares = cartesian_shares(sizes, p);
-            hypercube_join(net, &q, &db, &shares, 3).total_len()
+            hypercube_join(net, &q, distribute_db(&db, p), &shares, 3).total_len()
         });
         assert_eq!(cnt as u64, out);
         // Which (OUT/p)^(1/k) regime does the bound sit in?

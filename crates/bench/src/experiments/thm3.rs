@@ -4,7 +4,8 @@
 //! one-round HyperCube baseline degrades.
 
 use aj_core::bounds;
-use aj_core::hypercube::{hypercube_join, worst_case_shares};
+use aj_core::dist::distribute_db;
+use aj_core::hypercube::worst_case_join;
 use aj_instancegen::shapes;
 use aj_relation::{Database, Relation, Tuple};
 
@@ -53,9 +54,7 @@ pub fn run() -> Vec<ExpTable> {
         let (cnt, load, cost) = measure_hierarchical(p, &q, &db);
         assert_eq!(cnt as u64, out);
         let (_, hc_load, _) = measure(p, |net| {
-            let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
-            let shares = worst_case_shares(&q, &sizes, p);
-            hypercube_join(net, &q, &db, &shares, 9).total_len()
+            worst_case_join(net, &q, distribute_db(&db, p), 9).total_len()
         });
         let mut row = vec![
             format!("{frac:.2}"),

@@ -206,22 +206,14 @@ pub fn l_binhc(q: &Query, db: &Database, p: usize) -> f64 {
 }
 
 /// The load HyperCube's worst-case-optimal placement promises on an
-/// instance with the given relation sizes: the share-search objective
-/// `Σ_e N_e / Π_{x∈e} s_x` evaluated at the shares
-/// [`crate::hypercube::worst_case_shares`] actually returns — so the
+/// instance with the given relation sizes: the minimum of the share-search
+/// objective `Σ_e N_e / Π_{x∈e} s_x` that
+/// [`crate::hypercube::worst_case_shares`]'s search found — so the
 /// estimate and the execution optimize the identical quantity and the
 /// planner's comparison is communication-free (sizes are driver-visible
 /// metadata).
 pub fn wc_share_cost(q: &Query, sizes: &[u64], p: usize) -> f64 {
-    let shares = crate::hypercube::worst_case_shares(q, sizes, p);
-    q.edges()
-        .iter()
-        .zip(sizes)
-        .map(|(e, &n)| {
-            let denom: f64 = e.attrs.iter().map(|&a| shares.0[a] as f64).product();
-            n as f64 / denom
-        })
-        .sum()
+    crate::hypercube::worst_case_search(q, sizes, p).1
 }
 
 /// AGM-style integral bound on a join's output size: the minimum over edge
@@ -242,7 +234,8 @@ pub(crate) fn min_cover_product(q: &Query, sizes: &[u64]) -> f64 {
 }
 
 /// The closed-form price of serving a cyclic query through a GHD
-/// ([`crate::general`]): one WCOJ round per multi-edge bag (priced like
+/// ([`crate::general`]): one worst-case HyperCube round per multi-edge bag
+/// ([`crate::hypercube::worst_case_join`], priced like
 /// [`wc_share_cost`] on the bag's sub-query) plus the acyclic finish over
 /// the materialized bags, whose shipped volume is bounded per bag by the
 /// AGM-style cover product (the smallest product of covering relation

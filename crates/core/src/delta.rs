@@ -66,7 +66,7 @@ use aj_relation::signature::QuerySignature;
 use aj_relation::{Attr, Database, Edge, Query, Relation, Tuple, Value};
 
 use crate::dist::{mix, DistDatabase, DistRelation};
-use crate::hypercube::{worst_case_shares, Shares};
+use crate::hypercube::{cell_join, worst_case_shares, Grid};
 use crate::local::LocalRel;
 use crate::planner::{candidates, choose_maintenance, execute, pick, MaintenanceChoice, Plan};
 use crate::yannakakis::yannakakis;
@@ -136,12 +136,8 @@ struct TreeCache {
 struct BagGrid {
     /// The bag's edges (ascending edge order; attribute space preserved).
     sub_q: Query,
-    shares: Shares,
-    stride: Vec<usize>,
-    seed: u64,
-    /// Per sub-query edge: the grid dimensions it replicates across (share
-    /// > 1, attribute not in the edge).
-    free: Vec<Vec<Attr>>,
+    /// The bag's HyperCube grid: the one placement the join also uses.
+    grid: Grid,
     /// `frags[s][j]` = sorted resident fragment of sub-query edge `j` at
     /// cell `s`.
     frags: Vec<Vec<Vec<Tuple>>>,
@@ -260,7 +256,7 @@ impl MaterializedView {
                         .sub_q
                         .all_attrs()
                         .iter()
-                        .map(|a| format!("{}={}", q.attr_name(a), g.shares.0[a]))
+                        .map(|a| format!("{}={}", q.attr_name(a), g.grid.shares.0[a]))
                         .collect();
                     format!(" shares[{}]", dims.join(" "))
                 });
@@ -438,7 +434,7 @@ fn place_bags(cluster: &mut Cluster, view: &mut MaterializedView, exec_seed: u64
             let sub_sizes: Vec<u64> = es.iter().map(|&e| sizes[e]).collect();
             let shares = worst_case_shares(&sub_q, &sub_sizes, p);
             let seed = mix(exec_seed, 0x9e1d + b as u64);
-            let (grid, weighted) = build_grid(cluster, sub_q, &sub_rels, shares, seed);
+            let (grid, weighted) = build_grid(cluster, sub_q, &sub_rels, Grid::new(shares, seed));
             bag_edges.push(Edge {
                 name: format!("B{b}"),
                 attrs: grid.sub_q.all_attrs().to_vec(),
@@ -464,7 +460,8 @@ fn place_bags(cluster: &mut Cluster, view: &mut MaterializedView, exec_seed: u64
 
 /// The materialized relation of bag `b`, distributed: a single-edge bag is
 /// its base relation in the free initial placement; a multi-edge bag is the
-/// per-cell generic join of its resident fragments — each bag tuple lands
+/// per-cell join of its resident fragments ([`cell_join`], the finish
+/// every HyperCube cell uses) — each bag tuple lands
 /// in exactly one cell, so the cell joins partition the bag (free local
 /// work).
 fn bag_relation(cluster: &mut Cluster, bags: &BagTree, base: &Database, b: usize) -> DistRelation {
@@ -477,9 +474,6 @@ fn bag_relation(cluster: &mut Cluster, bags: &BagTree, base: &Database, b: usize
         Some(grid) => {
             let net = cluster.net();
             aj_mpc::Partitioned::from_parts(net.run_local((0..p).collect::<Vec<_>>(), |s, _| {
-                if grid.frags[s].iter().any(Vec::is_empty) {
-                    return Vec::new();
-                }
                 let locals: Vec<LocalRel> = grid
                     .sub_q
                     .edges()
@@ -490,9 +484,7 @@ fn bag_relation(cluster: &mut Cluster, bags: &BagTree, base: &Database, b: usize
                         tuples: frag.clone(),
                     })
                     .collect();
-                let (joined, tuples) = crate::wcoj::generic_join(&locals);
-                debug_assert_eq!(joined, attrs);
-                tuples
+                cell_join(&locals)
             }))
         }
     };
@@ -608,30 +600,16 @@ fn build_grid(
     cluster: &mut Cluster,
     sub_q: Query,
     relations: &[&Relation],
-    shares: Shares,
-    seed: u64,
+    grid: Grid,
 ) -> (BagGrid, f64) {
     let p = cluster.p();
-    let n_attrs = sub_q.n_attrs();
-    let mut stride = vec![1usize; n_attrs];
-    for a in 1..n_attrs {
-        stride[a] = stride[a - 1] * shares.0[a - 1];
-    }
-    let free: Vec<Vec<Attr>> = sub_q
-        .edges()
-        .iter()
-        .map(|e| {
-            (0..n_attrs)
-                .filter(|a| !e.attrs.contains(a) && shares.0[*a] > 1)
-                .collect()
-        })
-        .collect();
     let mut frags: Vec<Vec<Vec<Tuple>>> = (0..p)
         .map(|_| (0..sub_q.n_edges()).map(|_| Vec::new()).collect())
         .collect();
     let mut weighted_repl = 0f64;
     for (e, rel) in relations.iter().enumerate() {
-        let repl_e: usize = free[e].iter().map(|&a| shares.0[a]).product();
+        let free = grid.free(&rel.attrs);
+        let repl_e: usize = free.iter().map(|&a| grid.shares.0[a]).product();
         weighted_repl += rel.len() as f64 * repl_e as f64;
         let arity = rel
             .tuples
@@ -639,17 +617,14 @@ fn build_grid(
             .map(Tuple::arity)
             .unwrap_or(rel.attrs.len());
         let parts = aj_mpc::Partitioned::distribute(rel.tuples.clone(), p);
-        let attrs = &rel.attrs;
-        let (free_e, stride_ref, shares_ref) = (&free[e], &stride, &shares);
+        let (attrs, free, grid) = (&rel.attrs, &free, &grid);
         let received = {
             let mut net = cluster.net();
             let outbox: Vec<RowOutbox> =
                 net.run_local(parts.into_parts(), |_, part: Vec<Tuple>| {
                     let mut ob = RowOutbox::with_capacity(arity, part.len());
                     for t in &part {
-                        for cell in
-                            grid_cells(t.values(), attrs, free_e, shares_ref, stride_ref, seed)
-                        {
+                        for cell in grid.cells(t.values(), attrs, free) {
                             ob.push(cell, t.values());
                         }
                     }
@@ -663,45 +638,7 @@ fn build_grid(
             frags[s][e] = frag;
         }
     }
-    let grid = BagGrid {
-        sub_q,
-        shares,
-        stride,
-        seed,
-        free,
-        frags,
-    };
-    (grid, weighted_repl)
-}
-
-/// Cells of the shares grid a tuple of layout `attrs` is consistent with:
-/// one fixed coordinate per own attribute (hashed, exactly as HyperCube
-/// places it), a full sweep over every free dimension.
-fn grid_cells(
-    values: &[Value],
-    attrs: &[Attr],
-    free: &[Attr],
-    shares: &Shares,
-    stride: &[usize],
-    seed: u64,
-) -> Vec<usize> {
-    let mut base = 0usize;
-    for (i, &a) in attrs.iter().enumerate() {
-        if shares.0[a] > 1 {
-            base += crate::hypercube::attr_coordinate(values[i], a, seed, shares.0[a]) * stride[a];
-        }
-    }
-    let mut cells = vec![base];
-    for &a in free {
-        let mut next = Vec::with_capacity(cells.len() * shares.0[a]);
-        for c in &cells {
-            for v in 0..shares.0[a] {
-                next.push(c + v * stride[a]);
-            }
-        }
-        cells = next;
-    }
-    cells
+    (BagGrid { sub_q, grid, frags }, weighted_repl)
 }
 
 /// Fold routed signed output rows into the per-server counted
@@ -1164,17 +1101,11 @@ fn route_to_cells(
 ) -> Vec<DeltaBlock> {
     let edge_attrs = &grid.sub_q.edge(e).attrs;
     let arity = edge_attrs.len();
+    let free = grid.grid.free(edge_attrs);
     let outbox: Vec<DeltaOutbox> = net.run_local(signed.iter().collect(), |_, rows| {
         let mut ob = DeltaOutbox::with_capacity(arity, rows.len());
         for (t, w) in rows {
-            for cell in grid_cells(
-                t.values(),
-                edge_attrs,
-                &grid.free[e],
-                &grid.shares,
-                &grid.stride,
-                grid.seed,
-            ) {
+            for cell in grid.grid.cells(t.values(), edge_attrs, &free) {
                 ob.push(cell, t.values(), *w);
             }
         }

@@ -5,17 +5,18 @@
 //! whose attribute sets form an α-acyclic hypergraph. Evaluation is then
 //! two phases:
 //!
-//! 1. **Bag materialization** — every multi-edge bag is computed by the
-//!    cardinality-guided WCOJ ([`crate::wcoj::leapfrog_join`]) at
-//!    worst-case-optimal shares; single-edge bags pass through free of
-//!    charge (column normalization only). Because the bags *partition* the
-//!    edge set and nothing is projected away, every bag tuple has
-//!    derivation count exactly 1 — bag relations are plain sets.
+//! 1. **Bag materialization** — every multi-edge bag is one worst-case
+//!    HyperCube round ([`crate::hypercube::worst_case_join`]: the bag's own
+//!    worst-case-optimal shares, each grid cell finished by the pairwise
+//!    join); single-edge bags pass through free of charge (column
+//!    normalization only). Because the bags *partition* the edge set and
+//!    nothing is projected away, every bag tuple has derivation count
+//!    exactly 1 — bag relations are plain sets.
 //! 2. **Acyclic finish** — the bag-level query (one synthetic edge per
 //!    bag) is served by the existing Yannakakis pipeline over the
 //!    materialized bags: full reduction, then the join-tree cascade.
 //!
-//! Load: `Σ_b` (bag WCOJ load) `+` acyclic cost over the bag relations —
+//! Load: `Σ_b` (bag HyperCube load) `+` acyclic cost over the bag relations —
 //! the closed-form estimate the planner prices as [`crate::planner::Plan::Ghd`]
 //! against whole-query HyperCube. The GHD route wins exactly on "cyclic
 //! core + acyclic appendage" shapes, where whole-query HyperCube must
@@ -25,13 +26,13 @@
 use aj_relation::{EdgeSet, Ghd, Query};
 
 use crate::dist::{next_seed, DistDatabase, DistRelation};
-use crate::wcoj::leapfrog_join;
+use crate::hypercube::worst_case_join;
 use crate::yannakakis::yannakakis;
 
 /// Evaluate any connected join query through its GHD bag tree.
 ///
 /// Output columns are the occurring attributes in ascending order — the
-/// same format as [`crate::hypercube::hypercube_join_dist`], so planner
+/// same format as [`crate::hypercube::hypercube_join`], so planner
 /// arms are interchangeable.
 ///
 /// # Panics
@@ -58,8 +59,9 @@ pub fn solve_with(
 
 /// Materialize every bag of `ghd` as a distributed relation (columns in
 /// ascending attribute order, matching `ghd.bag_query(q)`'s layouts).
-/// Multi-edge bags cost one WCOJ round each; single-edge bags are free.
-pub fn materialize_bags(
+/// Multi-edge bags cost one worst-case HyperCube round each; single-edge
+/// bags are free.
+fn materialize_bags(
     net: &mut aj_mpc::Net,
     q: &Query,
     ghd: &Ghd,
@@ -77,7 +79,7 @@ pub fn materialize_bags(
             } else {
                 let (sub_q, kept) = q.restrict(EdgeSet::from_iter(es.iter().copied()));
                 let sub_dist: DistDatabase = kept.iter().map(|&e| dist[e].clone()).collect();
-                leapfrog_join(net, &sub_q, sub_dist, next_seed(seed))
+                worst_case_join(net, &sub_q, sub_dist, next_seed(seed))
             };
             if net.tracing_enabled() {
                 net.trace_event(aj_obs::Event::BagMaterialized {

@@ -19,9 +19,9 @@
 //! dimension. Light values keep the bit-identical hash placement.
 
 use aj_mpc::{detect_heavy_hitters, hash_mix, HashKey, Net, Partitioned, RowOutbox, TupleBlock};
-use aj_relation::{Attr, Database, Query, Tuple};
+use aj_relation::{Attr, Query, Tuple, Value};
 
-use crate::dist::{distribute_db, DistRelation};
+use crate::dist::{DistDatabase, DistRelation};
 use crate::local::{multiway_join, normalize, LocalRel};
 use aj_primitives::Key;
 
@@ -29,20 +29,99 @@ use aj_primitives::Key;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Shares(pub Vec<usize>);
 
-/// The grid coordinate HyperCube's hash placement assigns `value` on
-/// attribute `attr` at the given share. One definition shared by the
-/// one-round join and by the delta subsystem's cached-grid routing
-/// (`crate::delta`), which must place signed rows in exactly the cells the
-/// resident placement put the base tuples in.
-#[inline]
-pub(crate) fn attr_coordinate(value: u64, attr: Attr, seed: u64, share: usize) -> usize {
-    (value ^ (attr as u64 * 0x9e37_79b9)).owner(seed, share)
-}
-
 impl Shares {
     /// Grid size = product of shares.
     pub(crate) fn grid_size(&self) -> usize {
         self.0.iter().product()
+    }
+}
+
+/// HyperCube's grid of cells: the shares, their mixed-radix strides and the
+/// hash seed. [`Grid::cells`] is the one placement rule — the one-round
+/// join and the delta subsystem's view grids (`crate::delta`) both route
+/// through it, so a signed row lands in exactly the cells the resident
+/// placement put its base tuple in.
+#[derive(Debug, Clone)]
+pub(crate) struct Grid {
+    pub(crate) shares: Shares,
+    stride: Vec<usize>,
+    seed: u64,
+}
+
+impl Grid {
+    /// The grid of `shares` (one per attribute) hashed with `seed`.
+    pub(crate) fn new(shares: Shares, seed: u64) -> Self {
+        let mut stride = vec![1usize; shares.0.len()];
+        for a in 1..stride.len() {
+            stride[a] = stride[a - 1] * shares.0[a - 1];
+        }
+        Grid {
+            shares,
+            stride,
+            seed,
+        }
+    }
+
+    /// The dimensions a relation with layout `attrs` replicates across:
+    /// attributes it does not fix, with share > 1.
+    pub(crate) fn free(&self, attrs: &[Attr]) -> Vec<Attr> {
+        (0..self.shares.0.len())
+            .filter(|a| !attrs.contains(a) && self.shares.0[*a] > 1)
+            .collect()
+    }
+
+    /// The cells a tuple of layout `attrs` is placed in: one hashed
+    /// coordinate per own attribute, a full sweep over every dimension in
+    /// `free` (from [`Grid::free`]).
+    pub(crate) fn cells(&self, values: &[Value], attrs: &[Attr], free: &[Attr]) -> Vec<usize> {
+        self.skewed_cells(values, attrs, free, &HypercubeSkew::empty(), 0)
+    }
+
+    /// [`Grid::cells`] for a tuple of relation `e` under a skew profile: a
+    /// heavy value that `e` is designated to partition takes a
+    /// full-tuple-hash coordinate, a heavy value another relation
+    /// partitions is swept like a free dimension, and light values keep
+    /// the hashed coordinate.
+    fn skewed_cells(
+        &self,
+        values: &[Value],
+        attrs: &[Attr],
+        free: &[Attr],
+        skew: &HypercubeSkew,
+        e: usize,
+    ) -> Vec<usize> {
+        let mut base = 0usize;
+        let mut replicated: Vec<Attr> = Vec::new();
+        for (i, &a) in attrs.iter().enumerate() {
+            let share = self.shares.0[a];
+            if share <= 1 {
+                continue;
+            }
+            let c = match skew.designee(a, values[i]) {
+                None => (values[i] ^ (a as u64 * 0x9e37_79b9)).owner(self.seed, share),
+                // The slice seed is derived from the grid's, so the hashed
+                // placement of light values is untouched.
+                Some(d) if d == e => {
+                    (values.hash_key(hash_mix(self.seed ^ 0x51de_ac3d)) % share as u64) as usize
+                }
+                Some(_) => {
+                    replicated.push(a);
+                    continue;
+                }
+            };
+            base += c * self.stride[a];
+        }
+        let mut cells = vec![base];
+        for &a in free.iter().chain(&replicated) {
+            let mut next = Vec::with_capacity(cells.len() * self.shares.0[a]);
+            for c in &cells {
+                for v in 0..self.shares.0[a] {
+                    next.push(c + v * self.stride[a]);
+                }
+            }
+            cells = next;
+        }
+        cells
     }
 }
 
@@ -111,7 +190,7 @@ impl HypercubeSkew {
 pub fn detect_hypercube_skew(
     net: &mut Net,
     q: &Query,
-    dist: &crate::dist::DistDatabase,
+    dist: &DistDatabase,
     shares: &Shares,
     k: usize,
     threshold: u64,
@@ -153,55 +232,32 @@ pub fn detect_hypercube_skew(
 }
 
 /// Run HyperCube with the given shares. One data round. The local joins are
-/// evaluated per grid cell; works for cyclic queries too.
+/// evaluated per grid cell; works for cyclic queries too. Callers holding a
+/// [`Database`](aj_relation::Database) place it with
+/// [`distribute_db`](crate::dist::distribute_db) first (the initial MPC
+/// placement is free).
 pub fn hypercube_join(
     net: &mut Net,
     q: &Query,
-    db: &Database,
+    dist: DistDatabase,
     shares: &Shares,
     seed: u64,
 ) -> DistRelation {
-    let dist = distribute_db(db, net.p());
-    hypercube_join_dist(net, q, dist, shares, seed)
+    hypercube_join_skew(net, q, dist, shares, &HypercubeSkew::empty(), seed)
 }
 
-/// [`hypercube_join`] on an already-distributed database (the initial MPC
-/// placement is free, so rounds and loads are identical either way).
-pub fn hypercube_join_dist(
-    net: &mut Net,
-    q: &Query,
-    dist: crate::dist::DistDatabase,
-    shares: &Shares,
-    seed: u64,
-) -> DistRelation {
-    hypercube_impl(net, q, dist, shares, seed, None, LocalAlgo::Pairwise)
+/// The worst-case-optimal one-round join: [`hypercube_join`] at the
+/// [`worst_case_shares`] of the (driver-visible) relation sizes. The
+/// Section-7 triangle baseline (load `O(IN/p^{2/3})`), the `IN/√p` half of
+/// Theorem 6's line-3 answer, the cyclic [`crate::planner::Plan::WorstCase`]
+/// arm and every multi-edge GHD bag ([`crate::general`]).
+pub fn worst_case_join(net: &mut Net, q: &Query, dist: DistDatabase, seed: u64) -> DistRelation {
+    let sizes: Vec<u64> = dist.iter().map(|r| r.total_len() as u64).collect();
+    let shares = worst_case_shares(q, &sizes, net.p());
+    hypercube_join(net, q, dist, &shares, seed)
 }
 
-/// HyperCube routing with the cardinality-guided generic join as the
-/// per-cell local phase (used by [`crate::wcoj::leapfrog_join`]). Identical
-/// placement, rounds and load accounting to [`hypercube_join_dist`]; only
-/// the (free) local computation differs.
-pub(crate) fn hypercube_join_generic(
-    net: &mut Net,
-    q: &Query,
-    dist: crate::dist::DistDatabase,
-    shares: &Shares,
-    seed: u64,
-) -> DistRelation {
-    hypercube_impl(net, q, dist, shares, seed, None, LocalAlgo::Generic)
-}
-
-/// Which local join finishes each grid cell (local computation is free in
-/// the MPC cost model, so this never affects loads).
-#[derive(Debug, Clone, Copy)]
-enum LocalAlgo {
-    /// Pairwise hash joins ([`multiway_join`]).
-    Pairwise,
-    /// Cardinality-guided generic join ([`crate::wcoj::generic_join`]).
-    Generic,
-}
-
-/// Skew-aware HyperCube: identical to [`hypercube_join_dist`] except that
+/// Skew-aware HyperCube: identical to [`hypercube_join`] except that
 /// values named heavy by the profile are **partitioned/replicated** instead
 /// of hashed — the designated relation spreads its matching tuples across
 /// the value's dimension by a full-tuple hash, every other relation
@@ -209,40 +265,23 @@ enum LocalAlgo {
 /// containing the attribute already do). Light values, and every value with
 /// an empty profile, keep the bit-identical hash placement, so
 /// `hypercube_join_skew(…, &HypercubeSkew::empty(), …)` reproduces
-/// [`hypercube_join_dist`]'s loads exactly.
+/// [`hypercube_join`]'s loads exactly.
 pub fn hypercube_join_skew(
     net: &mut Net,
     q: &Query,
-    dist: crate::dist::DistDatabase,
+    dist: DistDatabase,
     shares: &Shares,
     skew: &HypercubeSkew,
     seed: u64,
 ) -> DistRelation {
-    hypercube_impl(net, q, dist, shares, seed, Some(skew), LocalAlgo::Pairwise)
-}
-
-fn hypercube_impl(
-    net: &mut Net,
-    q: &Query,
-    dist: crate::dist::DistDatabase,
-    shares: &Shares,
-    seed: u64,
-    skew: Option<&HypercubeSkew>,
-    local: LocalAlgo,
-) -> DistRelation {
     let p = net.p();
     assert_eq!(shares.0.len(), q.n_attrs(), "one share per attribute");
-    let grid = shares.grid_size();
+    let size = shares.grid_size();
     assert!(
-        grid >= 1 && grid <= p,
-        "share product {grid} must fit in p={p}"
+        size >= 1 && size <= p,
+        "share product {size} must fit in p={p}"
     );
-
-    // Strides for mixed-radix cell coordinates.
-    let mut stride = vec![1usize; q.n_attrs()];
-    for a in 1..q.n_attrs() {
-        stride[a] = stride[a - 1] * shares.0[a - 1];
-    }
+    let grid = Grid::new(shares.clone(), seed);
     // Per-relation layouts, actual tuple arities (annotations may trail the
     // schema) and free coordinates (attributes a relation does not fix),
     // captured before the shards move into the routing closure.
@@ -258,14 +297,7 @@ fn hypercube_impl(
                 .unwrap_or(rel.attrs.len())
         })
         .collect();
-    let free: Vec<Vec<Attr>> = dist
-        .iter()
-        .map(|rel| {
-            (0..q.n_attrs())
-                .filter(|a| !rel.attrs.contains(a) && shares.0[*a] > 1)
-                .collect()
-        })
-        .collect();
+    let free: Vec<Vec<Attr>> = rel_attrs.iter().map(|attrs| grid.free(attrs)).collect();
     // Transpose the database to per-server slices so the whole placement is
     // ONE round (one exchange), with every server's routing work a closure
     // the executor can run concurrently.
@@ -280,52 +312,13 @@ fn hypercube_impl(
     // (blocks need a uniform width; the widest relation sets it). One row is
     // one load unit — identical accounting to the per-item exchange.
     let row_arity = 1 + rel_arity.iter().copied().max().unwrap_or(0);
-    // Heavy values partition by a full-tuple hash on their designated
-    // relation; the seed is derived so the light placement is untouched.
-    let slice_seed = hash_mix(seed ^ 0x51de_ac3d);
     let outbox: Vec<RowOutbox> = net.run_local(per_server, |_, rels| {
         let mut ob = RowOutbox::new(row_arity);
         let mut row = vec![0u64; row_arity];
-        let mut dynamic_free: Vec<Attr> = Vec::new();
         for (e, part) in rels {
             let attrs = &rel_attrs[e];
             for t in part {
-                // Fixed coordinates from the tuple's own attributes; heavy
-                // values divert to the partition/replicate scheme.
-                let mut base = 0usize;
-                dynamic_free.clear();
-                for (i, &a) in attrs.iter().enumerate() {
-                    let designee = match skew {
-                        Some(sk) if shares.0[a] > 1 => sk.designee(a, t.get(i)),
-                        _ => None,
-                    };
-                    match designee {
-                        // This relation partitions the heavy value: spread
-                        // by the whole tuple instead of the value.
-                        Some(e_star) if e_star == e => {
-                            let h = (t.values().hash_key(slice_seed) % shares.0[a] as u64) as usize;
-                            base += h * stride[a];
-                        }
-                        // Another relation partitions: replicate across the
-                        // dimension so every slice of it is met.
-                        Some(_) => dynamic_free.push(a),
-                        // Light value: today's hash placement, bit for bit.
-                        None => {
-                            base += attr_coordinate(t.get(i), a, seed, shares.0[a]) * stride[a];
-                        }
-                    }
-                }
-                // Enumerate free coordinates (static + heavy-replicated).
-                let mut cells = vec![base];
-                for &a in free[e].iter().chain(dynamic_free.iter()) {
-                    let mut next = Vec::with_capacity(cells.len() * shares.0[a]);
-                    for c in &cells {
-                        for v in 0..shares.0[a] {
-                            next.push(c + v * stride[a]);
-                        }
-                    }
-                    cells = next;
-                }
+                let cells = grid.skewed_cells(t.values(), attrs, &free[e], skew, e);
                 row[0] = e as u64;
                 row[1..1 + t.arity()].copy_from_slice(t.values());
                 row[1 + t.arity()..].fill(0);
@@ -338,10 +331,9 @@ fn hypercube_impl(
     });
     let received = net.exchange_rows(row_arity, outbox);
     // Local join per cell, one closure per server.
-    let mut out_attrs: Vec<Attr> = (0..q.n_attrs())
+    let out_attrs: Vec<Attr> = (0..q.n_attrs())
         .filter(|&a| !q.edges_containing(a).is_empty())
         .collect();
-    out_attrs.sort_unstable();
     let out_parts: Vec<Vec<Tuple>> = net.run_local(received, |_, block: TupleBlock| {
         let mut locals: Vec<LocalRel> = q
             .edges()
@@ -355,23 +347,22 @@ fn hypercube_impl(
             let e = row[0] as usize;
             locals[e].tuples.push(Tuple::new(&row[1..1 + rel_arity[e]]));
         }
-        if locals.iter().any(|l| l.tuples.is_empty()) {
-            return Vec::new();
-        }
-        let (attrs, tuples) = match local {
-            LocalAlgo::Pairwise => {
-                let (attrs, tuples) = multiway_join(&locals);
-                normalize(&attrs, tuples)
-            }
-            LocalAlgo::Generic => crate::wcoj::generic_join(&locals),
-        };
-        debug_assert_eq!(attrs, out_attrs);
-        tuples
+        cell_join(&locals)
     });
     DistRelation {
         attrs: out_attrs,
         parts: Partitioned::from_parts(out_parts),
     }
+}
+
+/// Finish one grid cell: the pairwise [`multiway_join`] of its fragments,
+/// columns in ascending attribute order. Empty when any fragment is.
+pub(crate) fn cell_join(locals: &[LocalRel]) -> Vec<Tuple> {
+    if locals.iter().any(|l| l.tuples.is_empty()) {
+        return Vec::new();
+    }
+    let (attrs, tuples) = multiway_join(locals);
+    normalize(&attrs, tuples).1
 }
 
 /// Optimal integer shares for a Cartesian product of the given sizes
@@ -386,11 +377,19 @@ pub fn cartesian_shares(sizes: &[u64], p: usize) -> Shares {
             .map(|(&n, &si)| n as f64 / si as f64)
             .sum()
     })
+    .0
 }
 
 /// Worst-case shares for a general query: minimize the estimated load
 /// `Σ_e N_e / Π_{x∈e} s_x` over power-of-two share vectors with `Π ≤ p`.
 pub fn worst_case_shares(q: &Query, sizes: &[u64], p: usize) -> Shares {
+    worst_case_search(q, sizes, p).0
+}
+
+/// [`worst_case_shares`] together with the minimum of the objective the
+/// search found — the load estimate [`crate::bounds::wc_share_cost`]
+/// prices plans with.
+pub(crate) fn worst_case_search(q: &Query, sizes: &[u64], p: usize) -> (Shares, f64) {
     assert_eq!(sizes.len(), q.n_edges());
     best_shares(q.n_attrs(), p, |s| {
         q.edges()
@@ -413,8 +412,9 @@ pub fn worst_case_shares(q: &Query, sizes: &[u64], p: usize) -> Shares {
 /// a deliberate (at most 2×) rounding loss, standard for HyperCube share
 /// optimization, in exchange for an exact integral grid. In particular
 /// `p = 1` yields the all-ones share vector (everything on one server) and
-/// `p = 7` a grid of at most 4 cells.
-fn best_shares(n_attrs: usize, p: usize, cost: impl Fn(&[usize]) -> f64) -> Shares {
+/// `p = 7` a grid of at most 4 cells. Returns the shares with the minimum
+/// cost found.
+fn best_shares(n_attrs: usize, p: usize, cost: impl Fn(&[usize]) -> f64) -> (Shares, f64) {
     assert!(p >= 1, "need at least one server");
     let budget = (p as f64).log2().floor() as u32;
     let mut best: Option<(f64, Vec<usize>)> = None;
@@ -441,18 +441,20 @@ fn best_shares(n_attrs: usize, p: usize, cost: impl Fn(&[usize]) -> f64) -> Shar
         current[i] = 0;
     }
     rec(0, budget, &mut current, &mut best, &cost);
-    let shares = Shares(best.expect("nonempty search").1);
+    let (cost, shares) = best.expect("nonempty search");
+    let shares = Shares(shares);
     assert!(
         shares.grid_size() <= p,
         "share search must fit the grid in p (grid {} > p {p})",
         shares.grid_size()
     );
-    shares
+    (shares, cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::distribute_db;
     use aj_mpc::Cluster;
     use aj_relation::{database_from_rows, ram, QueryBuilder};
 
@@ -485,7 +487,7 @@ mod tests {
         let out = {
             let mut net = cluster.net();
             let shares = cartesian_shares(&[20, 30], p);
-            hypercube_join(&mut net, &q, &db, &shares, 3)
+            hypercube_join(&mut net, &q, distribute_db(&db, p), &shares, 3)
         };
         assert_eq!(out.total_len(), 600);
         let mut got = out.gather_free().tuples;
@@ -530,9 +532,7 @@ mod tests {
         let mut cluster = Cluster::new(p);
         let out = {
             let mut net = cluster.net();
-            let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
-            let shares = worst_case_shares(&q, &sizes, p);
-            hypercube_join(&mut net, &q, &db, &shares, 17)
+            worst_case_join(&mut net, &q, distribute_db(&db, p), 17)
         };
         let mut got = out.gather_free().tuples;
         got.sort_unstable();
@@ -567,7 +567,7 @@ mod tests {
         let mut cluster = Cluster::new(1);
         let out = {
             let mut net = cluster.net();
-            hypercube_join(&mut net, &q, &db, &s, 7)
+            hypercube_join(&mut net, &q, distribute_db(&db, 1), &s, 7)
         };
         let mut got = out.gather_free().tuples;
         got.sort_unstable();
@@ -598,7 +598,7 @@ mod tests {
         let mut cluster = Cluster::new(7);
         let out = {
             let mut net = cluster.net();
-            hypercube_join(&mut net, &q, &db, &s, 21)
+            hypercube_join(&mut net, &q, distribute_db(&db, 7), &s, 21)
         };
         let mut got = out.gather_free().tuples;
         got.sort_unstable();
@@ -633,11 +633,11 @@ mod tests {
             let mut cluster = Cluster::new(8);
             let out = {
                 let mut net = cluster.net();
-                let dist = crate::dist::distribute_db(&db, 8);
+                let dist = distribute_db(&db, 8);
                 if skewed {
                     hypercube_join_skew(&mut net, &q, dist, &shares, &HypercubeSkew::empty(), 5)
                 } else {
-                    hypercube_join_dist(&mut net, &q, dist, &shares, 5)
+                    hypercube_join(&mut net, &q, dist, &shares, 5)
                 }
             };
             (out.gather_free().tuples, cluster.stats().clone())
@@ -684,7 +684,7 @@ mod tests {
         let in_size = db.input_size() as u64;
         let run = |skewed: bool| {
             let mut cluster = Cluster::new(p);
-            let dist = crate::dist::distribute_db(&db, p);
+            let dist = distribute_db(&db, p);
             let skew = if skewed {
                 let mut net = cluster.net();
                 let skew =
@@ -751,14 +751,76 @@ mod tests {
         let mut cluster = Cluster::new(p);
         let out = {
             let mut net = cluster.net();
-            let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
-            let shares = worst_case_shares(&q, &sizes, p);
-            hypercube_join(&mut net, &q, &db, &shares, 23)
+            worst_case_join(&mut net, &q, distribute_db(&db, p), 23)
         };
         let mut got = out.gather_free().tuples;
         got.sort_unstable();
         let mut want = want;
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn worst_case_join_matches_oracle_on_four_cycle() {
+        let mut b = QueryBuilder::new();
+        b.relation("R1", &["A", "B"]);
+        b.relation("R2", &["B", "C"]);
+        b.relation("R3", &["C", "D"]);
+        b.relation("R4", &["D", "A"]);
+        let q = b.build();
+        let n = 16u64;
+        let pair = |k: u64| -> Vec<Vec<u64>> {
+            (0..n)
+                .flat_map(|x| {
+                    (0..n)
+                        .filter(move |y| (x * k + y).is_multiple_of(3))
+                        .map(move |y| vec![x, y])
+                })
+                .collect()
+        };
+        let db = database_from_rows(&q, &[pair(2), pair(3), pair(5), pair(7)]);
+        let want = ram::naive_join(&q, &db);
+        let p = 8;
+        let mut cluster = Cluster::new(p);
+        let out = {
+            let mut net = cluster.net();
+            worst_case_join(&mut net, &q, distribute_db(&db, p), 13)
+        };
+        let mut got = out.gather_free().tuples;
+        got.sort_unstable();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn worst_case_join_load_is_backend_deterministic() {
+        let mut b = QueryBuilder::new();
+        b.relation("R1", &["B", "C"]);
+        b.relation("R2", &["A", "C"]);
+        b.relation("R3", &["A", "B"]);
+        let q = b.build();
+        let edges: Vec<Vec<u64>> = (0..12u64)
+            .flat_map(|x| {
+                (0..12u64)
+                    .filter(move |y| (x + 2 * y) % 4 != 0)
+                    .map(move |y| vec![x, y])
+            })
+            .collect();
+        let db = database_from_rows(&q, &[edges.clone(), edges.clone(), edges]);
+        let run = |parallel: bool| {
+            let mut cluster = if parallel {
+                Cluster::new_parallel(4)
+            } else {
+                Cluster::new(4)
+            };
+            let out = {
+                let mut net = cluster.net();
+                worst_case_join(&mut net, &q, distribute_db(&db, 4), 99)
+            };
+            (out.gather_free().tuples, cluster.stats().clone())
+        };
+        let (seq_out, seq_stats) = run(false);
+        let (par_out, par_stats) = run(true);
+        assert_eq!(seq_out, par_out);
+        assert_eq!(seq_stats, par_stats);
     }
 }

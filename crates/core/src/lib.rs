@@ -7,15 +7,14 @@
 //! | Module | Paper | Load |
 //! |---|---|---|
 //! | [`binary`] | output-optimal binary join \[8,18\]; hash-only + skew-aware hybrid routing | `O(IN/p + √(OUT/p))` |
-//! | [`hypercube`] | HyperCube / one-round baseline \[3,8\]; skew-aware placement | `L_Cartesian · polylog` |
+//! | [`hypercube`] | HyperCube / one-round baseline \[3,8\]: the one grid placement, worst-case shares, skew-aware placement | `L_Cartesian · polylog`; `Σ_e N_e/Π s` at worst-case shares |
 //! | [`yannakakis`] | MPC Yannakakis \[2,25\] | `O(IN/p + OUT/p)` |
 //! | [`hierarchical`] | Theorem 3 (instance-optimal, r-hierarchical) | `O(IN/p + L_instance)` |
 //! | [`line3`] | Theorem 5 | `O(IN/p + √(IN·OUT)/p)` |
 //! | [`acyclic`] | Theorem 7 (any acyclic join) | `O(IN/p + √(IN·OUT)/p)` |
 //! | [`aggregate`] | Theorem 9 / Corollary 4 (free-connex join-aggregate) | `O(IN/p + √(IN·OUT)/p)` |
-//! | [`triangle`] | Section 7 comparison point | `O(IN/p^{2/3})` (worst-case opt.) |
-//! | [`wcoj`] | cardinality-guided WCOJ (generic join at worst-case shares) | `Σ_e N_e/Π s + AGM/p` |
-//! | [`general`] | general cyclic queries: GHD bag materialization + acyclic finish | bag WCOJ + Yannakakis over bags |
+//! | [`triangle`] | Section 7 bound formulas (the algorithm is [`hypercube::worst_case_join`]) | `O(IN/p^{2/3})` (worst-case opt.) |
+//! | [`general`] | general cyclic queries: one worst-case HyperCube round per GHD bag + acyclic finish | `Σ_e N_e/Π s + AGM/p` per bag + Yannakakis over bags |
 //! | [`bounds`] | Eq. (1), Eq. (2), Theorem 4, lower-bound formulas | — |
 //! | [`planner`] | one priced candidate list, one pick, one execute; maintain-vs-recompute pricing | — |
 //! | [`engine`] | long-lived serving layer: plan cache, cost-based planning, per-query stats epochs | — |
@@ -48,7 +47,6 @@ pub mod line3;
 pub mod local;
 pub mod planner;
 pub mod triangle;
-pub mod wcoj;
 pub mod yannakakis;
 
 pub use delta::{MaterializedView, UpdateOutcome, ViewCheckpoint, ViewId};

@@ -14,7 +14,14 @@
 //! and each part is evaluated with the output-optimal binary join in the
 //! order that keeps its intermediate small — the paper's key observation
 //! that join order matters in MPC even though it does not in RAM.
+//!
+//! By Theorem 6 the worst-case-optimal one-round join
+//! ([`crate::hypercube::worst_case_join`], load `O(IN/√p)`) is
+//! output-optimal once `OUT ≥ p·IN`; with [`solve`] (optimal for
+//! `OUT ≤ p·IN`) it completes the paper's "complete understanding of the
+//! line-3 join" (end of Section 4.3).
 
+use aj_mpc::Net;
 use aj_relation::{Attr, Query};
 
 use crate::binary::binary_join;
@@ -68,48 +75,11 @@ pub fn solve(net: &mut Net, q: &Query, db: DistDatabase, seed: &mut u64) -> Dist
     q1.normalized().union(q2.normalized())
 }
 
-use aj_mpc::Net;
-
-/// The **worst-case-optimal** line-3 algorithm \[19, 24\]: one round with
-/// HyperCube shares `(1, √p, √p, 1)`, load `O(IN/√p)`.
-///
-/// By Theorem 6 this is also *output-optimal* once `OUT ≥ p·IN` — together
-/// with [`solve`] (optimal for `OUT ≤ p·IN`) it completes the paper's
-/// "complete understanding of the line-3 join" (end of Section 4.3).
-pub fn solve_worst_case(
-    net: &mut Net,
-    q: &Query,
-    db: &aj_relation::Database,
-    seed: u64,
-) -> DistRelation {
-    assert_eq!(q.n_edges(), 3, "line-3 join has exactly three relations");
-    let p = net.p();
-    let root = (p as f64).sqrt().floor() as usize;
-    // Shares: 1 on the end attributes, √p on the two join attributes.
-    let b = q
-        .edge(0)
-        .attrs
-        .iter()
-        .copied()
-        .find(|a| q.edge(1).attrs.contains(a))
-        .expect("chain shape");
-    let c = q
-        .edge(1)
-        .attrs
-        .iter()
-        .copied()
-        .find(|a| q.edge(2).attrs.contains(a))
-        .expect("chain shape");
-    let mut shares = vec![1usize; q.n_attrs()];
-    shares[b] = root.max(1);
-    shares[c] = root.max(1);
-    crate::hypercube::hypercube_join(net, q, db, &crate::hypercube::Shares(shares), seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::distribute_db;
+    use crate::hypercube::worst_case_join;
     use aj_instancegen::fig3;
     use aj_mpc::Cluster;
     use aj_relation::{database_from_rows, ram, Database, Tuple};
@@ -183,8 +153,9 @@ mod tests {
 
     #[test]
     fn worst_case_variant_matches_oracle() {
-        // The Figure-3 instance (OUT ≤ p·IN) and a full bipartite middle
-        // (OUT = n² ≫ p·IN, the regime where this variant is output-optimal).
+        // Theorem 6's other half on line-3: the worst-case join on the
+        // Figure-3 instance (OUT ≤ p·IN) and a full bipartite middle
+        // (OUT = n² ≫ p·IN, the regime where it is output-optimal).
         let inst = fig3::two_sided(48, 384);
         let n = 48u64;
         let huge = database_from_rows(
@@ -199,7 +170,7 @@ mod tests {
             let mut cluster = Cluster::new(9);
             let out = {
                 let mut net = cluster.net();
-                solve_worst_case(&mut net, &inst.query, db, 5)
+                worst_case_join(&mut net, &inst.query, distribute_db(db, 9), 5)
             };
             let mut got = out.gather_free().tuples;
             got.sort_unstable();
@@ -217,7 +188,7 @@ mod tests {
             let mut cluster = Cluster::new(p);
             {
                 let mut net = cluster.net();
-                solve_worst_case(&mut net, &inst.query, &inst.db, 5);
+                worst_case_join(&mut net, &inst.query, distribute_db(&inst.db, p), 5);
             }
             loads.push(cluster.stats().max_load as f64);
         }

@@ -29,10 +29,11 @@ pub enum Plan {
     /// The MPC Yannakakis baseline, load `O(IN/p + OUT/p)` — the cost-based
     /// winner when `OUT < IN` (never chosen by class-only dispatch).
     Yannakakis,
-    /// Cyclic: worst-case-optimal HyperCube shares.
+    /// Cyclic: one HyperCube round at worst-case-optimal shares
+    /// ([`crate::hypercube::worst_case_join`]).
     WorstCase,
     /// Cyclic with a non-trivial GHD: materialize each decomposition bag
-    /// worst-case-optimally ([`crate::wcoj`]), then run the acyclic
+    /// by one worst-case HyperCube round, then run the acyclic
     /// pipeline over the bag tree ([`crate::general`]). Priced by
     /// [`crate::bounds::ghd_cost`] against whole-query HyperCube; wins on
     /// cyclic cores with acyclic appendages.
@@ -352,11 +353,7 @@ pub fn execute(
         Plan::InstanceOptimal => crate::hierarchical::solve(net, q, dist, &mut local),
         Plan::OutputOptimal => crate::acyclic::solve(net, q, dist, &mut local),
         Plan::Yannakakis => crate::yannakakis::yannakakis(net, q, dist, None, &mut local),
-        Plan::WorstCase => {
-            let sizes: Vec<u64> = dist.iter().map(|r| r.total_len() as u64).collect();
-            let shares = crate::hypercube::worst_case_shares(q, &sizes, net.p());
-            crate::hypercube::hypercube_join_dist(net, q, dist, &shares, local)
-        }
+        Plan::WorstCase => crate::hypercube::worst_case_join(net, q, dist, local),
         Plan::Ghd => crate::general::solve(net, q, dist, &mut local),
         Plan::SkewHybrid => {
             assert!(

@@ -4,25 +4,9 @@
 //! `Ω̃(min{IN/p + OUT/p, IN/p^{2/3}})` for the triangle (Theorem 11) and
 //! observes the worst-case-optimal HyperCube algorithm with cube-root shares
 //! (load `O(IN/p^{2/3})` \[24\]) is also output-optimal once
-//! `OUT ≥ IN·p^{1/3}`. This module provides that algorithm plus the bound
-//! formulas the Figure-6 experiment compares against.
-
-use aj_mpc::Net;
-use aj_relation::{Database, Query};
-
-use crate::dist::DistRelation;
-use crate::hypercube::{hypercube_join, worst_case_shares};
-
-/// Solve the triangle join with the worst-case-optimal HyperCube algorithm
-/// (cube-root shares): one round, load `O(IN/p^{2/3})` on near-regular
-/// instances.
-pub fn solve(net: &mut Net, q: &Query, db: &Database, seed: u64) -> DistRelation {
-    assert_eq!(q.n_edges(), 3, "triangle join has three relations");
-    assert!(!q.is_acyclic(), "triangle join is cyclic");
-    let sizes: Vec<u64> = db.relations.iter().map(|r| r.len() as u64).collect();
-    let shares = worst_case_shares(q, &sizes, net.p());
-    hypercube_join(net, q, db, &shares, seed)
-}
+//! `OUT ≥ IN·p^{1/3}`. That algorithm is
+//! [`crate::hypercube::worst_case_join`]; this module holds the bound
+//! formulas the Figure-6 experiment compares it against.
 
 /// The worst-case-optimal load `IN/p^{2/3}`.
 pub fn worst_case_load(in_size: u64, p: usize) -> f64 {
@@ -48,6 +32,8 @@ pub fn acyclic_comparison_bound(in_size: u64, out_size: u64, p: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::distribute_db;
+    use crate::hypercube::worst_case_join;
     use aj_instancegen::fig6;
     use aj_mpc::Cluster;
     use aj_relation::ram;
@@ -60,7 +46,7 @@ mod tests {
         let mut cluster = Cluster::new(p);
         let out = {
             let mut net = cluster.net();
-            solve(&mut net, &inst.query, &inst.db, 3)
+            worst_case_join(&mut net, &inst.query, distribute_db(&inst.db, p), 3)
         };
         let mut got = out.gather_free().tuples;
         got.sort_unstable();
@@ -76,7 +62,7 @@ mod tests {
         let mut cluster = Cluster::new(p);
         {
             let mut net = cluster.net();
-            solve(&mut net, &inst.query, &inst.db, 3);
+            worst_case_join(&mut net, &inst.query, distribute_db(&inst.db, p), 3);
         }
         let bound = worst_case_load(in_size, p);
         let load = cluster.stats().max_load as f64;

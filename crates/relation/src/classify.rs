@@ -61,7 +61,7 @@ pub fn is_r_hierarchical(q: &Query) -> bool {
 /// Is the query tall-flat? There must be an attribute ordering
 /// `x1, …, xh, y1, …, yl` with `E_{x1} ⊇ … ⊇ E_{xh}`, `E_{xh} ⊇ E_{yj}`,
 /// and `|E_{yj}| = 1` for all `j`.
-pub fn is_tall_flat(q: &Query) -> bool {
+fn is_tall_flat(q: &Query) -> bool {
     // Attributes that occur at all.
     let attrs: Vec<Attr> = (0..q.n_attrs())
         .filter(|&x| !q.edges_containing(x).is_empty())

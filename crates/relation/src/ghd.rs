@@ -25,7 +25,8 @@ use crate::Edge;
 /// list `λ(b) = edges_of[b]` and covers the attribute set `χ(b) = bags[b]`
 /// (the union of its edges' attributes). The bags, viewed as a hypergraph
 /// over the same attribute space, form an α-acyclic query — so once every
-/// bag is materialized (worst-case-optimally, by `aj-core`'s WCOJ), the
+/// bag is materialized (worst-case-optimally, by one HyperCube round in
+/// `aj-core`), the
 /// remaining join is served by the existing acyclic machinery.
 ///
 /// Because `λ` is a partition (every edge assigned to exactly one bag, no
@@ -112,7 +113,8 @@ impl Ghd {
 
     /// Whether the decomposition is the trivial single bag (the whole
     /// query); evaluating it through the bag tree degenerates to one
-    /// whole-query WCOJ, so planners skip the GHD route in that case.
+    /// whole-query worst-case HyperCube round, so planners skip the GHD
+    /// route in that case.
     pub fn is_trivial(&self) -> bool {
         self.bags.len() == 1
     }

@@ -23,7 +23,7 @@ impl Edge {
     }
 
     /// Position of attribute `a` within this edge's tuple layout.
-    pub fn position_of(&self, a: Attr) -> Option<usize> {
+    fn position_of(&self, a: Attr) -> Option<usize> {
         self.attrs.iter().position(|&x| x == a)
     }
 

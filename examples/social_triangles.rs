@@ -6,6 +6,8 @@
 //! cargo run --release --example social_triangles
 //! ```
 
+use acyclic_joins::core::dist::distribute_db;
+use acyclic_joins::core::hypercube::worst_case_join;
 use acyclic_joins::core::triangle;
 use acyclic_joins::instancegen::fig6;
 use acyclic_joins::prelude::*;
@@ -25,7 +27,7 @@ fn main() {
         let mut cluster = Cluster::new(p);
         let found = {
             let mut net = cluster.net();
-            triangle::solve(&mut net, &inst.query, &inst.db, 7).total_len()
+            worst_case_join(&mut net, &inst.query, distribute_db(&inst.db, p), 7).total_len()
         };
         assert_eq!(found as u64, inst.out, "triangle count mismatch");
 

@@ -106,8 +106,9 @@ fn cases() -> Vec<(&'static str, Query, Database)> {
             fig6::generate(24, 40, 5).db,
         ),
         // General cyclic shapes (appended; earlier indices are pinned by
-        // the update-stream tests). These route through the GHD/WCOJ
-        // pipeline or whole-query HyperCube, whichever the planner prices
+        // the update-stream tests). These route through the GHD pipeline
+        // (one worst-case HyperCube round per bag) or whole-query
+        // HyperCube, whichever the planner prices
         // cheaper — either way the backends must agree bit for bit.
         cyclic_case("cycle4", cycle_query(4), 24, 6, 0x901),
         cyclic_case("cycle5", cycle_query(5), 24, 6, 0x902),

@@ -3,6 +3,7 @@
 //! *shapes* are what the paper predicts).
 
 use acyclic_joins::core::dist::distribute_db;
+use acyclic_joins::core::hypercube::worst_case_join;
 use acyclic_joins::core::{acyclic, aggregate, bounds, line3, yannakakis};
 use acyclic_joins::instancegen::{fig3, fig6};
 use acyclic_joins::prelude::*;
@@ -104,7 +105,7 @@ fn triangle_load_is_output_insensitive() {
     for tau in [1u64, 27] {
         let inst = fig6::generate(n, n * tau, 3 + tau);
         let load = measure(p, |net| {
-            acyclic_joins::core::triangle::solve(net, &inst.query, &inst.db, 7);
+            worst_case_join(net, &inst.query, distribute_db(&inst.db, p), 7);
         });
         loads.push(load as f64);
     }
