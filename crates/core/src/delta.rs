@@ -350,23 +350,34 @@ fn build(cluster: &mut Cluster, view: &mut MaterializedView) {
     view.mat = (0..p).map(|_| FxHashMap::default()).collect();
     place_bags(cluster, view, exec_seed);
     let bags = &view.cache;
-    let bag_dist: DistDatabase = (0..bags.grids.len())
-        .map(|b| bag_relation(cluster, bags, &view.base, b))
-        .collect();
+    let bag_dist = bag_relations(cluster, bags, &view.base);
     // The output join: an acyclic view's bags are its relations, so its
     // class plan runs on them; the bags of a cyclic view join acyclically.
     let out = {
         let mut net = cluster.net();
         if view.class == JoinClass::Cyclic {
             let mut join_seed = mix(exec_seed, 0x0ba6);
-            yannakakis(&mut net, &bags.bag_query, bag_dist, None, &mut join_seed)
+            yannakakis(
+                &mut net,
+                &bags.bag_query,
+                bag_dist.clone(),
+                None,
+                &mut join_seed,
+            )
         } else {
-            execute(&mut net, view.plan, &view.query, bag_dist, &mut exec_seed).normalized()
+            execute(
+                &mut net,
+                view.plan,
+                &view.query,
+                bag_dist.clone(),
+                &mut exec_seed,
+            )
+            .normalized()
         }
     };
     debug_assert_eq!(out.attrs, view.out_attrs);
     install_counts(cluster, view, &out.parts.into_parts(), |t| (t, 1));
-    view.cache.tree = build_tree(cluster, &view.cache, &view.base, mix(exec_seed, 0x7ee5));
+    view.cache.tree = build_tree(cluster, &view.cache, &bag_dist, mix(exec_seed, 0x7ee5));
     view.cum_delta = 0;
 }
 
@@ -458,12 +469,18 @@ fn place_bags(cluster: &mut Cluster, view: &mut MaterializedView, exec_seed: u64
     };
 }
 
-/// The materialized relation of bag `b`, distributed: a single-edge bag is
-/// its base relation in the free initial placement; a multi-edge bag is the
-/// per-cell join of its resident fragments ([`cell_join`], the finish
-/// every HyperCube cell uses) — each bag tuple lands
-/// in exactly one cell, so the cell joins partition the bag (free local
-/// work).
+/// The materialized relation of every bag, distributed, in bag order: a
+/// single-edge bag is its base relation in the free initial placement; a
+/// multi-edge bag is the per-cell join of its resident fragments
+/// ([`cell_join`], the finish every HyperCube cell uses) — each bag tuple
+/// lands in exactly one cell, so the cell joins partition the bag (free
+/// local work).
+fn bag_relations(cluster: &mut Cluster, bags: &BagTree, base: &Database) -> DistDatabase {
+    (0..bags.grids.len())
+        .map(|b| bag_relation(cluster, bags, base, b))
+        .collect()
+}
+
 fn bag_relation(cluster: &mut Cluster, bags: &BagTree, base: &Database, b: usize) -> DistRelation {
     let p = cluster.p();
     let attrs = bags.bag_query.edge(b).attrs.clone();
@@ -492,9 +509,14 @@ fn bag_relation(cluster: &mut Cluster, bags: &BagTree, base: &Database, b: usize
 }
 
 /// Build the directed-tree-edge shards of the bag query: one shard per
-/// directed edge (from → to) caching bag `to` hashed on the tree edge's
-/// shared attributes.
-fn build_tree(cluster: &mut Cluster, bags: &BagTree, base: &Database, seed: u64) -> TreeCache {
+/// directed edge (from → to) caching bag `to` (`bag_dist[to]`, from
+/// [`bag_relations`]) hashed on the tree edge's shared attributes.
+fn build_tree(
+    cluster: &mut Cluster,
+    bags: &BagTree,
+    bag_dist: &[DistRelation],
+    seed: u64,
+) -> TreeCache {
     let q = &bags.bag_query;
     let tree = q.join_tree().expect("the bag query has a join tree");
     let m = q.n_edges();
@@ -523,8 +545,7 @@ fn build_tree(cluster: &mut Cluster, bags: &BagTree, base: &Database, seed: u64)
             key.sort_unstable();
             let key_pos = q.edge(to).positions_of(&key);
             let shard_seed = mix(seed, ((from as u64) << 32) | to as u64);
-            let partner = bag_relation(cluster, bags, base, to);
-            let index = shard_relation(cluster, partner, &key_pos, shard_seed);
+            let index = shard_relation(cluster, &bag_dist[to], &key_pos, shard_seed);
             shard_of.insert((from, to), shards.len());
             shards.push(EdgeShard {
                 to,
@@ -560,17 +581,18 @@ fn build_tree(cluster: &mut Cluster, bags: &BagTree, base: &Database, seed: u64)
 /// per-server probe index (one block-exchange round, `|B|` units).
 fn shard_relation(
     cluster: &mut Cluster,
-    rel: DistRelation,
+    rel: &DistRelation,
     key_pos: &[usize],
     seed: u64,
 ) -> Vec<FxHashMap<Tuple, Vec<Tuple>>> {
     let p = cluster.p();
     let arity = rel.attrs.len();
     let mut net = cluster.net();
-    let outbox: Vec<RowOutbox> = net.run_local(rel.parts.into_parts(), |_, part: Vec<Tuple>| {
+    let outbox: Vec<RowOutbox> = net.run_each(|s| {
+        let part = &rel.parts.parts()[s];
         let mut ob = RowOutbox::with_capacity(arity, part.len());
         let mut key: Vec<Value> = Vec::with_capacity(key_pos.len());
-        for t in &part {
+        for t in part {
             t.project_into(key_pos, &mut key);
             ob.push(hash_to_server(key.as_slice(), seed, p), t.values());
         }
@@ -1272,7 +1294,8 @@ pub(crate) fn restore(
     // *where* cached partner tuples live, and every later delta round
     // re-derives the owner from the shard's own stored seed.
     place_bags(cluster, view, exec_seed);
-    view.cache.tree = build_tree(cluster, &view.cache, &view.base, mix(exec_seed, 0x7ee5));
+    let bag_dist = bag_relations(cluster, &view.cache, &view.base);
+    view.cache.tree = build_tree(cluster, &view.cache, &bag_dist, mix(exec_seed, 0x7ee5));
     // Install the counted materialization from the snapshot: each entry is
     // routed to its hash owner carrying its exact count as the weight.
     view.mat = (0..p).map(|_| FxHashMap::default()).collect();

@@ -48,8 +48,11 @@ impl Cluster {
         Cluster::with_executor(p, Box::new(SeqExecutor))
     }
 
-    /// Create a cluster of `p >= 1` servers whose per-server work runs on a
-    /// thread pool sized to the machine.
+    /// Create a cluster of `p >= 1` servers whose per-server work runs on
+    /// the calling thread plus a pool of parked helpers, one thread per core
+    /// in all ([`ParExecutor::new`]). Helpers join a compute region only
+    /// while work remains, so tiny control rounds stay on the calling
+    /// thread.
     ///
     /// # Panics
     /// Panics if `p == 0`.

@@ -10,14 +10,17 @@
 //! * [`SeqExecutor`] — every server's work runs on the calling thread, in
 //!   server order. Deterministic stepping, zero overhead, the right choice
 //!   for debugging and for tiny instances.
-//! * [`ParExecutor`] — server closures run concurrently on a **persistent
-//!   worker pool** created once per executor (the crate's one region pool,
-//!   `pool.rs`, shared with [`crate::NetExecutor`]): workers park on a
-//!   condvar between parallel regions and pull server indices from an
-//!   atomic cursor (work stealing) inside one. A hot experiment executes
-//!   thousands of regions; reusing parked threads replaces a spawn/join
-//!   pair per region (tens of microseconds and a kernel round trip each)
-//!   with one notify/park cycle.
+//! * [`ParExecutor`] — server closures run concurrently on the calling
+//!   thread and a **persistent helper pool** created once per executor (the
+//!   crate's one region pool, `pool.rs`, shared with
+//!   [`crate::NetExecutor`]). Every thread pulls server indices from an
+//!   atomic cursor (work stealing). The caller drains the cursor itself,
+//!   and parked helpers join only while work remains: a region smaller than
+//!   a wake ends on the calling thread, a bulk region fans out to every
+//!   core. A hot experiment executes thousands of regions; reusing parked
+//!   threads replaces a spawn/join pair per region (tens of microseconds
+//!   and a kernel round trip each) with a notify that the caller does not
+//!   wait on.
 //!
 //! # Determinism and load accounting
 //!
@@ -33,7 +36,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::pool::{resume_lowest, Pool};
+use crate::pool::{resume_lowest, Join, Pool};
 
 /// An execution backend for per-server work.
 ///
@@ -92,43 +95,45 @@ impl Execute for SeqExecutor {
     }
 }
 
-/// Run per-server work concurrently on a persistent parking worker pool.
+/// Run per-server work concurrently on the calling thread and a persistent
+/// pool of parked helpers.
 ///
-/// The pool's threads (`aj-par-{w}`) are created **once**, when the executor
-/// is built, and park on a condvar between parallel regions; a region hands
-/// every worker the same closure, which drains an atomic index cursor (work
-/// stealing — uneven per-server workloads, exactly what skewed instances
-/// produce, still keep every worker busy), and is closed by a completion
-/// barrier. Panics are caught per index and re-raised on the coordinating
-/// thread with their original payload; if several indices panic in one
-/// region, the lowest index wins deterministically.
+/// `threads` counts the caller: the pool's `threads - 1` helper threads
+/// (`aj-par-{w}`) are created **once**, when the executor is built, and park
+/// on a condvar between parallel regions. In a region the caller drains an
+/// atomic index cursor itself (work stealing — uneven per-server workloads,
+/// exactly what skewed instances produce, still keep every thread busy).
+/// Publishing the region wakes one helper, and each helper that joins wakes
+/// one more, but only while the caller's drain runs: once it returns the
+/// region closes, and the barrier waits only for the helpers that joined.
+/// Panics are caught per index and re-raised on the coordinating thread
+/// with their original payload; if several indices panic in one region, the
+/// lowest index wins deterministically.
 ///
-/// Cloning shares the pool. Dropping the last clone shuts the worker threads
-/// down and joins them.
+/// Cloning shares the pool. Dropping the last clone shuts the helper
+/// threads down and joins them.
 ///
 /// Only compute regions parallelize ([`crate::Net::round`], `round_map`,
 /// `run_each`, `run_local`); [`crate::Net::exchange`] routes on the
-/// coordinating thread, exactly as under [`SeqExecutor`]. Each region costs
-/// one pool wake — prefer [`SeqExecutor`] outright for workloads dominated
-/// by tiny control rounds.
+/// coordinating thread, exactly as under [`SeqExecutor`].
 #[derive(Clone)]
 pub struct ParExecutor {
     threads: usize,
-    /// `None` when `threads == 1`: regions run inline, no pool is spawned.
-    pool: Option<Arc<Pool>>,
+    /// `threads - 1` helpers; none when `threads == 1`.
+    pool: Arc<Pool>,
 }
 
 impl std::fmt::Debug for ParExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParExecutor")
             .field("threads", &self.threads)
-            .field("persistent_pool", &self.pool.is_some())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 impl ParExecutor {
-    /// A worker count matching the machine's available parallelism.
+    /// A thread count (the caller included) matching the machine's available
+    /// parallelism.
     pub fn new() -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -136,8 +141,9 @@ impl ParExecutor {
         ParExecutor::with_threads(threads)
     }
 
-    /// A pool with an explicit thread count (`>= 1`). A single-thread pool
-    /// spawns no workers and runs regions inline on the calling thread.
+    /// An explicit thread count (`>= 1`), the caller included: spawns
+    /// `threads - 1` helpers. A single-thread executor spawns none and runs
+    /// every region on the calling thread.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -145,7 +151,7 @@ impl ParExecutor {
         assert!(threads >= 1, "a pool needs at least one thread");
         ParExecutor {
             threads,
-            pool: (threads > 1).then(|| Arc::new(Pool::new(threads, "aj-par"))),
+            pool: Arc::new(Pool::new(threads - 1, "aj-par")),
         }
     }
 
@@ -163,35 +169,33 @@ impl Default for ParExecutor {
 
 impl Execute for ParExecutor {
     fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        match &self.pool {
-            Some(pool) if n > 1 => {
-                let cursor = AtomicUsize::new(0);
-                let panics = Mutex::new(Vec::new());
-                // Catch panics **per index**, not per drain loop: a worker
-                // keeps draining after a failed task, so every index still
-                // runs and the region's panic set is the same no matter how
-                // indices were distributed over threads — which is what
-                // makes the lowest-index re-raise deterministic.
-                pool.run_region(&|_worker| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| task(i))) {
-                        panics
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push((i, payload));
-                    }
-                });
-                resume_lowest(panics.into_inner().unwrap_or_else(PoisonError::into_inner));
+        if n <= 1 {
+            // Nothing to share: no helper could take an index.
+            for i in 0..n {
+                task(i);
             }
-            _ => {
-                for i in 0..n {
-                    task(i);
-                }
-            }
+            return;
         }
+        let cursor = AtomicUsize::new(0);
+        let panics = Mutex::new(Vec::new());
+        // Catch panics **per index**, not per drain loop: a thread keeps
+        // draining after a failed task, so every index still runs and the
+        // region's panic set is the same no matter how indices were
+        // distributed over threads — which is what makes the lowest-index
+        // re-raise deterministic.
+        self.pool.run_region(Join::Helped, &|_thread| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| task(i))) {
+                panics
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((i, payload));
+            }
+        });
+        resume_lowest(panics.into_inner().unwrap_or_else(PoisonError::into_inner));
     }
 
     fn is_parallel(&self) -> bool {
@@ -294,7 +298,11 @@ mod tests {
     fn single_thread_pool_degrades_to_sequential() {
         let exec = ParExecutor::with_threads(1);
         assert!(exec.is_parallel());
-        let got = run_indexed_at(&exec, 10, &|i| i, |i| i);
+        let caller = std::thread::current().id();
+        let got = run_indexed_at(&exec, 10, &|i| i, |i| {
+            assert_eq!(std::thread::current().id(), caller, "index {i}");
+            i
+        });
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 

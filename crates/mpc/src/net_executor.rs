@@ -77,7 +77,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::executor::Execute;
-use crate::pool::Pool;
+use crate::pool::{Join, Pool};
 use crate::transport::{ChanTransport, Transport};
 use crate::wire::{Frame, FrameKind};
 
@@ -475,7 +475,7 @@ impl Execute for NetExecutor {
             );
             assign[w] = Some(i);
         }
-        self.pool.run_region(&|w| {
+        self.pool.run_region(Join::Pinned, &|w| {
             if let Some(i) = assign[w] {
                 task(i);
             }

@@ -2,36 +2,48 @@
 //!
 //! A [`Pool`] owns `W` persistent, named worker threads that park on a
 //! condvar between regions. Its only operation is [`Pool::run_region`]: run
-//! `task(w)` once on **each** worker `w`, block until all `W` are done, and
-//! re-raise any panic deterministically. What a worker does with its turn is
-//! entirely the closure's business — the pool never knows which executor
-//! owns it:
+//! a task on the pool, block until every thread that took part is done, and
+//! re-raise any panic deterministically. What a thread does with its turn is
+//! entirely the closure's business; the pool only knows how workers
+//! [`Join`] the region:
 //!
-//! * [`crate::ParExecutor`] is a pool of `threads` workers whose closure
-//!   drains a stack-local atomic index cursor (work stealing);
-//! * [`crate::NetExecutor`] is a pool of `p` workers whose closure runs the
-//!   round index pinned to server `w`, if the view pinned one there.
+//! * [`Join::Pinned`] — `task(w)` runs once on **each** worker `w`, and the
+//!   caller only waits. [`crate::NetExecutor`] is a pool of `p` workers whose
+//!   closure runs the round index pinned to server `w`, if the view pinned
+//!   one there (its tasks may block on each other, so all must run).
+//! * [`Join::Helped`] — the caller runs `task(W)` itself, and parked workers
+//!   help only while that call runs. [`crate::ParExecutor`] is a pool of
+//!   `threads − 1` helpers whose closure drains a stack-local atomic index
+//!   cursor (work stealing). Publishing wakes one helper, and each helper
+//!   that joins wakes one more; when the caller's own call returns, the
+//!   region closes and helpers that wake later skip it. A region smaller
+//!   than a wake therefore finishes on the calling thread, and a bulk one
+//!   still fans out to every core.
 //!
 //! # Lifecycle
 //!
 //! Regions from several coordinators (clones of one executor driven from
 //! different threads) serialize on the region slot. A region is published as
-//! a lifetime-erased closure pointer plus a generation bump; the completion
-//! barrier (`active == 0`) is what makes the erasure sound — see the three
-//! `SAFETY` comments, the pool's whole unsafe surface.
+//! a lifetime-erased closure pointer plus a generation bump. A worker counts
+//! into the barrier (`active`) under the state lock: at publish for a pinned
+//! region, when it joins an open helped region otherwise. The caller closes
+//! the region and then waits for `active == 0` before it returns, which is
+//! what makes the erasure sound — see the three `SAFETY` comments, the
+//! pool's whole unsafe surface.
 //!
 //! # Panics, crashes, shutdown
 //!
-//! A panic escaping `task(w)` is caught on the worker, raises the
-//! [`Pool::aborted`] flag (reliable exchanges poll it to abandon a round
-//! whose peer died) and is re-raised on the coordinator after the barrier by
-//! [`resume_lowest`]: the lowest index wins, except that
-//! [`PeerAbort`] markers always lose to a genuine payload. A payload that is
-//! an [`InjectedCrash`] is fatal to its thread: the worker really exits and
-//! a successor (same index, same name) is spawned before the next region.
-//! State locks shrug off poison, so the pool keeps working after panicking
-//! regions. Dropping the pool wakes every parked worker and **joins** every
-//! thread it ever spawned, respawned ones included.
+//! A panic escaping `task(w)` is caught on its thread (the caller's own
+//! call included), raises the [`Pool::aborted`] flag (reliable exchanges
+//! poll it to abandon a round whose peer died) and is re-raised on the
+//! coordinator after the barrier by [`resume_lowest`]: the lowest index
+//! wins, except that [`PeerAbort`] markers always lose to a genuine payload.
+//! A worker payload that is an [`InjectedCrash`] is fatal to its thread: the
+//! worker really exits and a successor (same index, same name) is spawned
+//! before the next region. State locks shrug off poison, so the pool keeps
+//! working after panicking regions. Dropping the pool wakes every parked
+//! worker and **joins** every thread it ever spawned, respawned ones
+//! included.
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
@@ -57,27 +69,44 @@ pub(crate) fn resume_lowest(panics: Vec<(usize, Payload)>) {
     }
 }
 
+/// How the pool's workers take part in a region (see the module docs).
+#[derive(Clone, Copy)]
+pub(crate) enum Join {
+    /// `task(w)` once on every worker `w`, each counted into the barrier at
+    /// publish; the caller only waits.
+    Pinned,
+    /// `task(W)` on the caller, and `task(w)` on each worker that joins
+    /// while the caller's call still runs, counting itself in as it joins.
+    Helped,
+}
+
 /// The active region's task, lifetime-erased so parked workers can pick it
-/// up. Only dereferenced between publication and the region's completion
-/// barrier, during which the coordinator keeps the referent alive on its
+/// up. Only dereferenced by a worker counted into the region's barrier,
+/// which the coordinator waits out while keeping the referent alive on its
 /// stack.
 #[derive(Clone, Copy)]
 struct Region(*const (dyn Fn(usize) + Sync));
 
-// SAFETY: the pointer is only shared with workers while the coordinating
-// thread blocks inside `Pool::run_region`, which outlives every worker's
-// use of it (the completion barrier). The pointee is `Sync`, so concurrent
-// calls from several workers are allowed.
+// SAFETY: workers take the pointer only while counted into `active` (from
+// publish, or by joining while the region is open), and `run_region` closes
+// the region and waits for `active == 0` before it returns. The pointee is
+// `Sync`, so concurrent calls from several threads are allowed.
 unsafe impl Send for Region {}
 
 struct State {
     /// Region sequence number; workers use it to detect fresh work.
     generation: u64,
-    /// The active region, if any.
+    /// The published region, from publish until its barrier has passed
+    /// (the slot overlapping regions wait for).
     region: Option<Region>,
-    /// Workers that have not yet passed the active region's barrier.
+    /// How workers take part in the published region.
+    join: Join,
+    /// Whether workers may still join the published helped region: cleared
+    /// the moment the caller's own call returns.
+    open: bool,
+    /// Workers counted into the published region that have not finished it.
     active: usize,
-    /// Panics raised in the active region, tagged with the worker index.
+    /// Panics raised in the active region, tagged with the task index.
     panics: Vec<(usize, Payload)>,
     /// Per worker: no live thread (not spawned yet, or exited on a fatal
     /// panic) — spawned before the next region is published.
@@ -96,7 +125,7 @@ struct Shared {
     done_cv: Condvar,
     /// Worker `w`'s thread is named `{prefix}-{w}`.
     prefix: &'static str,
-    /// Set the moment any worker of the active region panics; cleared when
+    /// Set the moment any task of the active region panics; cleared when
     /// the next region is published.
     aborted: AtomicBool,
 }
@@ -125,10 +154,26 @@ impl Shared {
         }
     }
 
+    /// Run `task(me)`, catching a panic into the region's panic set.
+    /// Returns whether the payload was fatal to the running thread.
+    fn run_task(&self, task: &(dyn Fn(usize) + Sync), me: usize) -> bool {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| task(me))) {
+            Ok(()) => false,
+            Err(payload) => {
+                let fatal = payload.is::<InjectedCrash>();
+                // Raise the abort flag before recording the panic so peers
+                // polling it can start unwinding immediately.
+                self.aborted.store(true, Ordering::Release);
+                self.lock_state().panics.push((me, payload));
+                fatal
+            }
+        }
+    }
+
     fn worker_loop(&self, me: usize) {
         let mut seen_generation = 0u64;
         loop {
-            let region = {
+            let (region, helped) = {
                 let mut st = self.lock_state();
                 loop {
                     if st.shutdown {
@@ -137,7 +182,15 @@ impl Shared {
                     if st.generation != seen_generation {
                         if let Some(r) = st.region {
                             seen_generation = st.generation;
-                            break r;
+                            match st.join {
+                                Join::Pinned => break (r, false),
+                                Join::Helped if st.open => {
+                                    st.active += 1;
+                                    break (r, true);
+                                }
+                                // Closed before this worker woke: skip it.
+                                Join::Helped => {}
+                            }
                         }
                     }
                     st = self
@@ -146,18 +199,17 @@ impl Shared {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            // SAFETY: the coordinator blocks in `run_region` until this
-            // worker reports completion below, so the task outlives this
-            // dereference.
-            let task = unsafe { &*region.0 };
-            let mut fatal = false;
-            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| task(me))) {
-                fatal = payload.is::<InjectedCrash>();
-                // Raise the abort flag before recording the panic so peers
-                // polling it can start unwinding immediately.
-                self.aborted.store(true, Ordering::Release);
-                self.lock_state().panics.push((me, payload));
+            if helped {
+                // Pass the wake on: the region is still open, so another
+                // parked helper may find work left.
+                self.work_cv.notify_one();
             }
+            // SAFETY: this worker is counted into `active` (at publish, or by
+            // joining the open region above under the state lock), and the
+            // coordinator does not return from `run_region` until
+            // `active == 0`, so the task outlives this dereference.
+            let task = unsafe { &*region.0 };
+            let fatal = self.run_task(task, me);
             let mut st = self.lock_state();
             st.dead[me] = fatal;
             st.active -= 1;
@@ -180,12 +232,15 @@ pub(crate) struct Pool(Arc<Shared>);
 
 impl Pool {
     /// Spawn `workers` threads named `{prefix}-{w}`, parked until the first
-    /// region.
+    /// region. Zero workers is a valid pool: its helped regions run wholly
+    /// on the caller.
     pub(crate) fn new(workers: usize, prefix: &'static str) -> Pool {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 generation: 0,
                 region: None,
+                join: Join::Pinned,
+                open: false,
                 active: 0,
                 panics: Vec::new(),
                 dead: vec![true; workers],
@@ -201,40 +256,59 @@ impl Pool {
         Pool(shared)
     }
 
-    /// Did a worker of the current region panic?
+    /// Did a task of the current region panic?
     pub(crate) fn aborted(&self) -> bool {
         self.0.aborted.load(Ordering::Acquire)
     }
 
-    /// Run `task(w)` once on each worker `w`, wait for all of them, and
-    /// re-raise the region's panic, if any, via [`resume_lowest`].
-    pub(crate) fn run_region(&self, task: &(dyn Fn(usize) + Sync)) {
-        // SAFETY: `Region` erases the closure's lifetime; the barrier below
-        // (waiting for `active == 0`) guarantees no worker touches the
-        // pointer after this function returns.
+    /// Run `task` on the pool as `join` says, wait for every thread that
+    /// took part, and re-raise the region's panic, if any, via
+    /// [`resume_lowest`].
+    pub(crate) fn run_region(&self, join: Join, task: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: `Region` erases the closure's lifetime; the region is
+        // closed and the barrier below (waiting for `active == 0`) passed
+        // before this function returns, and no worker touches the pointer
+        // unless it is counted into `active`.
         let region = Region(unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
                 task,
             )
         });
-        let mut st = self.0.lock_state();
+        let shared = &self.0;
+        let mut st = shared.lock_state();
         // Serialize overlapping regions: one slot, one barrier count.
         while st.region.is_some() {
-            st = self
-                .0
+            st = shared
                 .done_cv
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        self.0.spawn_dead(&mut st);
-        self.0.aborted.store(false, Ordering::Release);
+        shared.spawn_dead(&mut st);
+        shared.aborted.store(false, Ordering::Release);
+        let workers = st.dead.len();
         st.region = Some(region);
-        st.active = st.dead.len();
+        st.join = join;
+        st.open = true;
+        st.active = match join {
+            Join::Pinned => workers,
+            Join::Helped => 0,
+        };
         st.generation = st.generation.wrapping_add(1);
-        self.0.work_cv.notify_all();
+        drop(st);
+        match join {
+            Join::Pinned => shared.work_cv.notify_all(),
+            Join::Helped => {
+                shared.work_cv.notify_one();
+                // Caught like a worker's call, so the close and barrier
+                // below run even if the task panics. The caller is not a
+                // pool thread: a fatal payload is only re-raised.
+                shared.run_task(task, workers);
+            }
+        }
+        let mut st = shared.lock_state();
+        st.open = false;
         while st.active > 0 {
-            st = self
-                .0
+            st = shared
                 .done_cv
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
@@ -243,7 +317,7 @@ impl Pool {
         let panics = std::mem::take(&mut st.panics);
         drop(st);
         // Wake any coordinator parked above waiting to publish its region.
-        self.0.done_cv.notify_all();
+        shared.done_cv.notify_all();
         resume_lowest(panics);
     }
 }
@@ -268,31 +342,37 @@ impl Drop for Pool {
 mod tests {
     //! The pool contract, checked through whichever executor owns the pool:
     //! every suite takes handles onto **one** pool (clones, for
-    //! `ParExecutor`) plus the region width to drive it with.
+    //! `ParExecutor`) plus the region width to drive it with. `ParExecutor`
+    //! runs helped regions (the caller takes part), `NetExecutor` pinned
+    //! ones (the caller never does).
 
     use super::*;
     use crate::{Execute, NetExecutor, ParExecutor};
     use std::cell::RefCell;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
+    use std::thread::ThreadId;
 
-    const WORKERS: usize = 4;
+    /// Threads per pool: `ParExecutor`'s count includes the caller (so it
+    /// spawns `THREADS - 1` helpers), `NetExecutor` spawns one per server.
+    const THREADS: usize = 4;
 
     type Handles = Vec<Box<dyn Execute>>;
 
     fn par_handles() -> Handles {
-        let exec = ParExecutor::with_threads(WORKERS);
+        let exec = ParExecutor::with_threads(THREADS);
         vec![Box::new(exec.clone()), Box::new(exec)]
     }
 
     fn net_handles() -> Handles {
-        vec![Box::new(NetExecutor::new(WORKERS))]
+        vec![Box::new(NetExecutor::new(THREADS))]
     }
 
     /// 200 regions: every index runs exactly once per region, always on the
-    /// same ≤ `WORKERS` pool threads (never the coordinator), through every
-    /// handle.
-    fn exactly_once_on_stable_threads(handles: &Handles, n: usize) {
+    /// same ≤ `THREADS` threads, through every handle. Pinned regions never
+    /// run on the coordinator; helped ones may, and it counts against the
+    /// bound.
+    fn exactly_once_on_stable_threads(handles: &Handles, n: usize, caller_runs: bool) {
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let threads = Mutex::new(HashSet::new());
         for region in 0..200 {
@@ -305,8 +385,30 @@ mod tests {
             assert_eq!(h.load(Ordering::Relaxed), 200, "index {i}");
         }
         let threads = threads.into_inner().unwrap();
-        assert!(threads.len() <= WORKERS, "pool threads are reused");
-        assert!(!threads.contains(&std::thread::current().id()));
+        assert!(threads.len() <= THREADS, "pool threads are reused");
+        if !caller_runs {
+            assert!(!threads.contains(&std::thread::current().id()));
+        }
+    }
+
+    /// 50 regions in which index 0 blocks (on flags, not sleeps) until some
+    /// other index has run on a different thread: whichever thread takes
+    /// index 0, the region only ends if a second thread joins it while it
+    /// is open.
+    fn threads_join_an_open_region(exec: &dyn Execute, n: usize) {
+        for _ in 0..50 {
+            let ran_on: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+            exec.run(n, &|i| {
+                let me = std::thread::current().id();
+                if i == 0 {
+                    while !ran_on.lock().unwrap().iter().any(|&t| t != me) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    ran_on.lock().unwrap().push(me);
+                }
+            });
+        }
     }
 
     /// Indices 1, n/2 and n-1 panic in one region. Even rounds make index 1
@@ -372,26 +474,36 @@ mod tests {
         });
     }
 
-    fn pool_contract(handles: Handles, n: usize) {
-        exactly_once_on_stable_threads(&handles, n);
+    fn pool_contract(handles: Handles, n: usize, caller_runs: bool) {
+        exactly_once_on_stable_threads(&handles, n, caller_runs);
+        threads_join_an_open_region(handles[0].as_ref(), n);
         lowest_index_payload_wins(handles[0].as_ref(), n);
         regions_serialize(&handles, n);
     }
 
-    /// Every worker thread parks a clone of a sentinel in thread-local
-    /// storage; dropping the last handle must join the workers, which runs
-    /// their TLS destructors — so the sentinel is unshared the moment `drop`
-    /// returns. (Regression: `ParExecutor` used to detach its workers.)
+    /// Every thread that runs a task parks a clone of a sentinel in
+    /// thread-local storage, and each task first waits (on flags) until
+    /// `THREADS` distinct threads have entered the region, so every worker
+    /// takes part. The caller's own clone is then cleared; dropping the
+    /// last handle must join the workers, which runs their TLS destructors
+    /// — so the sentinel is unshared the moment `drop` returns.
+    /// (Regression: `ParExecutor` used to detach its workers.)
     fn drop_joins_every_worker(handles: Handles, n: usize) {
         thread_local! {
             static HELD: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
         }
         let sentinel = Arc::new(());
-        for _ in 0..20 {
+        for _ in 0..3 {
+            let entered = Mutex::new(HashSet::new());
             handles[0].run(n, &|_| {
+                entered.lock().unwrap().insert(std::thread::current().id());
+                while entered.lock().unwrap().len() < THREADS {
+                    std::thread::yield_now();
+                }
                 HELD.with(|held| *held.borrow_mut() = Some(Arc::clone(&sentinel)));
             });
         }
+        HELD.with(|held| *held.borrow_mut() = None);
         assert!(
             Arc::strong_count(&sentinel) > 1,
             "workers hold the sentinel"
@@ -402,12 +514,12 @@ mod tests {
 
     #[test]
     fn par_pool_contract() {
-        pool_contract(par_handles(), 64);
+        pool_contract(par_handles(), 64, true);
     }
 
     #[test]
     fn net_pool_contract() {
-        pool_contract(net_handles(), WORKERS);
+        pool_contract(net_handles(), THREADS, false);
     }
 
     #[test]
@@ -417,6 +529,6 @@ mod tests {
 
     #[test]
     fn net_drop_joins_every_worker() {
-        drop_joins_every_worker(net_handles(), WORKERS);
+        drop_joins_every_worker(net_handles(), THREADS);
     }
 }
