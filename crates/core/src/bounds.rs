@@ -4,6 +4,7 @@
 //! Corollary 1, the line-3 lower bound (Theorem 6), and the baseline bounds
 //! the experiments compare against.
 
+use aj_relation::cover::min_weight_cover;
 use aj_relation::{ram, Database, EdgeSet, Query};
 
 /// Eq. (2): `L_instance(p, R) = max_{S⊆E} (|Q(R,S)|/p)^{1/|S|}` — the
@@ -216,23 +217,6 @@ pub fn wc_share_cost(q: &Query, sizes: &[u64], p: usize) -> f64 {
     crate::hypercube::worst_case_search(q, sizes, p).1
 }
 
-/// AGM-style integral bound on a join's output size: the minimum over edge
-/// covers of the product of the covering relations' sizes (the integral
-/// relaxation of the AGM bound; exact enough for constant-size bags).
-pub(crate) fn min_cover_product(q: &Query, sizes: &[u64]) -> f64 {
-    let m = q.n_edges();
-    let target = q.all_attrs();
-    let mut best = f64::INFINITY;
-    for s in aj_relation::EdgeSet::all(m).subsets() {
-        if s.is_empty() || q.attrs_of_edges(s) != target {
-            continue;
-        }
-        let product: f64 = s.iter().map(|e| sizes[e].max(1) as f64).product();
-        best = best.min(product);
-    }
-    best
-}
-
 /// The closed-form price of serving a cyclic query through a GHD
 /// ([`crate::general`]): one worst-case HyperCube round per multi-edge bag
 /// ([`crate::hypercube::worst_case_join`], priced like
@@ -256,7 +240,10 @@ pub fn ghd_cost(q: &Query, ghd: &aj_relation::Ghd, sizes: &[u64], p: usize) -> f
             let (sub_q, kept) = q.restrict(set);
             let sub_sizes: Vec<u64> = kept.iter().map(|&e| sizes[e]).collect();
             cost += wc_share_cost(&sub_q, &sub_sizes, p);
-            cost += min_cover_product(&sub_q, &sub_sizes) / pf;
+            // AGM-style integral bound on the bag's output: the smallest
+            // product of covering relation sizes.
+            let (_, product) = min_weight_cover(&sub_q, |e| sub_sizes[e].max(1) as f64);
+            cost += product / pf;
         }
     }
     cost

@@ -4,7 +4,7 @@
 use aj_obs::{Event, ObsConfig, RoundKind, Trace};
 use aj_relation::TupleBlock;
 
-use crate::executor::{run_consuming_at, run_indexed_at, Execute, ParExecutor, SeqExecutor};
+use crate::executor::{run_consuming, Execute, ParExecutor, SeqExecutor};
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::net_executor::{NetExecutor, WireRound};
 use crate::rows::{DeltaBlock, DeltaOutbox, RowOutbox};
@@ -577,7 +577,8 @@ impl Net<'_> {
             seq: self.cluster.stats.exchanges,
             done: &done,
         };
-        let delivered = run_consuming_at(nx, outbox, &|i| round.abs(i), |s, ob: O| {
+        let pinned = |n, task: &(dyn Fn(usize) + Sync)| nx.run_pinned(n, &|i| round.abs(i), task);
+        let delivered = run_consuming(pinned, outbox, |s, ob: O| {
             let from = round.abs(s) as u64;
             let per_dest = count_units(p, std::slice::from_ref(&ob));
             let outgoing = O::deliver(&per_dest, vec![ob])
@@ -641,7 +642,7 @@ impl Net<'_> {
     }
 
     /// One **computation + communication round**: for each local server `s`,
-    /// run `work(s)` — concurrently under a [`ParExecutor`] — producing that
+    /// run `work(s)` — concurrently under a threaded executor — producing that
     /// server's outbox, then route everything with [`Net::exchange`].
     ///
     /// This is the per-server-closure form of a round: `work` must only read
@@ -651,13 +652,7 @@ impl Net<'_> {
         &mut self,
         work: impl Fn(ServerId) -> Vec<(ServerId, T)> + Sync,
     ) -> Vec<Vec<T>> {
-        let (lo, stride) = (self.lo, self.stride);
-        let outbox = run_indexed_at(
-            self.cluster.executor.as_ref(),
-            self.len,
-            &|i| lo + i * stride,
-            work,
-        );
+        let outbox = self.run_each(work);
         self.exchange(outbox)
     }
 
@@ -671,28 +666,15 @@ impl Net<'_> {
         inputs: Vec<S>,
         work: impl Fn(ServerId, S) -> Vec<(ServerId, T)> + Sync,
     ) -> Vec<Vec<T>> {
-        assert_eq!(inputs.len(), self.len, "one input per server");
-        let (lo, stride) = (self.lo, self.stride);
-        let outbox = run_consuming_at(
-            self.cluster.executor.as_ref(),
-            inputs,
-            &|i| lo + i * stride,
-            work,
-        );
+        let outbox = self.run_local(inputs, work);
         self.exchange(outbox)
     }
 
     /// Run free local computation on every server (no communication, no load
     /// charge): `work(s)` runs once per local server — concurrently under a
-    /// [`ParExecutor`] — and the results are returned in server order.
+    /// threaded executor — and the results are returned in server order.
     pub fn run_each<T: Send>(&self, work: impl Fn(ServerId) -> T + Sync) -> Vec<T> {
-        let (lo, stride) = (self.lo, self.stride);
-        run_indexed_at(
-            self.cluster.executor.as_ref(),
-            self.len,
-            &|i| lo + i * stride,
-            work,
-        )
+        self.run_local(vec![(); self.len], |s, ()| work(s))
     }
 
     /// Like [`Net::run_each`], but each server's closure consumes an owned
@@ -706,13 +688,15 @@ impl Net<'_> {
         work: impl Fn(ServerId, S) -> T + Sync,
     ) -> Vec<T> {
         assert_eq!(inputs.len(), self.len, "one input per server");
-        let (lo, stride) = (self.lo, self.stride);
-        run_consuming_at(
-            self.cluster.executor.as_ref(),
-            inputs,
-            &|i| lo + i * stride,
-            work,
-        )
+        let exec = self.cluster.executor.as_ref();
+        if !exec.is_parallel() {
+            return inputs
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| work(i, s))
+                .collect();
+        }
+        run_consuming(|n, task| exec.run(n, task), inputs, work)
     }
 
     /// Broadcast `items` from local server `src` to every server of the view

@@ -6,13 +6,14 @@
 //! shared buffers, a `NetExecutor` cluster is a real (single-machine)
 //! distributed system:
 //!
-//! * **Thread per server.** `p` persistent worker threads are spawned at
-//!   construction, one per absolute server. A round pins local server `i`'s
-//!   closure to the worker of its *absolute* server (the cluster passes the
-//!   view's `lo + i·stride` mapping through [`Execute::run_at`]), so server
-//!   `s`'s work always executes on thread `s` — and every server of a round
-//!   runs **concurrently**, which is what lets closures block on
-//!   [`Transport::recv`] without deadlocking.
+//! * **Thread per server, for exchanges.** `p` persistent worker threads
+//!   are spawned at construction, one per absolute server. An exchange pins
+//!   local server `i`'s side to its *absolute* server's thread
+//!   (`NetExecutor::run_pinned`), and every server of the exchange runs
+//!   **concurrently**, which is what lets it block on [`Transport::recv`]
+//!   without deadlocking. Local computation is free in the MPC model, so a
+//!   compute region ([`Execute::run`]) has no placement: it runs on the
+//!   caller, and parked server threads help only while work remains.
 //! * **Message passing only.** Under this backend, `Net::exchange` /
 //!   `exchange_rows` / `exchange_deltas` do not touch shared routing
 //!   buffers; each server serializes its outgoing payloads into
@@ -59,10 +60,10 @@
 //! # Crashes and recovery
 //!
 //! The `p` server threads are the crate's one region pool (`pool.rs`, shared
-//! with [`crate::ParExecutor`]) with a closure that runs the round index
-//! pinned to each server. The pool's panic policy is therefore the
-//! backend's: panics are caught per server and re-raised on the
-//! coordinating thread; when several servers panic in one round, the
+//! with [`crate::ParExecutor`]); an exchange runs on it with a closure that
+//! runs the exchange index pinned to each server. The pool's panic policy is
+//! therefore the backend's: panics are caught per server and re-raised on
+//! the coordinating thread; when several servers panic in one round, the
 //! **lowest absolute server id's** payload wins, deterministically, except
 //! that [`PeerAbort`] markers — workers that bailed out of a reliable
 //! exchange because a *peer* died — always lose to the genuine failure. A
@@ -446,14 +447,15 @@ impl NetExecutor {
             .map(|f| f.expect("reliable exchange: inbox complete"))
             .collect()
     }
-}
 
-impl Execute for NetExecutor {
-    fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.run_at(n, &|i| i, task);
-    }
-
-    fn run_at(
+    /// Run `task(i)` for every `i in 0..n` on absolute server `abs(i)`'s
+    /// thread, all at once: a wire exchange, whose tasks block on each
+    /// other's frames. `Net::route_wire` is the one caller.
+    ///
+    /// # Panics
+    /// Panics if `n > p`, an `abs(i)` is out of range, or two indices pin
+    /// to one server.
+    pub(crate) fn run_pinned(
         &self,
         n: usize,
         abs: &(dyn Fn(usize) -> usize + Sync),
@@ -481,6 +483,14 @@ impl Execute for NetExecutor {
             }
         });
     }
+}
+
+impl Execute for NetExecutor {
+    /// A compute region: the caller drains the indices, and parked server
+    /// threads help only while work remains.
+    fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        self.pool.run_helped(n, task);
+    }
 
     fn is_parallel(&self) -> bool {
         true
@@ -506,7 +516,7 @@ mod tests {
     fn pins_index_to_absolute_server_thread() {
         let exec = NetExecutor::new(4);
         // A strided view {1, 3}: index i must run on thread `1 + 2i`.
-        exec.run_at(2, &|i| 1 + 2 * i, &|i| {
+        exec.run_pinned(2, &|i| 1 + 2 * i, &|i| {
             let name = std::thread::current().name().unwrap().to_string();
             assert_eq!(name, format!("aj-server-{}", 1 + 2 * i), "index {i}");
         });
@@ -516,10 +526,10 @@ mod tests {
     fn servers_run_concurrently_and_can_block_on_recv() {
         // Every server sends one frame to its successor and then blocks
         // receiving from its predecessor — impossible unless all servers of
-        // the round truly run at the same time.
+        // the exchange truly run at the same time.
         let p = 6;
         let exec = NetExecutor::new(p);
-        exec.run(p, &|s| {
+        exec.run_pinned(p, &|s| s, &|s| {
             let t = exec.transport();
             t.send(
                 s,
@@ -535,7 +545,7 @@ mod tests {
     fn genuine_panic_beats_peer_abort_marker() {
         let exec = NetExecutor::new(4);
         let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.run(4, &|i| {
+            exec.run_pinned(4, &|i| i, &|i| {
                 if i == 3 {
                     panic!("server 3 genuinely failed");
                 } else {
@@ -555,7 +565,7 @@ mod tests {
     #[should_panic(expected = "two round indices pinned")]
     fn double_assignment_is_rejected() {
         let exec = NetExecutor::new(4);
-        exec.run_at(2, &|_| 0, &|_| {});
+        exec.run_pinned(2, &|_| 0, &|_| {});
     }
 
     #[test]
@@ -586,7 +596,7 @@ mod tests {
             done: &done,
         };
         let results: Mutex<Vec<(usize, Vec<u64>)>> = Mutex::new(Vec::new());
-        exec.run(p, &|s| {
+        exec.run_pinned(p, &|s| s, &|s| {
             let outgoing: Vec<Frame> = (0..p)
                 .map(|d| Frame::new(FrameKind::Items, seq, s as u64, &((s * 100 + d) as u64)))
                 .collect();
@@ -667,7 +677,7 @@ mod tests {
         // The dead thread is respawned; a later exchange (higher seq, so
         // leftovers of the aborted round are discarded) completes and runs
         // on a thread named after the same server.
-        exec.run(p, &|s| {
+        exec.run_pinned(p, &|s| s, &|s| {
             let name = std::thread::current().name().unwrap().to_string();
             assert_eq!(name, format!("aj-server-{s}"));
         });

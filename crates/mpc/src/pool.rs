@@ -1,24 +1,27 @@
 //! The region pool: the one worker machine behind both threaded executors.
 //!
 //! A [`Pool`] owns `W` persistent, named worker threads that park on a
-//! condvar between regions. Its only operation is [`Pool::run_region`]: run
+//! condvar between regions. Its one mechanism is [`Pool::run_region`]: run
 //! a task on the pool, block until every thread that took part is done, and
 //! re-raise any panic deterministically. What a thread does with its turn is
 //! entirely the closure's business; the pool only knows how workers
 //! [`Join`] the region:
 //!
-//! * [`Join::Pinned`] — `task(w)` runs once on **each** worker `w`, and the
-//!   caller only waits. [`crate::NetExecutor`] is a pool of `p` workers whose
-//!   closure runs the round index pinned to server `w`, if the view pinned
-//!   one there (its tasks may block on each other, so all must run).
 //! * [`Join::Helped`] — the caller runs `task(W)` itself, and parked workers
-//!   help only while that call runs. [`crate::ParExecutor`] is a pool of
-//!   `threads − 1` helpers whose closure drains a stack-local atomic index
-//!   cursor (work stealing). Publishing wakes one helper, and each helper
-//!   that joins wakes one more; when the caller's own call returns, the
-//!   region closes and helpers that wake later skip it. A region smaller
-//!   than a wake therefore finishes on the calling thread, and a bulk one
-//!   still fans out to every core.
+//!   help only while that call runs. This is every compute region on both
+//!   owners, through [`Pool::run_helped`]: the closure drains a stack-local
+//!   atomic index cursor (work stealing). Publishing wakes one helper, and
+//!   each helper that joins wakes one more; when the caller's own call
+//!   returns, the region closes and helpers that wake later skip it. A
+//!   region smaller than a wake therefore finishes on the calling thread,
+//!   and a bulk one still fans out to every core. [`crate::ParExecutor`]
+//!   owns `threads − 1` helpers, [`crate::NetExecutor`] its `p` server
+//!   threads.
+//! * [`Join::Pinned`] — `task(w)` runs once on **each** worker `w`, and the
+//!   caller only waits. Only wire exchanges use it: the network backend's
+//!   closure runs the exchange index pinned to server `w`, if the view
+//!   pinned one there. Its tasks block on each other's frames, so all must
+//!   run at once.
 //!
 //! # Lifecycle
 //!
@@ -33,10 +36,11 @@
 //!
 //! # Panics, crashes, shutdown
 //!
-//! A panic escaping `task(w)` is caught on its thread (the caller's own
-//! call included), raises the [`Pool::aborted`] flag (reliable exchanges
-//! poll it to abandon a round whose peer died) and is re-raised on the
-//! coordinator after the barrier by [`resume_lowest`]: the lowest index
+//! [`Pool::run_helped`] catches panics per index and re-raises the lowest
+//! after its region. In a pinned region, a panic escaping `task(w)` is
+//! caught on its thread, raises the [`Pool::aborted`] flag (reliable
+//! exchanges poll it to abandon a round whose peer died) and is re-raised on
+//! the coordinator after the barrier by [`resume_lowest`]: the lowest index
 //! wins, except that [`PeerAbort`] markers always lose to a genuine payload.
 //! A worker payload that is an [`InjectedCrash`] is fatal to its thread: the
 //! worker really exits and a successor (same index, same name) is spawned
@@ -47,7 +51,7 @@
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::fault::InjectedCrash;
@@ -261,6 +265,36 @@ impl Pool {
         self.0.aborted.load(Ordering::Acquire)
     }
 
+    /// Invoke `task(i)` once for every `i in 0..n` as one helped region:
+    /// the caller and every helper that joins drain one atomic index
+    /// cursor. Panics are caught per index, so every index still runs and
+    /// the lowest index's payload is re-raised, however the indices were
+    /// spread over threads.
+    pub(crate) fn run_helped(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        if n <= 1 {
+            // Nothing to share: no helper could take an index.
+            for i in 0..n {
+                task(i);
+            }
+            return;
+        }
+        let cursor = AtomicUsize::new(0);
+        let panics = Mutex::new(Vec::new());
+        self.run_region(Join::Helped, &|_thread| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| task(i))) {
+                panics
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((i, payload));
+            }
+        });
+        resume_lowest(panics.into_inner().unwrap_or_else(PoisonError::into_inner));
+    }
+
     /// Run `task` on the pool as `join` says, wait for every thread that
     /// took part, and re-raise the region's panic, if any, via
     /// [`resume_lowest`].
@@ -340,43 +374,33 @@ impl Drop for Pool {
 
 #[cfg(test)]
 mod tests {
-    //! The pool contract, checked through whichever executor owns the pool:
-    //! every suite takes handles onto **one** pool (clones, for
-    //! `ParExecutor`) plus the region width to drive it with. `ParExecutor`
-    //! runs helped regions (the caller takes part), `NetExecutor` pinned
-    //! ones (the caller never does).
+    //! The pool contract, checked through both owners: helped regions
+    //! ([`Execute::run`] on either executor; the caller may take part) and
+    //! the wire exchange's pinned ones ([`NetExecutor::run_pinned`]; never
+    //! the caller). Each suite drives **one** pool through its runners.
 
     use super::*;
     use crate::{Execute, NetExecutor, ParExecutor};
     use std::cell::RefCell;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicU64, AtomicUsize};
+    use std::sync::atomic::AtomicU64;
     use std::thread::ThreadId;
 
     /// Threads per pool: `ParExecutor`'s count includes the caller (so it
     /// spawns `THREADS - 1` helpers), `NetExecutor` spawns one per server.
     const THREADS: usize = 4;
 
-    type Handles = Vec<Box<dyn Execute>>;
-
-    fn par_handles() -> Handles {
-        let exec = ParExecutor::with_threads(THREADS);
-        vec![Box::new(exec.clone()), Box::new(exec)]
-    }
-
-    fn net_handles() -> Handles {
-        vec![Box::new(NetExecutor::new(THREADS))]
-    }
+    /// One region: `run(n, task)` invokes `task(i)` once per `i in 0..n`.
+    type Runner<'a> = &'a (dyn Fn(usize, &(dyn Fn(usize) + Sync)) + Sync);
 
     /// 200 regions: every index runs exactly once per region, always on the
-    /// same ≤ `THREADS` threads, through every handle. Pinned regions never
-    /// run on the coordinator; helped ones may, and it counts against the
-    /// bound.
-    fn exactly_once_on_stable_threads(handles: &Handles, n: usize, caller_runs: bool) {
+    /// same ≤ `max_threads` threads (the caller included), through every
+    /// runner.
+    fn exactly_once_on_stable_threads(runners: &[Runner], n: usize, max_threads: usize) {
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let threads = Mutex::new(HashSet::new());
         for region in 0..200 {
-            handles[region % handles.len()].run(n, &|i| {
+            runners[region % runners.len()](n, &|i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
                 threads.lock().unwrap().insert(std::thread::current().id());
             });
@@ -384,21 +408,18 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 200, "index {i}");
         }
-        let threads = threads.into_inner().unwrap();
-        assert!(threads.len() <= THREADS, "pool threads are reused");
-        if !caller_runs {
-            assert!(!threads.contains(&std::thread::current().id()));
-        }
+        let threads = threads.into_inner().unwrap().len();
+        assert!(threads <= max_threads, "pool threads are reused: {threads}");
     }
 
     /// 50 regions in which index 0 blocks (on flags, not sleeps) until some
     /// other index has run on a different thread: whichever thread takes
     /// index 0, the region only ends if a second thread joins it while it
     /// is open.
-    fn threads_join_an_open_region(exec: &dyn Execute, n: usize) {
+    fn threads_join_an_open_region(run: Runner, n: usize) {
         for _ in 0..50 {
             let ran_on: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
-            exec.run(n, &|i| {
+            run(n, &|i| {
                 let me = std::thread::current().id();
                 if i == 0 {
                     while !ran_on.lock().unwrap().iter().any(|&t| t != me) {
@@ -416,14 +437,14 @@ mod tests {
     /// sleeps), so neither a first- nor a last-finisher policy passes: the
     /// re-raised payload must always be index 1's, intact. The pool must
     /// survive every panicked region.
-    fn lowest_index_payload_wins(exec: &dyn Execute, n: usize) {
+    fn lowest_index_payload_wins(run: Runner, n: usize) {
         let high = [n / 2, n - 1];
         for round in 0..50 {
             let low_failing = AtomicBool::new(false);
             let high_failing = AtomicUsize::new(0);
             let low_goes_last = round % 2 == 0;
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                exec.run(n, &|i| {
+                run(n, &|i| {
                     if i == 1 {
                         while low_goes_last && high_failing.load(Ordering::Acquire) < high.len() {
                             std::thread::yield_now();
@@ -449,18 +470,18 @@ mod tests {
     }
 
     /// Two coordinator threads hammer the pool through (possibly distinct)
-    /// handles: regions must serialize, i.e. no task of one coordinator's
+    /// runners: regions must serialize, i.e. no task of one coordinator's
     /// region ever overlaps a task of the other's.
-    fn regions_serialize(handles: &Handles, n: usize) {
+    fn regions_serialize(runners: &[Runner], n: usize) {
         let running = [AtomicUsize::new(0), AtomicUsize::new(0)];
         std::thread::scope(|scope| {
             for me in 0..2 {
-                let exec = handles[me % handles.len()].as_ref();
+                let run = runners[me % runners.len()];
                 let running = &running;
                 scope.spawn(move || {
                     for round in 0..300 {
                         let hits = AtomicU64::new(0);
-                        exec.run(n, &|_| {
+                        run(n, &|_| {
                             running[me].fetch_add(1, Ordering::SeqCst);
                             let other = running[1 - me].load(Ordering::SeqCst);
                             assert_eq!(other, 0, "regions overlapped in round {round}");
@@ -474,28 +495,33 @@ mod tests {
         });
     }
 
-    fn pool_contract(handles: Handles, n: usize, caller_runs: bool) {
-        exactly_once_on_stable_threads(&handles, n, caller_runs);
-        threads_join_an_open_region(handles[0].as_ref(), n);
-        lowest_index_payload_wins(handles[0].as_ref(), n);
-        regions_serialize(&handles, n);
+    /// The helped contract, on any executor's `run`.
+    fn helped_contract(runners: &[Runner], n: usize, max_threads: usize) {
+        exactly_once_on_stable_threads(runners, n, max_threads);
+        threads_join_an_open_region(runners[0], n);
+        lowest_index_payload_wins(runners[0], n);
+        regions_serialize(runners, n);
     }
 
     /// Every thread that runs a task parks a clone of a sentinel in
     /// thread-local storage, and each task first waits (on flags) until
     /// `THREADS` distinct threads have entered the region, so every worker
     /// takes part. The caller's own clone is then cleared; dropping the
-    /// last handle must join the workers, which runs their TLS destructors
-    /// — so the sentinel is unshared the moment `drop` returns.
+    /// owner must join the workers, which runs their TLS destructors — so
+    /// the sentinel is unshared the moment `drop` returns.
     /// (Regression: `ParExecutor` used to detach its workers.)
-    fn drop_joins_every_worker(handles: Handles, n: usize) {
+    fn drop_joins_every_worker<E>(
+        owner: E,
+        run: impl Fn(&E, usize, &(dyn Fn(usize) + Sync)),
+        n: usize,
+    ) {
         thread_local! {
             static HELD: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
         }
         let sentinel = Arc::new(());
         for _ in 0..3 {
             let entered = Mutex::new(HashSet::new());
-            handles[0].run(n, &|_| {
+            run(&owner, n, &|_| {
                 entered.lock().unwrap().insert(std::thread::current().id());
                 while entered.lock().unwrap().len() < THREADS {
                     std::thread::yield_now();
@@ -508,27 +534,70 @@ mod tests {
             Arc::strong_count(&sentinel) > 1,
             "workers hold the sentinel"
         );
-        drop(handles);
+        drop(owner);
         assert_eq!(Arc::strong_count(&sentinel), 1, "a worker outlived drop");
     }
 
     #[test]
     fn par_pool_contract() {
-        pool_contract(par_handles(), 64, true);
+        let exec = ParExecutor::with_threads(THREADS);
+        let clone = exec.clone();
+        let runners: [Runner; 2] = [&|n, task| exec.run(n, task), &|n, task| clone.run(n, task)];
+        helped_contract(&runners, 64, THREADS);
     }
 
+    /// A `NetExecutor` compute region is helped: its `p` server threads and
+    /// the caller take part.
     #[test]
     fn net_pool_contract() {
-        pool_contract(net_handles(), THREADS, false);
+        let nx = NetExecutor::new(THREADS);
+        helped_contract(&[&|n, task| nx.run(n, task)], 64, THREADS + 1);
+    }
+
+    /// The wire exchange's pinned regions: index `i` runs once, on server
+    /// `abs(i)`'s own thread and never on the caller; tasks that wait on
+    /// each other all complete; the lowest payload wins; and pinned and
+    /// helped regions on one pool serialize.
+    #[test]
+    fn net_pinned_contract() {
+        let nx = NetExecutor::new(THREADS);
+        let caller = std::thread::current().id();
+        // A reversed full placement, and the strided half {1, 3}.
+        let placements: [(usize, &(dyn Fn(usize) -> usize + Sync)); 2] = [
+            (THREADS, &|i| THREADS - 1 - i),
+            (THREADS / 2, &|i| 1 + 2 * i),
+        ];
+        for region in 0..100 {
+            let (n, abs) = placements[region % 2];
+            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            nx.run_pinned(n, abs, &|i| {
+                let me = std::thread::current();
+                assert_ne!(me.id(), caller, "index {i} ran on the caller");
+                assert_eq!(me.name(), Some(format!("aj-server-{}", abs(i)).as_str()));
+                hits[i].fetch_add(1, Ordering::AcqRel);
+                // Wait (on flags, not sleeps) for every task of the region:
+                // only a region that runs them all at once completes.
+                while hits.iter().any(|h| h.load(Ordering::Acquire) == 0) {
+                    std::thread::yield_now();
+                }
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+        let pinned = |n, task: &(dyn Fn(usize) + Sync)| nx.run_pinned(n, &|i| i, task);
+        lowest_index_payload_wins(&pinned, THREADS);
+        regions_serialize(&[&pinned, &|n, task| nx.run(n, task)], THREADS);
     }
 
     #[test]
     fn par_drop_joins_every_worker() {
-        drop_joins_every_worker(par_handles(), 64);
+        let exec = ParExecutor::with_threads(THREADS);
+        drop_joins_every_worker((exec.clone(), exec), |(e, _), n, task| e.run(n, task), 64);
     }
 
+    /// Through pinned regions, so every server thread takes part.
     #[test]
     fn net_drop_joins_every_worker() {
-        drop_joins_every_worker(net_handles(), THREADS);
+        let nx = NetExecutor::new(THREADS);
+        drop_joins_every_worker(nx, |nx, n, task| nx.run_pinned(n, &|i| i, task), THREADS);
     }
 }

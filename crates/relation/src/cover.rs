@@ -4,25 +4,28 @@ use crate::query::Query;
 use crate::sets::{AttrSet, EdgeSet};
 
 /// A minimum edge cover: the smallest set of edges whose union covers every
-/// occurring attribute. Exhaustive over subsets (query size is constant).
+/// occurring attribute.
 pub fn min_edge_cover(q: &Query) -> Vec<usize> {
-    let m = q.n_edges();
+    // Weight 2 per edge: the product is 2^|cover|, exact in f64.
+    min_weight_cover(q, |_| 2.0).0.to_vec()
+}
+
+/// The edge cover minimising the product of its edges' weights, with that
+/// product. Exhaustive over subsets (query size is constant); among covers
+/// of equal product, the first in subset order wins.
+pub fn min_weight_cover(q: &Query, weight: impl Fn(usize) -> f64) -> (EdgeSet, f64) {
     let target: AttrSet = q.all_attrs();
-    let mut best: Option<EdgeSet> = None;
-    for s in EdgeSet::all(m).subsets() {
-        if s.is_empty() {
+    let mut best: Option<(EdgeSet, f64)> = None;
+    for s in EdgeSet::all(q.n_edges()).subsets() {
+        if s.is_empty() || q.attrs_of_edges(s) != target {
             continue;
         }
-        if let Some(b) = best {
-            if s.len() >= b.len() {
-                continue;
-            }
-        }
-        if q.attrs_of_edges(s) == target {
-            best = Some(s);
+        let product: f64 = s.iter().map(&weight).product();
+        if best.is_none_or(|(_, b)| product < b) {
+            best = Some((s, product));
         }
     }
-    best.expect("every query covers itself").to_vec()
+    best.expect("every query covers itself")
 }
 
 #[cfg(test)]
